@@ -38,7 +38,7 @@ from .mixer import (
     mixer_envelope,
     uniform_envelope,
 )
-from .planner import build_certificate, cmin_curve
+from .planner import Certificate, build_certificate, cmin_curve
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -178,6 +178,43 @@ def _convention(name: str) -> MixerConvention:
 # Command handlers
 # ---------------------------------------------------------------------------
 
+def _certificate_document(
+    command: str,
+    cert: Certificate,
+    status: str,
+    *,
+    gamma=None,
+    bound_satisfied=None,
+    gap_scope=None,
+    collisions=None,
+    envelope_source=None,
+) -> dict:
+    """The certificate document of ``certify`` and ``plan``; fields that need
+    an instance are null unless given."""
+    return {
+        "command": command,
+        "status": status,
+        "p": cert.p,
+        "gamma": gamma,
+        "c_beta": cert.c_beta,
+        "delta": cert.delta,
+        "x": cert.x,
+        "q0_bound": cert.q0_bound,
+        "q0_simple": cert.q0_simple,
+        "q0_exact": cert.q0_exact,
+        "bound_satisfied": bound_satisfied,
+        "shots": cert.shots,
+        "depth_for_target": cert.depth_for_target,
+        "regime": cert.regime.value,
+        "epsilon": cert.epsilon,
+        "eta": cert.eta,
+        "gap_scope": gap_scope,
+        "collisions": collisions,
+        "envelope_source": envelope_source,
+        "seed": None,
+    }
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.instance, cap=args.cap)
     scope = GapScope.ALL_STRINGS if args.scope == "all" else GapScope.FEASIBLE_ONLY
@@ -221,29 +258,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         # for this configuration and the certificate says so explicitly.
         status = "uncertifiable"
 
-    document = {
-        "command": "certify",
-        "status": status,
-        "p": cert.p,
-        "gamma": args.gamma,
-        "c_beta": cert.c_beta,
-        "delta": cert.delta,
-        "x": cert.x,
-        "q0_bound": cert.q0_bound,
-        "q0_simple": cert.q0_simple,
-        "q0_exact": q0_exact,
-        "bound_satisfied": bound_ok,
-        "shots": cert.shots,
-        "depth_for_target": cert.depth_for_target,
-        "regime": cert.regime.value,
-        "epsilon": cert.epsilon,
-        "eta": cert.eta,
-        "gap_scope": pm.gap_scope.value,
-        "collisions": [format_string(index_string(i, inst.n, inst.m)) for i in pm.colliding]
+    document = _certificate_document(
+        "certify", cert, status,
+        gamma=args.gamma,
+        bound_satisfied=bound_ok,
+        gap_scope=pm.gap_scope.value,
+        collisions=[format_string(index_string(i, inst.n, inst.m)) for i in pm.colliding]
         or None,
-        "envelope_source": source,
-        "seed": None,
-    }
+        envelope_source=source,
+    )
     serialize.atomic_write_text(args.output, serialize.dumps_json(document))
     if args.law_output is not None:
         weights = fejer_kernel(args.order, pm.theta - pm.theta_star)
@@ -256,28 +279,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     cert = build_certificate(args.order, args.c_beta, args.delta, args.epsilon, eta=args.eta)
-    document = {
-        "command": "plan",
-        "status": cert.status,
-        "p": cert.p,
-        "gamma": None,
-        "c_beta": cert.c_beta,
-        "delta": cert.delta,
-        "x": cert.x,
-        "q0_bound": cert.q0_bound,
-        "q0_simple": cert.q0_simple,
-        "q0_exact": None,
-        "bound_satisfied": None,
-        "shots": cert.shots,
-        "depth_for_target": cert.depth_for_target,
-        "regime": cert.regime.value,
-        "epsilon": cert.epsilon,
-        "eta": cert.eta,
-        "gap_scope": None,
-        "collisions": None,
-        "envelope_source": None,
-        "seed": None,
-    }
+    document = _certificate_document("plan", cert, cert.status)
     serialize.atomic_write_text(args.output, serialize.dumps_json(document))
     return EXIT_OK
 

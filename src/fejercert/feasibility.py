@@ -21,8 +21,8 @@ from .instance import (
     ProblemInstance,
     circular_distance,
     collision_penalty,
-    collision_penalty_table,
-    enumerate_strings,
+    index_string,
+    symbol_counts,
 )
 from .mixer import MixerConvention, resonance_distance
 
@@ -72,25 +72,28 @@ def level_sets(inst: ProblemInstance) -> LevelStructure:
     )
 
 
-def _directed_level_pair_counts(penalty: np.ndarray, n: int, m: int) -> dict:
-    """Counts of ordered single-block-relabel pairs between penalty levels."""
+def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
+    """Counts of ordered single-block-relabel pairs between the k classes of
+    [n]^m given by ``labels`` (one class index per string), as arrays
+    (src, dst, count) over the class pairs that occur, sorted by (src, dst).
+
+    Each (block, symbol) pass is reduced to its distinct pairs before the
+    merge, so memory stays proportional to n**m plus the pairs that occur,
+    whatever k is."""
     idx = np.arange(n**m)
-    counts: dict = {}
+    codes, counts = [], []
     for b in range(m):
         sym = (idx // n**b) % n
         for v in range(n):
-            mask = sym != v
-            src = idx[mask]
-            dst = src + (v - sym[mask]) * n**b
-            t_src = penalty[src]
-            t_dst = penalty[dst]
-            pairs, cnt = np.unique(
-                np.stack([t_src, t_dst], axis=1), axis=0, return_counts=True
-            )
-            for (t1, t2), c in zip(pairs, cnt):
-                key = (int(t1), int(t2))
-                counts[key] = counts.get(key, 0) + int(c)
-    return counts
+            src = idx[sym != v]
+            dst = src + (v - sym[src]) * n**b
+            c, cnt = np.unique(labels[src] * k + labels[dst], return_counts=True)
+            codes.append(c)
+            counts.append(cnt)
+    pairs, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    total = np.bincount(inverse.reshape(-1), weights=np.concatenate(counts)).astype(np.int64)
+    src, dst = np.divmod(pairs, k)
+    return src, dst, total
 
 
 def level_graph(ls: LevelStructure, n: int, m: int) -> LevelGraph:
@@ -101,17 +104,17 @@ def level_graph(ls: LevelStructure, n: int, m: int) -> LevelGraph:
     between the normalized level vectors; the stored coupling is the count
     divided by sqrt(|L_t| |L_t'|).
     """
-    penalty = np.empty(n**m, dtype=np.int64)
-    for t, idx in ls.levels.items():
-        penalty[idx] = t
-    counts = _directed_level_pair_counts(penalty, n, m)
+    rank = np.empty(n**m, dtype=np.int64)
+    for r, t in enumerate(ls.active):
+        rank[ls.levels[t]] = r
+    src, dst, counts = _relabel_pair_counts(rank, len(ls.active), n, m)
     edges = []
     couplings = {}
-    for (t1, t2), c in sorted(counts.items()):
-        if t1 >= t2 or c == 0:
-            continue
+    upper = src < dst
+    for i, j, c in zip(src[upper], dst[upper], counts[upper]):
+        t1, t2 = ls.active[i], ls.active[j]
         edges.append((t1, t2))
-        couplings[(t1, t2)] = c / math.sqrt(ls.size_of(t1) * ls.size_of(t2))
+        couplings[(t1, t2)] = int(c) / math.sqrt(ls.size_of(t1) * ls.size_of(t2))
     return LevelGraph(vertices=ls.active, edges=tuple(edges), couplings=couplings)
 
 
@@ -239,21 +242,30 @@ class SectorBasis:
         return len(self.keys)
 
 
-def invariant_sector_basis(n: int, m: int) -> SectorBasis:
-    """Enumerate the group orbits; the complete invariant of an orbit is the
-    multiset of symbol occupation counts."""
-    strings = enumerate_strings(n, m)
-    counts = np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
-    signature = np.sort(counts, axis=1)[:, ::-1]
-    keys, first, sizes = np.unique(signature, axis=0, return_index=True, return_counts=True)
+def _sector_orbits(n: int, m: int) -> tuple:
+    """The orbit basis and the orbit index of every string.  The complete
+    invariant of an orbit is the multiset of symbol occupation counts;
+    orbits are ordered by their first string."""
+    signature = np.sort(symbol_counts(n, m), axis=1)[:, ::-1]
+    keys, first, inverse, sizes = np.unique(
+        signature, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
     order = np.argsort(first)
-    return SectorBasis(
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    basis = SectorBasis(
         n=n,
         m=m,
         keys=tuple(tuple(int(v) for v in keys[i]) for i in order),
         representatives=tuple(int(first[i]) for i in order),
         sizes=tuple(int(sizes[i]) for i in order),
     )
+    return basis, rank[inverse.reshape(-1)]
+
+
+def invariant_sector_basis(n: int, m: int) -> SectorBasis:
+    """Enumerate the group orbits of [n]^m."""
+    return _sector_orbits(n, m)[0]
 
 
 def invariant_sector_generators(n: int, m: int) -> tuple:
@@ -263,37 +275,14 @@ def invariant_sector_generators(n: int, m: int) -> tuple:
     A is diagonal with the per-orbit penalty level; B counts single-block
     relabel pairs between orbits, normalized by the orbit sizes.
     """
-    basis = invariant_sector_basis(n, m)
-    d = basis.dim
-    orbit_of = _orbit_index_table(n, m, basis)
-    penalty = collision_penalty_table(n, m)
-
-    a = np.zeros((d, d))
-    for i, rep in enumerate(basis.representatives):
-        a[i, i] = float(penalty[rep])
-
-    b = np.zeros((d, d))
-    idx = np.arange(n**m)
-    for blk in range(m):
-        sym = (idx // n**blk) % n
-        for v in range(n):
-            mask = sym != v
-            src = idx[mask]
-            dst = src + (v - sym[mask]) * n**blk
-            np.add.at(b, (orbit_of[src], orbit_of[dst]), 1.0)
+    basis, orbit_of = _sector_orbits(n, m)
+    penalty = [collision_penalty(index_string(rep, n, m), n) for rep in basis.representatives]
+    a = np.diag(np.asarray(penalty, dtype=float))
+    src, dst, counts = _relabel_pair_counts(orbit_of, basis.dim, n, m)
+    b = np.zeros((basis.dim, basis.dim))
+    b[src, dst] = counts
     sizes = np.asarray(basis.sizes, dtype=float)
-    b /= np.sqrt(np.outer(sizes, sizes))
-    return a, b
-
-
-def _orbit_index_table(n: int, m: int, basis: SectorBasis) -> np.ndarray:
-    strings = enumerate_strings(n, m)
-    counts = np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
-    signature = np.sort(counts, axis=1)[:, ::-1]
-    key_rank = {key: i for i, key in enumerate(basis.keys)}
-    return np.asarray(
-        [key_rank[tuple(int(v) for v in row)] for row in signature], dtype=np.int64
-    )
+    return a, b / np.sqrt(np.outer(sizes, sizes))
 
 
 @dataclass(frozen=True)
@@ -405,8 +394,9 @@ def feasibility_angle_search(
     def evaluate(gammas: np.ndarray, betas: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
+        # the instance already holds n**m-entry tables, so the state fits too
         state = oracle.simulate(
-            inst, gammas, betas, convention=convention, cost_table=inst.penalty
+            inst, gammas, betas, convention=convention, cost_table=inst.penalty, cap=inst.size
         )
         return oracle.projector_mass(state, feasible)
 

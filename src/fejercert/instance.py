@@ -65,13 +65,15 @@ def enumerate_strings(n: int, m: int) -> np.ndarray:
     return np.stack([(idx // n**b) % n for b in range(m)], axis=1)
 
 
+def symbol_counts(n: int, m: int) -> np.ndarray:
+    """Symbol occupation counts N_k(z) of every string, shape (n**m, n)."""
+    strings = enumerate_strings(n, m)
+    return np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
+
+
 def format_string(z: Iterable[int]) -> str:
     """Dash-joined symbol string, e.g. (0, 2, 1) -> '0-2-1'."""
     return "-".join(str(int(s)) for s in z)
-
-
-def parse_string(text: str) -> BlockString:
-    return tuple(int(part) for part in text.split("-"))
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +93,7 @@ def collision_penalty(z: Sequence[int], n: int) -> int:
 
 def collision_penalty_table(n: int, m: int) -> np.ndarray:
     """Dense collision-penalty table over [n]^m in canonical order."""
-    strings = enumerate_strings(n, m)
-    counts = np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
-    return ((counts - 1) ** 2).sum(axis=1).astype(np.int64)
+    return ((symbol_counts(n, m) - 1) ** 2).sum(axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

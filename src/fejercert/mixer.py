@@ -87,6 +87,12 @@ def external_envelope(probs: Sequence[float]) -> Envelope:
     return Envelope(np.asarray(probs, dtype=float), EnvelopeProvenance.EXTERNAL_DIAGONAL)
 
 
+def effective_beta(n: int, beta: float, convention: MixerConvention) -> float:
+    """The adjacency-convention angle of ``beta``: A(K_n)/n at beta is A(K_n)
+    at beta/n."""
+    return beta / n if convention is MixerConvention.NORMALIZED else beta
+
+
 def resonance_distance(n: int, beta: float) -> float:
     """Distance from beta to the nearest resonance in (2pi/n)Z."""
     period = 2.0 * math.pi / n
@@ -105,9 +111,7 @@ def is_primitive(
     entries, plus the distance to the nearest resonance."""
     if n < 2:
         raise ValueError("primitivity requires n >= 2")
-    if convention is MixerConvention.NORMALIZED:
-        beta = beta / n
-    dist = resonance_distance(n, beta)
+    dist = resonance_distance(n, effective_beta(n, beta, convention))
     return PrimitivityCheck(dist > RESONANCE_TOL, dist)
 
 
@@ -124,7 +128,7 @@ def single_block_kernel(
         raise ValueError("n must be at least 1")
     if n == 1:
         return TransitionKernel(n=1, diag=1.0, offdiag=0.0, beta=beta)
-    beta_eff = beta / n if convention is MixerConvention.NORMALIZED else beta
+    beta_eff = effective_beta(n, beta, convention)
     if resonance_distance(n, beta_eff) <= RESONANCE_TOL:
         return TransitionKernel(n=n, diag=1.0, offdiag=0.0, beta=beta)
     s2 = math.sin(n * beta_eff / 2.0) ** 2

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .instance import DEFAULT_ENUMERATION_CAP, CapExceededError, ProblemInstance
-from .mixer import Envelope, EnvelopeProvenance, MixerConvention
+from .mixer import Envelope, EnvelopeProvenance, MixerConvention, effective_beta
 
 NORM_TOL = 1e-10
 
@@ -66,7 +66,7 @@ def apply_cost(state: EncodedState, energies: np.ndarray, gamma: float) -> Encod
 
 
 def _block_coefficients(n: int, beta: float, convention: MixerConvention) -> tuple:
-    beta_eff = beta / n if convention is MixerConvention.NORMALIZED else beta
+    beta_eff = effective_beta(n, beta, convention)
     phase = np.exp(1j * beta_eff)
     coupling = (np.exp(-1j * beta_eff * n) - 1.0) / n
     return phase, coupling

@@ -229,6 +229,16 @@ class TestFeasibilityCommand:
         jsonschema.validate(doc, load_schema("feasibility_report"))
         assert doc["search"] is None
 
+    def test_search_honours_cap(self, tmp_path):
+        inst = write_instance(
+            tmp_path / "six.json",
+            {"n": 6, "m": 6, "generator": {"kind": "assignment", "cost": [[0] * 6] * 6}},
+        )
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", inst, "--gamma", "0.2", "--cap", "46656",
+                    "--search-order", "1", "--budget", "3", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["search"]["evaluations"] == 3
+
     def test_penalty_phase_collision_exit(self, qap_instance, tmp_path):
         out = tmp_path / "feas.json"
         code = run(["feasibility", "--instance", qap_instance, "--gamma", str(math.pi),

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -27,6 +28,28 @@ def assignment_instance(n, energies=None):
     size = n**n
     energy = energies if energies is not None else [0] * size
     return load_instance({"n": n, "m": n, "energy": energy})
+
+
+def canonical_strings(n, m):
+    """[n]^m in canonical order (block 0 fastest), by itertools."""
+    return [tuple(reversed(t)) for t in itertools.product(range(n), repeat=m)]
+
+
+def brute_relabel_pairs(n, m, label):
+    """Pure-Python oracle: the count of every ordered single-block relabel
+    pair (z, z') by class, {(label(z), label(z')): count}."""
+    counts = {}
+    for z in canonical_strings(n, m):
+        for b in range(m):
+            for v in range(n):
+                if v != z[b]:
+                    key = (label(z), label(z[:b] + (v,) + z[b + 1:]))
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def orbit_key(z, n):
+    return tuple(sorted((z.count(k) for k in range(n)), reverse=True))
 
 
 class TestLevelSets:
@@ -71,6 +94,28 @@ class TestLevelGraph:
     def test_connected_for_assignment_penalty(self, n):
         ls = level_sets(assignment_instance(n))
         assert graph_connected(level_graph(ls, n, n))
+
+    @pytest.mark.parametrize("n,m,user_penalty", [
+        (2, 2, None), (3, 3, None), (4, 4, None), (2, 3, None), (3, 4, "random"),
+        (4, 4, "distinct"),
+    ])
+    def test_matches_brute_force_pair_count(self, n, m, user_penalty):
+        doc = {"n": n, "m": m, "energy": [0] * n**m}
+        if user_penalty == "random":
+            doc["penalty"] = [int(t) for t in np.random.default_rng(11).integers(0, 5, n**m)]
+        elif user_penalty == "distinct":  # one level per string
+            doc["penalty"] = list(range(n**m))
+        inst = load_instance(doc)
+        g = level_graph(level_sets(inst), n, m)
+        index = {z: i for i, z in enumerate(canonical_strings(n, m))}
+        counts = brute_relabel_pairs(n, m, lambda z: int(inst.penalty[index[z]]))
+        sizes = collections.Counter(int(t) for t in inst.penalty)
+        edges = tuple(sorted(k for k, c in counts.items() if k[0] < k[1] and c > 0))
+        assert g.vertices == tuple(sorted(sizes))
+        assert g.edges == edges
+        assert g.couplings == {
+            (t1, t2): counts[(t1, t2)] / math.sqrt(sizes[t1] * sizes[t2]) for t1, t2 in edges
+        }
 
     def test_isolated_vertex_fixture(self):
         g = LevelGraph(vertices=(0, 2, 7), edges=((0, 2),), couplings={(0, 2): 1.0})
@@ -208,6 +253,25 @@ class TestInvariantSector:
         # orbit penalties: permutations 0, one collision 2, triple 6
         assert sorted(np.diag(a)) == [0.0, 2.0, 6.0]
         assert np.allclose(b, b.T)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (4, 2)])
+    def test_generators_match_brute_force(self, n, m):
+        strings = canonical_strings(n, m)
+        sizes = collections.Counter(orbit_key(z, n) for z in strings)
+        first = {}  # first string of each orbit, in order of appearance
+        for z in strings:
+            first.setdefault(orbit_key(z, n), z)
+        keys = list(first)
+        counts = brute_relabel_pairs(n, m, lambda z: orbit_key(z, n))
+        a, b = invariant_sector_generators(n, m)
+        assert invariant_sector_basis(n, m).keys == tuple(keys)
+        expected_a = np.diag([float(collision_penalty(first[k], n)) for k in keys])
+        assert np.array_equal(a, expected_a)
+        expected_b = np.array([
+            [counts.get((ki, kj), 0) / math.sqrt(sizes[ki] * sizes[kj]) for kj in keys]
+            for ki in keys
+        ])
+        assert np.array_equal(b, expected_b)
 
 
 class TestLieClosure:
