@@ -3,8 +3,9 @@ sampling on block one-hot spaces.
 
 The package computes mixer-envelope distributions, applies the positive
 Fejér filter to wrapped cost phases, evaluates the closed-form success,
-depth, shot, feasibility, and dither-averaged bounds, and validates all of
-them against brute-force statevector oracles at desk scale.
+depth, shot, feasibility, and dither-averaged bounds, and simulates the
+encoded circuit on a statevector.  The test suite validates all of them
+against brute-force oracles at desk scale.
 """
 
 from .fejer import (
@@ -17,7 +18,6 @@ from .fejer import (
     harmonic_schedule,
     offpeak_bound,
     offpeak_bound_loose,
-    offpeak_grid_max,
     success_lower_bound,
     success_probability,
 )
@@ -42,7 +42,6 @@ from .instance import (
 )
 from .mixer import (
     Envelope,
-    EnvelopeProvenance,
     MixerConvention,
     TransitionKernel,
     apply_block_kernel,

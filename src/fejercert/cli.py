@@ -29,6 +29,7 @@ from .instance import (
     index_string,
     load_instance_file,
     phase_gap,
+    read_json,
 )
 from .mixer import (
     Envelope,
@@ -48,18 +49,35 @@ EXIT_CAP = 4
 BOUND_SLACK = 1e-9
 
 
-def _float_list(text: str) -> list:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _comma_list(text: str, convert) -> list:
     text = text.strip()
     if not text:
         return []
-    return [float(part) for part in text.split(",")]
+    return [convert(part) for part in text.split(",")]
+
+
+def _float_list(text: str) -> list:
+    return _comma_list(text, _finite_float)
+
+
+def _int_list(text: str) -> list:
+    return _comma_list(text, int)
 
 
 def _grid(text: str) -> list:
     """Either a comma list of values or 'start:stop:count' for a linspace."""
     if ":" in text:
         start, stop, count = text.split(":")
-        return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+        return [
+            float(v) for v in np.linspace(_finite_float(start), _finite_float(stop), int(count))
+        ]
     return _float_list(text)
 
 
@@ -80,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="end-to-end success certificate for an instance")
     add_common(certify)
     certify.add_argument("--instance", required=True)
-    certify.add_argument("--gamma", type=float, required=True, help="base cost angle")
+    certify.add_argument("--gamma", type=_finite_float, required=True, help="base cost angle")
     certify.add_argument("--order", "-p", type=int, required=True, help="filter order p")
     certify.add_argument("--betas", type=_float_list, default=None,
                          help="comma-separated mixer angles (one per layer)")
@@ -88,26 +106,26 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON array with an external diagonal envelope")
     certify.add_argument("--law-output", default=None,
                          help="also write the exact filtered law as CSV")
-    certify.add_argument("--epsilon", type=float, default=0.1)
-    certify.add_argument("--eta", type=float, default=0.5)
+    certify.add_argument("--epsilon", type=_finite_float, default=0.1)
+    certify.add_argument("--eta", type=_finite_float, default=0.5)
     certify.add_argument("--scope", choices=["all", "feasible"], default="all")
     certify.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
 
     plan = sub.add_parser("plan", help="certificate arithmetic from given (p, C_beta, delta)")
     add_common(plan)
     plan.add_argument("--order", "-p", type=int, required=True)
-    plan.add_argument("--c-beta", type=float, required=True)
-    plan.add_argument("--delta", type=float, required=True)
-    plan.add_argument("--epsilon", type=float, default=0.1)
-    plan.add_argument("--eta", type=float, default=0.5)
+    plan.add_argument("--c-beta", type=_finite_float, required=True)
+    plan.add_argument("--delta", type=_finite_float, required=True)
+    plan.add_argument("--epsilon", type=_finite_float, default=0.1)
+    plan.add_argument("--eta", type=_finite_float, default=0.5)
 
     curves = sub.add_parser("curves", help="C_min certification curves as CSV")
     add_common(curves)
     curves.add_argument("--deltas", type=_grid, required=True,
                         help="comma list or start:stop:count grid of phase gaps")
-    curves.add_argument("--orders", type=_float_list, required=True,
+    curves.add_argument("--orders", type=_int_list, required=True,
                         help="comma-separated filter orders")
-    curves.add_argument("--epsilon", type=float, default=0.1)
+    curves.add_argument("--epsilon", type=_finite_float, default=0.1)
 
     envelope = sub.add_parser("envelope", help="mixer envelope of an instance")
     add_common(envelope)
@@ -120,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     feasibility = sub.add_parser("feasibility", help="level sets, connectivity, and feasibility bounds")
     add_common(feasibility)
     feasibility.add_argument("--instance", required=True)
-    feasibility.add_argument("--gamma", type=float, required=True)
+    feasibility.add_argument("--gamma", type=_finite_float, required=True)
     feasibility.add_argument("--search-order", type=int, default=2)
     feasibility.add_argument("--budget", type=int, default=200, help="angle-search evaluations")
     feasibility.add_argument("--seed", type=int, default=0)
@@ -129,9 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     rl_cmd = sub.add_parser("rl", help="dither-averaged filtering report")
     add_common(rl_cmd)
     rl_cmd.add_argument("--instance", required=True)
-    rl_cmd.add_argument("--gamma", type=float, required=True)
+    rl_cmd.add_argument("--gamma", type=_finite_float, required=True)
     rl_cmd.add_argument("--order", "-p", type=int, required=True)
-    rl_cmd.add_argument("--half-width", type=float, required=True, help="dither window half-width")
+    rl_cmd.add_argument("--half-width", type=_finite_float, required=True,
+                        help="dither window half-width")
     rl_cmd.add_argument("--samples", type=int, default=200)
     rl_cmd.add_argument("--seed", type=int, default=0)
     rl_cmd.add_argument("--pooled", action="store_true",
@@ -163,8 +182,7 @@ def _to_radians(args: argparse.Namespace) -> None:
 
 
 def _load_diagonal(path: str, size: int) -> Envelope:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list) or len(data) != size:
         raise ValueError(f"external diagonal must be a JSON array of length {size}")
     return external_envelope(data)
@@ -289,7 +307,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError("delta grid is empty")
     if not args.orders:
         raise ValueError("order list is empty")
-    orders = sorted(int(p) for p in args.orders)
+    orders = sorted(args.orders)
     deltas = sorted(args.deltas)
     rows = []
     for p in orders:
@@ -414,10 +432,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "convention": args.convention,
         "success_probability": oracle.projector_mass(state, omega),
         "feasibility_probability": oracle.projector_mass(state, feasible),
-        "seed": args.seed if args.shots else None,
+        "seed": args.seed if args.shots is not None else None,
         "shots": args.shots,
     }
-    if args.shots:
+    if args.shots is not None:
         report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
         document["counts"] = {
             format_string(index_string(i, inst.n, inst.m)): int(c)

@@ -25,6 +25,7 @@ from .instance import (
     symbol_counts,
 )
 from .mixer import MixerConvention, resonance_distance
+from .planner import ratio_bounds, ratio_parameter
 
 LIE_CLOSURE_TOL = 1e-9
 LIE_MAX_DIM = 64
@@ -67,9 +68,7 @@ def level_sets(inst: ProblemInstance) -> LevelStructure:
     for t in np.unique(inst.penalty):
         levels[int(t)] = np.flatnonzero(inst.penalty == t)
     active = tuple(sorted(levels))
-    return LevelStructure(
-        n=inst.n, m=inst.m, levels=levels, active=active, t_max=int(inst.penalty.max(initial=0))
-    )
+    return LevelStructure(n=inst.n, m=inst.m, levels=levels, active=active, t_max=inst.t_max())
 
 
 def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
@@ -201,14 +200,12 @@ class FeasibilityBound(NamedTuple):
 def feasibility_bound(p: int, c_f: float, delta_f: float) -> FeasibilityBound:
     """Ratio-form feasibility bound with x_F = (p+1)^2 sin^2(delta_F/2) C_F;
     the shallow orders p = 1, 2 carry prefactors 4 and 9."""
-    if p < 0:
-        raise ValueError("order must be nonnegative")
     if not 0.0 < c_f <= 1.0:
         raise ValueError("feasible envelope mass must lie in (0, 1]")
     if not 0.0 < delta_f <= math.pi:
         raise ValueError("delta_F must lie in (0, pi]")
-    x_f = (p + 1) ** 2 * math.sin(delta_f / 2.0) ** 2 * c_f
-    return FeasibilityBound(x_f, x_f / (x_f + (1.0 - c_f)), x_f / (1.0 + x_f))
+    x_f = ratio_parameter(p, delta_f, c_f)
+    return FeasibilityBound(x_f, *ratio_bounds(x_f, c_f))
 
 
 def overlap_feasibility_floor(epsilon: float) -> float:
@@ -387,8 +384,8 @@ def feasibility_angle_search(
         raise ValueError("order must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
-    ls = level_sets(inst)
-    feasible = ls.levels.get(0, np.empty(0, dtype=np.int64))
+    feasible = inst.feasible_indices()
+    t_max = inst.t_max()
     evaluations = 0
 
     def evaluate(gammas: np.ndarray, betas: np.ndarray) -> float:
@@ -404,13 +401,13 @@ def feasibility_angle_search(
     best_g, best_b = zeros, zeros.copy()
     best = evaluate(best_g, best_b)
 
-    if p == 0 or ls.t_max == 0:
+    if p == 0 or t_max == 0:
         return AngleSearchResult(
             gammas=tuple(best_g), betas=tuple(best_b), pi_f=best, evaluations=evaluations, seed=seed
         )
 
     rng = np.random.default_rng(seed)
-    gamma_hi = math.pi / ls.t_max
+    gamma_hi = math.pi / t_max
     restart_budget = budget // 2
 
     def draw_beta() -> float:

@@ -101,14 +101,6 @@ def offpeak_bound_loose(p: int, delta: float) -> float:
     return math.pi**2 / ((p + 1) * delta**2)
 
 
-def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
-    """Numeric maximum of F_p over a grid of the off-peak region |theta| in
-    [delta, pi]; for validating the analytic bound, never for certificates."""
-    _check_delta(delta)
-    grid = np.linspace(delta, math.pi, points)
-    return float(fejer_kernel(p, grid).max())
-
-
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta <= math.pi:
         raise ValueError("delta must lie in (0, pi]")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_ENUMERATION_CAP = 4096
 PHASE_COLLISION_TOL = 1e-12
 INTEGRALITY_TOL = 1e-9
+# Lattice energies and penalties stay below this in magnitude, so that the
+# difference of any two of them is still an int64.
+LATTICE_LIMIT = 2.0**62
 
 BlockString = tuple
 
@@ -129,8 +134,8 @@ class ProblemInstance:
             )
         if np.any(self.penalty < 0):
             raise InstanceFormatError("penalty values must be nonnegative")
-        if self.lattice_scale <= 0:
-            raise InstanceFormatError("lattice_scale must be positive")
+        if not 0.0 < self.lattice_scale < math.inf:
+            raise InstanceFormatError("lattice_scale must be finite and positive")
 
     @property
     def size(self) -> int:
@@ -167,13 +172,21 @@ def penalty_value(inst: ProblemInstance, z: Sequence[int]) -> int:
     return int(inst.penalty[string_index(z, inst.n)])
 
 
-def _coerce_lattice(values: np.ndarray, lattice_scale: float, what: str) -> np.ndarray:
-    scaled = values / lattice_scale
-    rounded = np.round(scaled)
-    if np.max(np.abs(scaled - rounded), initial=0.0) > INTEGRALITY_TOL:
-        raise InstanceFormatError(
-            f"non-integral lattice {what} after dividing by lattice_scale={lattice_scale}"
-        )
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{what} must be an array of JSON numbers") from exc
+
+
+def _to_integers(values: np.ndarray, what: str) -> np.ndarray:
+    """Round to int64, rejecting non-finite, oversized and non-integral values."""
+    # a positive condition, so that NaN fails it
+    if not np.all(np.abs(values) < LATTICE_LIMIT):
+        raise InstanceFormatError(f"{what} must be finite and below 2**62 in magnitude")
+    rounded = np.round(values)
+    if np.max(np.abs(values - rounded), initial=0.0) > INTEGRALITY_TOL:
+        raise InstanceFormatError(f"non-integral {what}")
     return rounded.astype(np.int64)
 
 
@@ -185,26 +198,28 @@ def load_instance(
     The document provides ``n``, ``m`` and either a dense ``energy`` array of
     length n**m or an ``assignment`` generator with an m-by-n cost matrix.
     Energies are divided by ``lattice_scale`` (default 1) and must come out
-    integral.  A missing ``penalty`` defaults to the column-collision table
+    integral.  Every number must be finite, and lattice energies and
+    penalties must stay below LATTICE_LIMIT in magnitude.  A missing ``penalty`` defaults to the column-collision table
     when m = n and to all-zero (everything feasible) otherwise.
     """
     unknown = set(document) - {"n", "m", "energy", "generator", "penalty", "lattice_scale"}
     if unknown:
         raise InstanceFormatError(f"unknown instance keys: {sorted(unknown)}")
-    try:
-        n = int(document["n"])
-        m = int(document["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceFormatError("document must provide integer n and m") from exc
+    n, m = document.get("n"), document.get("m")
+    if not (_is_number(n, numbers.Integral) and _is_number(m, numbers.Integral)):
+        raise InstanceFormatError("document must provide integer n and m")
+    n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise InstanceFormatError("n and m must be positive integers")
     size = n**m
     if size > cap:
         raise CapExceededError(f"n**m = {size} exceeds enumeration cap {cap}")
 
-    lattice_scale = float(document.get("lattice_scale", 1.0))
-    if lattice_scale <= 0:
-        raise InstanceFormatError("lattice_scale must be positive")
+    lattice_scale = document.get("lattice_scale", 1.0)
+    if not (_is_number(lattice_scale, numbers.Real)
+            and 0.0 < lattice_scale <= sys.float_info.max):
+        raise InstanceFormatError("lattice_scale must be finite and positive")
+    lattice_scale = float(lattice_scale)
 
     has_energy = "energy" in document
     has_generator = "generator" in document
@@ -212,7 +227,7 @@ def load_instance(
         raise InstanceFormatError("provide exactly one of 'energy' or 'generator'")
 
     if has_energy:
-        energy = np.asarray(document["energy"], dtype=float)
+        energy = _float_array(document["energy"], "energy")
         if energy.shape != (size,):
             raise InstanceFormatError(
                 f"energy array has length {energy.size}, expected n**m = {size}"
@@ -221,7 +236,7 @@ def load_instance(
         gen = document["generator"]
         if not isinstance(gen, Mapping) or gen.get("kind") != "assignment":
             raise InstanceFormatError("generator must be {'kind': 'assignment', 'cost': ...}")
-        cost = np.asarray(gen["cost"], dtype=float)
+        cost = _float_array(gen["cost"], "assignment cost")
         if cost.shape != (m, n):
             raise InstanceFormatError(
                 f"assignment cost matrix has shape {cost.shape}, expected ({m}, {n})"
@@ -229,17 +244,18 @@ def load_instance(
         strings = enumerate_strings(n, m)
         energy = cost[np.arange(m)[None, :], strings].sum(axis=1)
 
-    energy = _coerce_lattice(energy, lattice_scale, "energies")
+    energy = _to_integers(
+        energy / lattice_scale,
+        f"lattice energies after dividing by lattice_scale={lattice_scale}",
+    )
 
     if "penalty" in document:
-        penalty = np.asarray(document["penalty"], dtype=float)
+        penalty = _float_array(document["penalty"], "penalty")
         if penalty.shape != (size,):
             raise InstanceFormatError(
                 f"penalty array has length {penalty.size}, expected n**m = {size}"
             )
-        if np.max(np.abs(penalty - np.round(penalty)), initial=0.0) > INTEGRALITY_TOL:
-            raise InstanceFormatError("penalty values must be integers")
-        penalty = np.round(penalty).astype(np.int64)
+        penalty = _to_integers(penalty, "penalty values")
     elif m == n:
         penalty = collision_penalty_table(n, m)
     else:
@@ -248,9 +264,24 @@ def load_instance(
     return ProblemInstance(n=n, m=m, energy=energy, penalty=penalty, lattice_scale=lattice_scale)
 
 
-def load_instance_file(path: str | Path, cap: int = DEFAULT_ENUMERATION_CAP) -> ProblemInstance:
+def _is_number(value, kind: type) -> bool:
+    """JSON booleans load as Python bools, which are ints; they are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _reject_constant(name: str):
+    raise InstanceFormatError(f"non-finite number {name} in JSON document")
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file, rejecting the NaN and Infinity literals that
+    Python's parser otherwise accepts."""
     with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def load_instance_file(path: str | Path, cap: int = DEFAULT_ENUMERATION_CAP) -> ProblemInstance:
+    document = read_json(path)
     if not isinstance(document, Mapping):
         raise InstanceFormatError("instance document must be a JSON object")
     return load_instance(document, cap=cap)

@@ -35,11 +35,6 @@ class MixerConvention(Enum):
     NORMALIZED = "normalized"
 
 
-class EnvelopeProvenance(Enum):
-    UNIFORM_INITIAL = "uniform_initial"
-    EXTERNAL_DIAGONAL = "external_diagonal"
-
-
 @dataclass(frozen=True)
 class TransitionKernel:
     """Doubly stochastic single-block kernel, fully specified by two scalars."""
@@ -47,7 +42,6 @@ class TransitionKernel:
     n: int
     diag: float
     offdiag: float
-    beta: float | None = None
 
     def matrix(self) -> np.ndarray:
         out = np.full((self.n, self.n), self.offdiag)
@@ -63,13 +57,13 @@ class Envelope:
     """Probability distribution over [n]^m in canonical string order."""
 
     probs: np.ndarray
-    provenance: EnvelopeProvenance
 
     def __post_init__(self) -> None:
-        if np.any(self.probs < -1e-12):
+        # positive conditions, so that a NaN entry fails them
+        if not np.all(self.probs >= -1e-12):
             raise ValueError("envelope entries must be nonnegative")
         total = float(self.probs.sum())
-        if abs(total - 1.0) > ENVELOPE_SUM_TOL:
+        if not abs(total - 1.0) <= ENVELOPE_SUM_TOL:
             raise ValueError(f"envelope mass {total} deviates from 1 beyond tolerance")
 
     @property
@@ -80,11 +74,11 @@ class Envelope:
 def uniform_envelope(n: int, m: int) -> Envelope:
     """Diagonal of the uniform one-hot product state."""
     size = n**m
-    return Envelope(np.full(size, 1.0 / size), EnvelopeProvenance.UNIFORM_INITIAL)
+    return Envelope(np.full(size, 1.0 / size))
 
 
 def external_envelope(probs: Sequence[float]) -> Envelope:
-    return Envelope(np.asarray(probs, dtype=float), EnvelopeProvenance.EXTERNAL_DIAGONAL)
+    return Envelope(np.asarray(probs, dtype=float))
 
 
 def effective_beta(n: int, beta: float, convention: MixerConvention) -> float:
@@ -127,16 +121,15 @@ def single_block_kernel(
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return TransitionKernel(n=1, diag=1.0, offdiag=0.0, beta=beta)
+        return TransitionKernel(n=1, diag=1.0, offdiag=0.0)
     beta_eff = effective_beta(n, beta, convention)
     if resonance_distance(n, beta_eff) <= RESONANCE_TOL:
-        return TransitionKernel(n=n, diag=1.0, offdiag=0.0, beta=beta)
+        return TransitionKernel(n=n, diag=1.0, offdiag=0.0)
     s2 = math.sin(n * beta_eff / 2.0) ** 2
     return TransitionKernel(
         n=n,
         diag=1.0 - 4.0 * (n - 1) / n**2 * s2,
         offdiag=4.0 / n**2 * s2,
-        beta=beta,
     )
 
 
@@ -165,12 +158,12 @@ def apply_block_kernel(kernel: TransitionKernel, env: Envelope, m: int) -> Envel
     if env.size != n**m:
         raise ValueError(f"envelope length {env.size} does not match n**m = {n ** m}")
     if kernel.is_identity():
-        return Envelope(env.probs.copy(), env.provenance)
+        return Envelope(env.probs.copy())
     mat = kernel.matrix()
     v = env.probs.reshape((n,) * m, order="F")
     for axis in range(m):
         v = np.moveaxis(np.tensordot(mat, v, axes=([1], [axis])), 0, axis)
-    return Envelope(np.ascontiguousarray(v.reshape(-1, order="F")), env.provenance)
+    return Envelope(np.ascontiguousarray(v.reshape(-1, order="F")))
 
 
 def mixer_envelope(

@@ -1,14 +1,11 @@
-"""Brute-force ground truth: statevector simulation on the encoded space,
-the exact dephased reference, operator-level Dirichlet filtering, and shot
-sampling.
+"""Statevector simulation on the encoded space and shot sampling.
 
 The encoded qudit space [n]^m is simulated directly.  Per block, the mixer
 unitary has the rank-one closed form
 
     <j| exp(-i beta A(K_n)) |k> = e^{i beta} (delta_jk + (e^{-i beta n} - 1)/n),
 
-which every simulation path uses; an independent scaling-and-squaring
-exponential is kept solely for validation.
+which every simulation path uses.
 
 Randomness: every sampling routine takes an explicit seed and uses numpy's
 PCG64 generator, which is bit-reproducible across platforms.  Parallel
@@ -22,10 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .instance import DEFAULT_ENUMERATION_CAP, CapExceededError, ProblemInstance
-from .mixer import Envelope, EnvelopeProvenance, MixerConvention, effective_beta
+from .mixer import MixerConvention, effective_beta
 
 NORM_TOL = 1e-10
 
@@ -42,7 +38,8 @@ class EncodedState:
         if self.amplitudes.shape != (self.n**self.m,):
             raise ValueError("amplitude vector does not match n**m")
         norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > NORM_TOL:
+        # a positive condition, so that a NaN norm fails it
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
 
     def probabilities(self) -> np.ndarray:
@@ -78,17 +75,6 @@ def block_unitary(
     """Single-block mixer unitary from the rank-one closed form."""
     phase, coupling = _block_coefficients(n, beta, convention)
     return phase * (np.eye(n, dtype=complex) + coupling * np.ones((n, n)))
-
-
-def block_unitary_expm(
-    n: int, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> np.ndarray:
-    """Validation oracle: scaling-and-squaring exponential of the block
-    generator, independent of the closed form."""
-    adjacency = np.ones((n, n)) - np.eye(n)
-    if convention is MixerConvention.NORMALIZED:
-        adjacency = adjacency / n
-    return expm(-1j * beta * adjacency)
 
 
 def apply_mixer(
@@ -137,63 +123,6 @@ def projector_mass(state: EncodedState, indices: np.ndarray) -> float:
     if indices.size == 0:
         return 0.0
     return float((np.abs(state.amplitudes[indices]) ** 2).sum())
-
-
-def dephased_reference(
-    inst: ProblemInstance,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-    convention: MixerConvention = MixerConvention.ADJACENCY,
-    v0: np.ndarray | None = None,
-) -> Envelope:
-    """Exact diagonal of the dephased layer dynamics.
-
-    Cost layers act trivially on diagonals; each mixer layer applies the
-    unistochastic kernel |U|^2 built from the complex block unitary.  This
-    path is independent of the trigonometric closed-form kernels and must
-    agree with them bit-for-bit up to rounding.
-    """
-    if len(gammas) != len(betas):
-        raise ValueError("gamma and beta schedules must have equal length")
-    n, m = inst.n, inst.m
-    if v0 is None:
-        diag = np.full(inst.size, 1.0 / inst.size)
-        provenance = EnvelopeProvenance.UNIFORM_INITIAL
-    else:
-        diag = np.asarray(v0, dtype=float).copy()
-        provenance = EnvelopeProvenance.EXTERNAL_DIAGONAL
-    for beta in betas:
-        kernel = np.abs(block_unitary(n, beta, convention)) ** 2
-        v = diag.reshape((n,) * m, order="F")
-        for axis in range(m):
-            v = np.moveaxis(np.tensordot(kernel, v, axes=([1], [axis])), 0, axis)
-        diag = np.ascontiguousarray(v.reshape(-1, order="F"))
-    return Envelope(diag, provenance)
-
-
-def dirichlet_filter_oracle(
-    env: Envelope, inst: ProblemInstance, gamma: float, p: int
-) -> np.ndarray:
-    """Operator-level filter oracle.
-
-    Builds the normalized Dirichlet operator of the optimum-anchored cost as
-    its eigenvalue map u(z) = (p+1)^(-1/2) sum_r exp(-i r gamma (E(z)-E*)),
-    weights the envelope by |u(z)|^2, and normalizes.  Anchoring at the
-    optimal energy makes the per-layer target rotation a global phase, so no
-    separate target-phase input is needed.
-    """
-    if p < 0:
-        raise ValueError("order must be nonnegative")
-    if env.size != inst.size:
-        raise ValueError("envelope does not match the instance")
-    offsets = (inst.energy - inst.e_star()).astype(float)
-    r = np.arange(p + 1, dtype=float)
-    eig = np.exp(-1j * gamma * np.outer(offsets, r)).sum(axis=1) / math.sqrt(p + 1)
-    weights = env.probs * (eig.real**2 + eig.imag**2)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("zero total filter weight")
-    return weights / total
 
 
 class ShotReport(NamedTuple):

@@ -3,27 +3,21 @@
 Averaging the base cost angle over a symmetric window trades the wrapped
 phase gap for an ordinary energy gap: oscillatory cross-terms in the squared
 Dirichlet sum decay through the window's Fourier transform, so off-peak mass
-stays bounded even without exact lattice normalization.  Only the uniform
-window on [-Gamma, Gamma] ships; any even, real Fourier transform can be
-passed as a callable.
+stays bounded even without exact lattice normalization.  The dither window
+is uniform on [-Gamma, Gamma].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .fejer import fejer_kernel
 from .instance import ProblemInstance
 from .mixer import Envelope
-
-
-class WindowKind(Enum):
-    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
@@ -35,10 +29,9 @@ class DitherWindow:
     """
 
     half_width: float
-    kind: WindowKind = WindowKind.UNIFORM
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ValueError("window half-width must be positive")
 
     def fourier(self, xi):
@@ -80,41 +73,6 @@ def averaged_fejer(p: int, gamma: float, delta_e: float, w: DitherWindow) -> flo
         np.sum(weights * np.cos(k * gamma * delta_e) * w.fourier(k * delta_e))
     )
     return total
-
-
-def averaged_fejer_quadrature(
-    p: int, gamma: float, delta_e: float, w: DitherWindow, tol: float = 1e-8
-) -> float:
-    """Independent oracle: adaptive Simpson quadrature of
-    integral of w(u) F_p((gamma+u) delta_e) du over [-Gamma, Gamma]."""
-
-    def f(u: float) -> float:
-        return fejer_kernel(p, (gamma + u) * delta_e) / (2.0 * w.half_width)
-
-    return _adaptive_simpson(f, -w.half_width, w.half_width, tol)
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fb, fm, whole, tol, depth=40)
-
-
-def _simpson_recurse(f, a, b, fa, fb, fm, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = tol / 2.0
-    return _simpson_recurse(f, a, mid, fa, fm, flm, left, half, depth - 1) + _simpson_recurse(
-        f, mid, b, fm, fb, frm, right, half, depth - 1
-    )
 
 
 class AveragedOffpeakBound(NamedTuple):

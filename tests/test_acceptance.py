@@ -15,6 +15,12 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from conftest import random_envelope, random_instance
+from oracles import (
+    averaged_fejer_quadrature,
+    block_unitary_expm,
+    dephased_reference,
+    dirichlet_filter_oracle,
+)
 from fejercert import (
     classify_regime,
     collision_penalty,
@@ -48,16 +54,10 @@ from fejercert.feasibility import (
     level_sets,
     overlap_feasibility_floor,
 )
-from fejercert.oracle import (
-    block_unitary_expm,
-    dephased_reference,
-    dirichlet_filter_oracle,
-    sample_shots,
-)
+from fejercert.oracle import sample_shots
 from fejercert.rl import (
     DitherWindow,
     averaged_fejer,
-    averaged_fejer_quadrature,
     averaged_offpeak_bound,
     energy_gap,
     rl_filtered_distribution,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -28,6 +32,14 @@ def qap_instance(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def exit_code(args):
+    """Exit code of a run, whether argparse or a handler rejects the input."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCertify:
@@ -325,3 +337,71 @@ class TestDeterminism:
             assert run(args + ["-o", str(first)]) == 0
             assert run(args + ["-o", str(second)]) == 0
             assert first.read_bytes() == second.read_bytes(), name
+
+
+# Raw JSON text, so that NaN/Infinity literals and numbers beyond float range
+# reach the parser as a user would write them.
+BAD_INSTANCES = {
+    "nan_lattice_scale": '{"n": 2, "m": 1, "energy": [0, 1], "lattice_scale": NaN}',
+    "infinite_lattice_scale": '{"n": 2, "m": 1, "energy": [0, 1], "lattice_scale": Infinity}',
+    "huge_energy": '{"n": 2, "m": 1, "energy": [0, 1e300]}',
+    "infinite_energy": '{"n": 2, "m": 1, "energy": [0, Infinity]}',
+    "energy_beyond_float": '{"n": 2, "m": 1, "energy": [0, 1' + "0" * 400 + "]}",
+    "huge_cost": '{"n": 2, "m": 2, "generator": {"kind": "assignment", '
+                 '"cost": [[0, 1e300], [1, 0]]}}',
+    "fractional_n": '{"n": 2.7, "m": 1, "energy": [0, 1]}',
+    "boolean_n": '{"n": true, "m": 1, "energy": [0]}',
+    "overflowing_n": '{"n": 1e400, "m": 1, "energy": [0, 1]}',
+}
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
+    def test_bad_instance_exits_2_without_output(self, name, tmp_path):
+        inst = tmp_path / "bad.json"
+        inst.write_text(BAD_INSTANCES[name], encoding="utf-8")
+        out = tmp_path / "cert.json"
+        code = exit_code(["certify", "--instance", str(inst), "--gamma", "0.5", "-p", "2",
+                          "-o", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["rl", "--gamma", "nan", "-p", "2", "--half-width", "0.5", "--samples", "5"],
+        ["rl", "--gamma", "0.5", "-p", "2", "--half-width", "nan", "--samples", "5"],
+        ["feasibility", "--gamma", "nan", "--no-search"],
+        ["simulate", "--gammas", "nan", "--betas", "0.5"],
+        ["simulate", "--gammas", "0.3", "--betas", "0.5", "--shots", "0"],
+        ["envelope", "--betas", "nan"],
+    ])
+    def test_bad_number_exits_2_without_output(self, args, qap_instance, tmp_path):
+        out = tmp_path / "out.json"
+        assert exit_code(args[:1] + ["--instance", qap_instance] + args[1:]
+                         + ["-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["curves", "--deltas", "0.1,nan", "--orders", "1"],
+        ["curves", "--deltas", "0.5", "--orders", "1.7"],
+    ])
+    def test_bad_curves_grid_exits_2(self, args, tmp_path):
+        out = tmp_path / "curves.csv"
+        assert exit_code(args + ["-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_initial_diagonal_exits_2(self, toy_instance, tmp_path):
+        v0 = tmp_path / "v0.json"
+        v0.write_text("[NaN, 1.0]")
+        out = tmp_path / "env.json"
+        assert run(["envelope", "--instance", toy_instance, "--v0", str(v0),
+                    "-o", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, fejercert.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from conftest import random_envelope, random_instance
+from oracles import offpeak_grid_max
 from fejercert import (
     FejerParams,
     denominator_bound,
@@ -17,7 +18,6 @@ from fejercert import (
     load_instance,
     offpeak_bound,
     offpeak_bound_loose,
-    offpeak_grid_max,
     phase_gap,
     success_lower_bound,
     success_probability,

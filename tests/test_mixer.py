@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_envelope
+from oracles import block_unitary_expm
 from fejercert import (
     apply_block_kernel,
     averaged_block_kernel,
@@ -20,7 +21,6 @@ from fejercert import (
     uniform_envelope,
 )
 from fejercert.mixer import MixerConvention
-from fejercert.oracle import block_unitary_expm
 
 
 class TestSingleBlockKernel:
@@ -199,6 +199,10 @@ class TestEnvelopeMass:
         env = external_envelope(probs)
         with pytest.warns(RuntimeWarning, match="zero envelope mass"):
             assert envelope_mass(env, [3]) == 0.0
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError):
+            external_envelope([math.nan, 0.5, 0.25, 0.25])
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope, random_instance
+from oracles import block_unitary_expm, dephased_reference, dirichlet_filter_oracle
 from fejercert import (
     external_envelope,
     filtered_distribution,
@@ -20,9 +21,6 @@ from fejercert.oracle import (
     apply_cost,
     apply_mixer,
     block_unitary,
-    block_unitary_expm,
-    dephased_reference,
-    dirichlet_filter_oracle,
     initial_state,
     projector_mass,
     sample_shots,
@@ -214,6 +212,10 @@ class TestEncodedState:
     def test_norm_validated(self):
         with pytest.raises(ValueError):
             EncodedState(n=2, m=1, amplitudes=np.array([1.0, 1.0], dtype=complex))
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError):
+            EncodedState(n=2, m=1, amplitudes=np.array([math.nan, 1.0], dtype=complex))
 
     def test_normalized_convention_runs(self):
         inst = load_instance({"n": 3, "m": 1, "energy": [0, 1, 2]})

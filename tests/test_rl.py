@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope, random_instance
+from oracles import averaged_fejer_quadrature
 from fejercert import (
     fejer_kernel,
     filtered_distribution,
@@ -16,7 +17,6 @@ from fejercert import (
 from fejercert.rl import (
     DitherWindow,
     averaged_fejer,
-    averaged_fejer_quadrature,
     averaged_offpeak_bound,
     energy_gap,
     rl_filtered_distribution,
@@ -50,6 +50,10 @@ class TestWindow:
     def test_positive_half_width_required(self):
         with pytest.raises(ValueError):
             DitherWindow(0.0)
+
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(ValueError):
+            DitherWindow(math.nan)
 
 
 class TestAveragedFejer:
