@@ -12,6 +12,7 @@ computed but vacuous), 4 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,11 +21,12 @@ import numpy as np
 
 from . import feasibility as feas
 from . import oracle, rl, serialize
-from .fejer import fejer_kernel, filtered_distribution, success_probability
+from .fejer import filtered_distribution, success_probability
 from .instance import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     GapScope,
+    ProblemInstance,
     format_string,
     index_string,
     load_instance_file,
@@ -88,16 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, instance: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", "-o", required=True, help="output document path")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration cap on n**m (default %(default)s)")
         p.add_argument("--degrees", action="store_true",
                        help="interpret angle arguments in degrees")
+        if instance:
+            p.add_argument("--instance", required=True)
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                           help="enumeration cap on n**m (default %(default)s)")
+        return p
 
-    certify = sub.add_parser("certify", help="end-to-end success certificate for an instance")
-    add_common(certify)
-    certify.add_argument("--instance", required=True)
+    certify = command("certify", "end-to-end success certificate for an instance")
     certify.add_argument("--gamma", type=_finite_float, required=True, help="base cost angle")
     certify.add_argument("--order", "-p", type=int, required=True, help="filter order p")
     certify.add_argument("--betas", type=_float_list, default=None,
@@ -111,42 +115,34 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--scope", choices=["all", "feasible"], default="all")
     certify.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
 
-    plan = sub.add_parser("plan", help="certificate arithmetic from given (p, C_beta, delta)")
-    add_common(plan)
+    plan = command("plan", "certificate arithmetic from given (p, C_beta, delta)", instance=False)
     plan.add_argument("--order", "-p", type=int, required=True)
     plan.add_argument("--c-beta", type=_finite_float, required=True)
     plan.add_argument("--delta", type=_finite_float, required=True)
     plan.add_argument("--epsilon", type=_finite_float, default=0.1)
     plan.add_argument("--eta", type=_finite_float, default=0.5)
 
-    curves = sub.add_parser("curves", help="C_min certification curves as CSV")
-    add_common(curves)
+    curves = command("curves", "C_min certification curves as CSV", instance=False)
     curves.add_argument("--deltas", type=_grid, required=True,
                         help="comma list or start:stop:count grid of phase gaps")
     curves.add_argument("--orders", type=_int_list, required=True,
                         help="comma-separated filter orders")
     curves.add_argument("--epsilon", type=_finite_float, default=0.1)
 
-    envelope = sub.add_parser("envelope", help="mixer envelope of an instance")
-    add_common(envelope)
-    envelope.add_argument("--instance", required=True)
+    envelope = command("envelope", "mixer envelope of an instance")
     envelope.add_argument("--betas", type=_float_list, default=[])
     envelope.add_argument("--v0", default=None, help="JSON array with an external initial diagonal")
     envelope.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
     envelope.add_argument("--format", choices=["json", "csv"], default="json")
 
-    feasibility = sub.add_parser("feasibility", help="level sets, connectivity, and feasibility bounds")
-    add_common(feasibility)
-    feasibility.add_argument("--instance", required=True)
+    feasibility = command("feasibility", "level sets, connectivity, and feasibility bounds")
     feasibility.add_argument("--gamma", type=_finite_float, required=True)
     feasibility.add_argument("--search-order", type=int, default=2)
     feasibility.add_argument("--budget", type=int, default=200, help="angle-search evaluations")
     feasibility.add_argument("--seed", type=int, default=0)
     feasibility.add_argument("--no-search", action="store_true")
 
-    rl_cmd = sub.add_parser("rl", help="dither-averaged filtering report")
-    add_common(rl_cmd)
-    rl_cmd.add_argument("--instance", required=True)
+    rl_cmd = command("rl", "dither-averaged filtering report")
     rl_cmd.add_argument("--gamma", type=_finite_float, required=True)
     rl_cmd.add_argument("--order", "-p", type=int, required=True)
     rl_cmd.add_argument("--half-width", type=_finite_float, required=True,
@@ -157,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="normalize after averaging (no bound asserted)")
     rl_cmd.add_argument("--law-output", default=None, help="also write the averaged law as CSV")
 
-    simulate = sub.add_parser("simulate", help="coherent statevector run")
-    add_common(simulate)
-    simulate.add_argument("--instance", required=True)
+    simulate = command("simulate", "coherent statevector run")
     simulate.add_argument("--gammas", type=_float_list, required=True)
     simulate.add_argument("--betas", type=_float_list, required=True)
     simulate.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
@@ -188,12 +182,9 @@ def _load_diagonal(path: str, size: int) -> Envelope:
     return external_envelope(data)
 
 
-def _convention(name: str) -> MixerConvention:
-    return MixerConvention(name)
-
-
 # ---------------------------------------------------------------------------
-# Command handlers
+# Command handlers: each computes (exit code, [(path, text), ...]) and writes
+# nothing; main loads the instance and writes the outputs in order.
 # ---------------------------------------------------------------------------
 
 def _certificate_document(
@@ -210,22 +201,12 @@ def _certificate_document(
     """The certificate document of ``certify`` and ``plan``; fields that need
     an instance are null unless given."""
     return {
+        **dataclasses.asdict(cert),
         "command": command,
         "status": status,
-        "p": cert.p,
-        "gamma": gamma,
-        "c_beta": cert.c_beta,
-        "delta": cert.delta,
-        "x": cert.x,
-        "q0_bound": cert.q0_bound,
-        "q0_simple": cert.q0_simple,
-        "q0_exact": cert.q0_exact,
-        "bound_satisfied": bound_satisfied,
-        "shots": cert.shots,
-        "depth_for_target": cert.depth_for_target,
         "regime": cert.regime.value,
-        "epsilon": cert.epsilon,
-        "eta": cert.eta,
+        "gamma": gamma,
+        "bound_satisfied": bound_satisfied,
         "gap_scope": gap_scope,
         "collisions": collisions,
         "envelope_source": envelope_source,
@@ -233,8 +214,7 @@ def _certificate_document(
     }
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    inst = load_instance_file(args.instance, cap=args.cap)
+def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     scope = GapScope.ALL_STRINGS if args.scope == "all" else GapScope.FEASIBLE_ONLY
     if args.order < 0:
         raise ValueError("order must be nonnegative")
@@ -249,7 +229,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if betas and len(betas) != args.order:
             raise ValueError("need exactly one beta per layer")
         env = mixer_envelope(inst, uniform_envelope(inst.n, inst.m), betas,
-                             convention=_convention(args.convention))
+                             convention=MixerConvention(args.convention))
         source = "reference_uniform"
 
     pm = phase_gap(inst, args.gamma, scope)
@@ -285,24 +265,20 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         or None,
         envelope_source=source,
     )
-    serialize.atomic_write_text(args.output, serialize.dumps_json(document))
+    outputs = [(args.output, serialize.dumps_json(document))]
     if args.law_output is not None:
-        weights = fejer_kernel(args.order, pm.theta - pm.theta_star)
-        serialize.atomic_write_text(
-            args.law_output,
-            serialize.filtered_law_csv(law.probs, pm.theta, weights, inst.n, inst.m),
-        )
-    return EXIT_UNCERTIFIABLE if status == "uncertifiable" else EXIT_OK
+        outputs.append((args.law_output, serialize.filtered_law_csv(
+            law.probs, pm.theta, law.kernel, inst.n, inst.m)))
+    return (EXIT_UNCERTIFIABLE if status == "uncertifiable" else EXIT_OK), outputs
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+def _cmd_plan(args: argparse.Namespace) -> tuple:
     cert = build_certificate(args.order, args.c_beta, args.delta, args.epsilon, eta=args.eta)
     document = _certificate_document("plan", cert, cert.status)
-    serialize.atomic_write_text(args.output, serialize.dumps_json(document))
-    return EXIT_OK
+    return EXIT_OK, [(args.output, serialize.dumps_json(document))]
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: argparse.Namespace) -> tuple:
     if not args.deltas:
         raise ValueError("delta grid is empty")
     if not args.orders:
@@ -313,28 +289,24 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     for p in orders:
         values = cmin_curve(deltas, args.epsilon, p)
         rows.extend((d, p, args.epsilon, c) for d, c in zip(deltas, values))
-    serialize.atomic_write_text(args.output, serialize.curves_csv(rows))
-    return EXIT_OK
+    return EXIT_OK, [(args.output, serialize.curves_csv(rows))]
 
 
-def _cmd_envelope(args: argparse.Namespace) -> int:
-    inst = load_instance_file(args.instance, cap=args.cap)
+def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     v0 = (
         _load_diagonal(args.v0, inst.size)
         if args.v0 is not None
         else uniform_envelope(inst.n, inst.m)
     )
-    env = mixer_envelope(inst, v0, args.betas, convention=_convention(args.convention))
+    env = mixer_envelope(inst, v0, args.betas, convention=MixerConvention(args.convention))
     if args.format == "json":
         text = serialize.dumps_json(list(env.probs))
     else:
         text = serialize.envelope_csv(env.probs, inst.n, inst.m)
-    serialize.atomic_write_text(args.output, text)
-    return EXIT_OK
+    return EXIT_OK, [(args.output, text)]
 
 
-def _cmd_feasibility(args: argparse.Namespace) -> int:
-    inst = load_instance_file(args.instance, cap=args.cap)
+def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     ls = feas.level_sets(inst)
     graph = feas.level_graph(ls, inst.n, inst.m)
     sep = feas.delta_feasible(args.gamma, ls)
@@ -349,14 +321,9 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
     search = None
     if not args.no_search:
-        result = feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed)
-        search = {
-            "gammas": list(result.gammas),
-            "betas": list(result.betas),
-            "pi_f": result.pi_f,
-            "evaluations": result.evaluations,
-            "seed": result.seed,
-        }
+        search = dataclasses.asdict(
+            feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed)
+        )
 
     document = {
         "command": "feasibility",
@@ -375,12 +342,11 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
         "search": search,
         "seed": args.seed,
     }
-    serialize.atomic_write_text(args.output, serialize.dumps_json(document))
-    return EXIT_UNCERTIFIABLE if sep.collided else EXIT_OK
+    code = EXIT_UNCERTIFIABLE if sep.collided else EXIT_OK
+    return code, [(args.output, serialize.dumps_json(document))]
 
 
-def _cmd_rl(args: argparse.Namespace) -> int:
-    inst = load_instance_file(args.instance, cap=args.cap)
+def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     window = rl.DitherWindow(half_width=args.half_width)
     env = uniform_envelope(inst.n, inst.m)
     omega = inst.optimal_indices()
@@ -409,19 +375,17 @@ def _cmd_rl(args: argparse.Namespace) -> int:
         "success_mass": min(1.0, max(0.0, law.subset_mass)),
         "success_stderr": law.subset_stderr,
     }
-    serialize.atomic_write_text(args.output, serialize.dumps_json(document))
+    outputs = [(args.output, serialize.dumps_json(document))]
     if args.law_output is not None:
-        serialize.atomic_write_text(
-            args.law_output, serialize.rl_law_csv(law.probs, law.stderr, inst.n, inst.m)
+        outputs.append(
+            (args.law_output, serialize.rl_law_csv(law.probs, law.stderr, inst.n, inst.m))
         )
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    inst = load_instance_file(args.instance, cap=args.cap)
+def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     state = oracle.simulate(
-        inst, args.gammas, args.betas,
-        convention=_convention(args.convention), cap=args.cap,
+        inst, args.gammas, args.betas, convention=MixerConvention(args.convention)
     )
     omega = inst.optimal_indices()
     feasible = inst.feasible_indices()
@@ -444,8 +408,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
         document["success_frequency"] = report.frequency
         document["success_ci"] = [report.ci_low, report.ci_high]
-    serialize.atomic_write_text(args.output, serialize.dumps_json(document))
-    return EXIT_OK
+    return EXIT_OK, [(args.output, serialize.dumps_json(document))]
 
 
 _HANDLERS = {
@@ -463,8 +426,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _to_radians(args)
+    handler = _HANDLERS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        if "instance" in args:
+            code, outputs = handler(args, load_instance_file(args.instance, cap=args.cap))
+        else:
+            code, outputs = handler(args)
+        for path, text in outputs:
+            serialize.atomic_write_text(path, text)
+        return code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

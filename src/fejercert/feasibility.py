@@ -24,7 +24,7 @@ from .instance import (
     index_string,
     symbol_counts,
 )
-from .mixer import MixerConvention, resonance_distance
+from .mixer import resonance_distance
 from .planner import ratio_bounds, ratio_parameter
 
 LIE_CLOSURE_TOL = 1e-9
@@ -370,7 +370,6 @@ def feasibility_angle_search(
     p: int,
     budget: int,
     seed: int,
-    convention: MixerConvention = MixerConvention.ADJACENCY,
 ) -> AngleSearchResult:
     """Seeded random-restart plus coordinate golden-section search maximizing
     the feasibility probability of the penalty-phase circuit.
@@ -391,10 +390,7 @@ def feasibility_angle_search(
     def evaluate(gammas: np.ndarray, betas: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        # the instance already holds n**m-entry tables, so the state fits too
-        state = oracle.simulate(
-            inst, gammas, betas, convention=convention, cost_table=inst.penalty, cap=inst.size
-        )
+        state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
         return oracle.projector_mass(state, feasible)
 
     zeros = np.zeros(p)

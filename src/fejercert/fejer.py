@@ -108,9 +108,11 @@ def _check_delta(delta: float) -> None:
 
 @dataclass(frozen=True)
 class FilteredLaw:
-    """Normalized filtered distribution plus its pre-normalization mass."""
+    """Normalized filtered distribution, the per-string Fejér weight
+    F_p(theta(z) - theta_star), and the pre-normalization mass."""
 
     probs: np.ndarray
+    kernel: np.ndarray
     denominator: float
 
 
@@ -119,11 +121,13 @@ def filtered_distribution(env: Envelope, pm: PhaseModel, p: int) -> FilteredLaw:
     W(z) * F_p(theta(z) - theta_star)."""
     if env.size != pm.theta.size:
         raise ValueError("envelope and phase model sizes differ")
-    weights = env.probs * fejer_kernel(p, pm.offsets())
+    kernel = fejer_kernel(p, pm.offsets())
+    weights = env.probs * kernel
     denominator = float(weights.sum())
-    if denominator <= 0.0:
-        raise ValueError("zero filter denominator: envelope support misses all Fejér weight")
-    return FilteredLaw(probs=weights / denominator, denominator=denominator)
+    # a positive condition, so that a NaN denominator fails it
+    if not 0.0 < denominator < math.inf:
+        raise ValueError(f"filter denominator {denominator} is zero or not finite")
+    return FilteredLaw(probs=weights / denominator, kernel=kernel, denominator=denominator)
 
 
 def success_probability(law: FilteredLaw, omega_star) -> float:

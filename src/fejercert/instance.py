@@ -38,6 +38,15 @@ class InstanceFormatError(ValueError):
     """Malformed instance document."""
 
 
+def capped_size(n: int, m: int, cap: int) -> int:
+    """n**m, or CapExceededError when it exceeds cap.  As 2**cap.bit_length()
+    exceeds cap, the test needs at most that many factors of n, so a huge m
+    never forms its power."""
+    if n ** min(m, cap.bit_length()) > cap:
+        raise CapExceededError(f"n**m = {n}**{m} exceeds enumeration cap {cap}")
+    return n**m
+
+
 class GapScope(Enum):
     ALL_STRINGS = "all_strings"
     FEASIBLE_ONLY = "feasible_only"
@@ -211,9 +220,7 @@ def load_instance(
     n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise InstanceFormatError("n and m must be positive integers")
-    size = n**m
-    if size > cap:
-        raise CapExceededError(f"n**m = {size} exceeds enumeration cap {cap}")
+    size = capped_size(n, m, cap)
 
     lattice_scale = document.get("lattice_scale", 1.0)
     if not (_is_number(lattice_scale, numbers.Real)

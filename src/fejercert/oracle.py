@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import DEFAULT_ENUMERATION_CAP, CapExceededError, ProblemInstance
+from .instance import DEFAULT_ENUMERATION_CAP, ProblemInstance, capped_size
 from .mixer import MixerConvention, effective_beta
 
 NORM_TOL = 1e-10
@@ -48,9 +48,7 @@ class EncodedState:
 
 def initial_state(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EncodedState:
     """Uniform one-hot product state: every amplitude n**(-m/2)."""
-    size = n**m
-    if size > cap:
-        raise CapExceededError(f"n**m = {size} exceeds enumeration cap {cap}")
+    size = capped_size(n, m, cap)
     return EncodedState(n=n, m=m, amplitudes=np.full(size, n ** (-m / 2.0), dtype=complex))
 
 
@@ -101,17 +99,17 @@ def simulate(
     betas: Sequence[float],
     convention: MixerConvention = MixerConvention.ADJACENCY,
     cost_table: np.ndarray | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EncodedState:
     """Alternate cost and mixer layers from the uniform initial state.
 
     ``cost_table`` defaults to the instance energies; pass the penalty table
-    to drive the feasibility stage.
+    to drive the feasibility stage.  The instance already holds n**m-entry
+    tables, so the state is not capped again.
     """
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
     energies = inst.energy if cost_table is None else np.asarray(cost_table)
-    state = initial_state(inst.n, inst.m, cap=cap)
+    state = initial_state(inst.n, inst.m, cap=inst.size)
     for gamma, beta in zip(gammas, betas):
         state = apply_cost(state, energies, gamma)
         state = apply_mixer(state, beta, convention)

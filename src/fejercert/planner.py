@@ -128,6 +128,8 @@ def depth_for_target(epsilon: float, c_beta: float, delta: float) -> int:
         raise ValueError("delta must lie in (0, pi]")
     radicand = (1.0 - epsilon) / epsilon * (1.0 - c_beta) / c_beta
     value = math.sqrt(radicand) / math.sin(delta / 2.0)
+    if not math.isfinite(value):
+        raise ValueError("depth for target overflows: C_beta or delta is too small")
     # The 1e-9 slack keeps exact integer boundaries from rounding one order
     # up; the bump loop then restores the postcondition if the slack ever
     # undershot, with 1e-12 headroom so boundary rounding noise cannot push

@@ -31,8 +31,9 @@ class DitherWindow:
     half_width: float
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0:
-            raise ValueError("window half-width must be positive")
+        # the span 2*half_width must be a finite float for the uniform draw
+        if not 0.0 < 2.0 * self.half_width < math.inf:
+            raise ValueError("window half-width must be positive, with a finite span")
 
     def fourier(self, xi):
         return window_fourier(self, xi)
@@ -96,6 +97,8 @@ def averaged_offpeak_bound(p: int, half_width: float, gap: float) -> AveragedOff
     k = np.arange(1, p + 1, dtype=float)
     exact = 1.0 + scale * float(np.sum((1.0 - k / (p + 1)) / k))
     log_form = 1.0 + scale * math.log(p + 1)
+    if not (math.isfinite(exact) and math.isfinite(log_form)):
+        raise ValueError("averaged off-peak bound overflows: half-width times gap is too small")
     return AveragedOffpeakBound(exact, log_form)
 
 
@@ -186,8 +189,9 @@ def rl_filtered_distribution(
     for u in draws:
         weights = env.probs * fejer_kernel(p, (gamma + u) * offsets)
         mass = float(weights.sum())
-        if mass <= 0.0:
-            raise ValueError("zero filter denominator at a dither draw")
+        # a positive condition, so that a NaN mass fails it
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"filter denominator {mass} at a dither draw is zero or not finite")
         law = weights if pooled else weights / mass
         total += law
         total_sq += law**2

@@ -1,12 +1,16 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fejercert.cli import main
 from fejercert.serialize import load_schema
@@ -22,12 +26,13 @@ def toy_instance(tmp_path):
     return write_instance(tmp_path / "toy.json", {"n": 2, "m": 1, "energy": [0, 1]})
 
 
+QAP_DOC = {"n": 3, "m": 3,
+           "generator": {"kind": "assignment", "cost": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]}}
+
+
 @pytest.fixture
 def qap_instance(tmp_path):
-    return write_instance(
-        tmp_path / "qap.json",
-        {"n": 3, "m": 3, "generator": {"kind": "assignment", "cost": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]}},
-    )
+    return write_instance(tmp_path / "qap.json", QAP_DOC)
 
 
 def run(args):
@@ -116,6 +121,15 @@ class TestCertify:
                     "-o", str(tmp_path / "x.json")])
         assert code == 4
 
+    def test_cap_decided_without_forming_power(self, tmp_path, capsys):
+        # 3**3000000 has over a million digits, beyond int-to-str conversion
+        inst = write_instance(tmp_path / "huge.json", {"n": 3, "m": 3000000, "energy": []})
+        out = tmp_path / "x.json"
+        code = run(["certify", "--instance", inst, "--gamma", "1", "-p", "1", "-o", str(out)])
+        assert code == 4
+        assert "n**m = 3**3000000 exceeds enumeration cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_law_output_csv(self, toy_instance, tmp_path):
         out = tmp_path / "cert.json"
         law = tmp_path / "law.csv"
@@ -187,6 +201,15 @@ class TestPlanAndCurves:
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         values = [float(r[3]) for r in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("args", [
+        ["plan", "-p", "2", "--c-beta", "0.3", "--delta", "1.0"],
+        ["curves", "--deltas", "0.5", "--orders", "1"],
+    ])
+    def test_no_cap_option(self, args, tmp_path):
+        out = tmp_path / "out"
+        assert exit_code(args + ["--cap", "5", "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path):
         assert run(["curves", "--deltas", "", "--orders", "1",
@@ -397,6 +420,23 @@ class TestFailClosed:
                     "-o", str(out)]) == 2
         assert not out.exists()
 
+    # Finite inputs whose arithmetic overflows.  In the first two, the phases
+    # overflow to inf and every Fejér weight is NaN.
+    @pytest.mark.parametrize("args", [
+        ["rl", "--instance", None, "--gamma", "1e308", "-p", "2", "--half-width", "1e307",
+         "--samples", "5"],
+        ["certify", "--instance", None, "--gamma", "1e308", "-p", "2"],
+        ["rl", "--instance", None, "--gamma", "0.4", "-p", "2", "--half-width", "1e308"],
+        ["rl", "--instance", None, "--gamma", "0.4", "-p", "2", "--half-width", "1e-320"],
+        ["plan", "-p", "2", "--c-beta", "1e-320", "--delta", "1e-320"],
+    ], ids=["rl_nan_denominator", "certify_nan_denominator", "dither_span", "offpeak_bound",
+            "plan_depth"])
+    def test_overflowing_arithmetic_exits_2(self, args, qap_instance, tmp_path):
+        out = tmp_path / "out.json"
+        argv = [qap_instance if a is None else a for a in args]
+        assert run(argv + ["-o", str(out)]) == 2
+        assert not out.exists()
+
 
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -405,3 +445,52 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def qap_path(tmp_path_factory):
+    return write_instance(tmp_path_factory.mktemp("property") / "qap.json", QAP_DOC)
+
+
+def _check_filter_run(argv, schema, allowed):
+    """Run a filter command with a law CSV; exit 2 leaves no file, any other
+    exit leaves a valid document and a finite law that sums to 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, law = Path(tmp) / "out.json", Path(tmp) / "law.csv"
+        code = main(argv + ["-o", str(out), "--law-output", str(law)])
+        assert code in allowed
+        if code == 2:
+            assert not out.exists() and not law.exists()
+            return
+        jsonschema.validate(json.loads(out.read_text("utf-8")), load_schema(schema))
+        with law.open(encoding="utf-8") as fh:
+            probs = [float(row["probability"]) for row in csv.DictReader(fh)]
+        assert all(math.isfinite(p) for p in probs)
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE_FINITE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestFilterCommandsProperty:
+    """Every finite angle and positive finite half-width either fails closed
+    or yields a schema-valid document and a normalized law."""
+
+    @settings(max_examples=100)
+    @given(gamma=FINITE, half_width=POSITIVE_FINITE)
+    @example(gamma=1e308, half_width=1e307)
+    @example(gamma=0.4, half_width=1e308)
+    @example(gamma=0.4, half_width=1e-320)
+    def test_rl(self, qap_path, gamma, half_width):
+        # --name=value, so that argparse does not take a negative value for an option
+        _check_filter_run(["rl", "--instance", qap_path, f"--gamma={gamma!r}", "-p", "2",
+                           f"--half-width={half_width!r}", "--samples", "5"],
+                          "rl_report", (0, 2))
+
+    @settings(max_examples=100)
+    @given(gamma=FINITE)
+    @example(gamma=1e308)
+    def test_certify(self, qap_path, gamma):
+        _check_filter_run(["certify", "--instance", qap_path, f"--gamma={gamma!r}", "-p", "2"],
+                          "certificate", (0, 2, 3))
