@@ -185,6 +185,10 @@ def delta_feasible(gamma: float, ls: LevelStructure) -> DeltaFeasible:
         return DeltaFeasible(math.pi, False, False, (), True)
     aliasing = gamma > math.pi / ls.t_max + 1e-15
     dist = circular_distance(gamma * np.asarray(nonzero, dtype=float), 0.0)
+    # a positive condition, so that the NaN distance of an overflowed
+    # gamma * t fails it
+    if not np.all(dist >= 0.0):
+        raise ValueError("penalty phase gamma * t is not finite")
     colliding = tuple(int(t) for t, d in zip(nonzero, dist) if d < PHASE_COLLISION_TOL)
     if colliding:
         return DeltaFeasible(0.0, aliasing, True, colliding, False)

@@ -56,7 +56,8 @@ def _fejer_by_sum(p: int, theta: np.ndarray) -> np.ndarray:
 
 
 def fejer_kernel(p: int, theta):
-    """Evaluate F_p pointwise (scalar or array argument).
+    """Evaluate F_p pointwise on a scalar or an array of any shape, which
+    the result keeps.
 
     Near zeros of sin(theta/2) the Dirichlet-sum form is used, which is
     exact at theta = 0 (mod 2pi) where the value is p+1.

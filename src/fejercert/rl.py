@@ -168,6 +168,10 @@ def rl_filtered_distribution(
     law and the laws are averaged; ``pooled`` instead averages unnormalized
     weights and normalizes once (no bound is asserted for that mode).
     Deterministic under the seed.
+
+    The Fejér weight F_p((gamma+u)(E(z)-E*)) depends on z only through its
+    energy level, so each draw evaluates the kernel once per level: the cost
+    is O(samples * levels + n**m).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -175,61 +179,60 @@ def rl_filtered_distribution(
         raise ValueError("order must be nonnegative")
     if env.size != inst.size:
         raise ValueError("envelope does not match the instance")
-    gap = energy_gap(inst)
-    if gap == 0.0:
+    e_star = inst.e_star()
+    if np.count_nonzero(inst.energy == e_star) > inst.optimal_indices().size:
         raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
 
-    offsets = (inst.energy - inst.e_star()).astype(float)
+    offsets, level_of = np.unique(inst.energy - e_star, return_inverse=True)
+    offsets = offsets.astype(float)
+    level_env = np.bincount(level_of, weights=env.probs)
+    if subset is not None:
+        # the levels the subset meets, and its envelope mass on each
+        subset_levels, subset_of = np.unique(level_of[subset], return_inverse=True)
+        subset_env = np.bincount(subset_of, weights=env.probs[subset])
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-w.half_width, w.half_width, size=samples)
 
-    total = np.zeros(env.size)
-    total_sq = np.zeros(env.size)
-    subset_masses = [] if subset is not None else None
-    for u in draws:
-        weights = env.probs * fejer_kernel(p, (gamma + u) * offsets)
-        mass = float(weights.sum())
+    # per-level sums over draws of F/M (of F when pooled) and of its square
+    total = np.zeros(offsets.size)
+    total_sq = np.zeros(offsets.size)
+    subset_masses = []
+    # a block of draws x levels holds at most n**m kernel values
+    block = max(1, inst.size // offsets.size)
+    for start in range(0, samples, block):
+        kernel = fejer_kernel(p, (gamma + draws[start : start + block, None]) * offsets)
+        masses = kernel @ level_env
         # a positive condition, so that a NaN mass fails it
-        if not 0.0 < mass < math.inf:
-            raise ValueError(f"filter denominator {mass} at a dither draw is zero or not finite")
-        law = weights if pooled else weights / mass
-        total += law
-        total_sq += law**2
-        if subset_masses is not None:
-            subset_masses.append(float(law[subset].sum()))
+        finite = (0.0 < masses) & (masses < math.inf)
+        if not finite.all():
+            raise ValueError(
+                f"filter denominator {masses[~finite][0]} at a dither draw is zero or not finite"
+            )
+        if not pooled:
+            kernel /= masses[:, None]
+        total += kernel.sum(axis=0)
+        total_sq += (kernel**2).sum(axis=0)
+        if subset is not None and not pooled:
+            subset_masses.append(kernel[:, subset_levels] @ subset_env)
 
-    mean = total / samples
-    if pooled:
-        norm = float(mean.sum())
-        probs = mean / norm
-        sub_mass = float(probs[subset].sum()) if subset is not None else None
-        return RLLaw(
-            probs=probs,
-            stderr=np.zeros(env.size),
-            samples=samples,
-            seed=seed,
-            pooled=True,
-            subset_mass=sub_mass,
-            subset_stderr=None,
-        )
-    if samples > 1:
-        variance = (total_sq - samples * mean**2) / (samples - 1)
-        stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
-    else:
-        stderr = np.zeros(env.size)
+    probs = env.probs * (total / samples)[level_of]
+    stderr = np.zeros(env.size)
     sub_mass = sub_err = None
-    if subset_masses is not None:
-        arr = np.asarray(subset_masses)
-        sub_mass = float(arr.mean())
-        sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    if pooled:
+        probs /= float(probs.sum())
+        if subset is not None:
+            sub_mass = float(probs[subset].sum())
+    else:
+        if samples > 1:
+            variance = (env.probs**2 * total_sq[level_of] - samples * probs**2) / (samples - 1)
+            stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
+        if subset is not None:
+            arr = np.concatenate(subset_masses)
+            sub_mass = float(arr.mean())
+            sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return RLLaw(
-        probs=mean,
-        stderr=stderr,
-        samples=samples,
-        seed=seed,
-        pooled=False,
-        subset_mass=sub_mass,
-        subset_stderr=sub_err,
+        probs=probs, stderr=stderr, samples=samples, seed=seed, pooled=pooled,
+        subset_mass=sub_mass, subset_stderr=sub_err,
     )
 
 

@@ -9,6 +9,8 @@ path, so they live with the tests (and only they need scipy).
 - ``dirichlet_filter_oracle``: operator-level Dirichlet filtering;
 - ``averaged_fejer_quadrature``: adaptive Simpson quadrature of the
   window-averaged Fejér kernel;
+- ``rl_filtered_distribution_per_string``: the dither average evaluated
+  string by string, one Fejér kernel over all n**m strings per draw;
 - ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region.
 """
 
@@ -24,7 +26,7 @@ from fejercert.fejer import fejer_kernel
 from fejercert.instance import ProblemInstance
 from fejercert.mixer import Envelope, MixerConvention
 from fejercert.oracle import block_unitary
-from fejercert.rl import DitherWindow
+from fejercert.rl import DitherWindow, RLLaw, energy_gap
 
 
 def block_unitary_expm(
@@ -135,3 +137,80 @@ def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
         raise ValueError("delta must lie in (0, pi]")
     grid = np.linspace(delta, math.pi, points)
     return float(fejer_kernel(p, grid).max())
+
+
+def rl_filtered_distribution_per_string(
+    env: Envelope,
+    inst: ProblemInstance,
+    gamma: float,
+    w: DitherWindow,
+    p: int,
+    samples: int,
+    seed: int,
+    pooled: bool = False,
+    subset: np.ndarray | None = None,
+) -> RLLaw:
+    """Monte Carlo average over dither draws u of the per-u filtered law,
+    accumulated per string; the same draws as ``rl_filtered_distribution``."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if p < 0:
+        raise ValueError("order must be nonnegative")
+    if env.size != inst.size:
+        raise ValueError("envelope does not match the instance")
+    gap = energy_gap(inst)
+    if gap == 0.0:
+        raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
+
+    offsets = (inst.energy - inst.e_star()).astype(float)
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(-w.half_width, w.half_width, size=samples)
+
+    total = np.zeros(env.size)
+    total_sq = np.zeros(env.size)
+    subset_masses = [] if subset is not None else None
+    for u in draws:
+        weights = env.probs * fejer_kernel(p, (gamma + u) * offsets)
+        mass = float(weights.sum())
+        # a positive condition, so that a NaN mass fails it
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"filter denominator {mass} at a dither draw is zero or not finite")
+        law = weights if pooled else weights / mass
+        total += law
+        total_sq += law**2
+        if subset_masses is not None:
+            subset_masses.append(float(law[subset].sum()))
+
+    mean = total / samples
+    if pooled:
+        norm = float(mean.sum())
+        probs = mean / norm
+        sub_mass = float(probs[subset].sum()) if subset is not None else None
+        return RLLaw(
+            probs=probs,
+            stderr=np.zeros(env.size),
+            samples=samples,
+            seed=seed,
+            pooled=True,
+            subset_mass=sub_mass,
+            subset_stderr=None,
+        )
+    if samples > 1:
+        variance = (total_sq - samples * mean**2) / (samples - 1)
+        stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
+    else:
+        stderr = np.zeros(env.size)
+    sub_mass = sub_err = None
+    if subset_masses is not None:
+        arr = np.asarray(subset_masses)
+        sub_mass = float(arr.mean())
+        sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return RLLaw(
+        probs=mean,
+        stderr=stderr,
+        samples=samples,
+        seed=seed,
+        pooled=False,
+        subset_mass=sub_mass,
+        subset_stderr=sub_err,
+    )

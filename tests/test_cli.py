@@ -429,8 +429,9 @@ class TestFailClosed:
         ["rl", "--instance", None, "--gamma", "0.4", "-p", "2", "--half-width", "1e308"],
         ["rl", "--instance", None, "--gamma", "0.4", "-p", "2", "--half-width", "1e-320"],
         ["plan", "-p", "2", "--c-beta", "1e-320", "--delta", "1e-320"],
+        ["feasibility", "--instance", None, "--gamma", "1e308", "--no-search"],
     ], ids=["rl_nan_denominator", "certify_nan_denominator", "dither_span", "offpeak_bound",
-            "plan_depth"])
+            "plan_depth", "feasibility_nan_separation"])
     def test_overflowing_arithmetic_exits_2(self, args, qap_instance, tmp_path):
         out = tmp_path / "out.json"
         argv = [qap_instance if a is None else a for a in args]
@@ -452,17 +453,19 @@ def qap_path(tmp_path_factory):
     return write_instance(tmp_path_factory.mktemp("property") / "qap.json", QAP_DOC)
 
 
-def _check_filter_run(argv, schema, allowed):
-    """Run a filter command with a law CSV; exit 2 leaves no file, any other
-    exit leaves a valid document and a finite law that sums to 1."""
+def _check_filter_run(argv, schema, allowed, law_csv=True):
+    """Run a command; exit 2 leaves no file, any other exit leaves a valid
+    document and, with ``law_csv``, a finite law CSV that sums to 1."""
     with tempfile.TemporaryDirectory() as tmp:
         out, law = Path(tmp) / "out.json", Path(tmp) / "law.csv"
-        code = main(argv + ["-o", str(out), "--law-output", str(law)])
+        code = main(argv + ["-o", str(out)] + (["--law-output", str(law)] if law_csv else []))
         assert code in allowed
         if code == 2:
             assert not out.exists() and not law.exists()
             return
         jsonschema.validate(json.loads(out.read_text("utf-8")), load_schema(schema))
+        if not law_csv:
+            return
         with law.open(encoding="utf-8") as fh:
             probs = [float(row["probability"]) for row in csv.DictReader(fh)]
         assert all(math.isfinite(p) for p in probs)
@@ -475,7 +478,8 @@ POSITIVE_FINITE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
 
 class TestFilterCommandsProperty:
     """Every finite angle and positive finite half-width either fails closed
-    or yields a schema-valid document and a normalized law."""
+    or yields a schema-valid document and, from a filter command, a
+    normalized law."""
 
     @settings(max_examples=100)
     @given(gamma=FINITE, half_width=POSITIVE_FINITE)
@@ -494,3 +498,10 @@ class TestFilterCommandsProperty:
     def test_certify(self, qap_path, gamma):
         _check_filter_run(["certify", "--instance", qap_path, f"--gamma={gamma!r}", "-p", "2"],
                           "certificate", (0, 2, 3))
+
+    @settings(max_examples=100)
+    @given(gamma=FINITE)
+    @example(gamma=1e308)
+    def test_feasibility(self, qap_path, gamma):
+        _check_filter_run(["feasibility", "--instance", qap_path, f"--gamma={gamma!r}",
+                           "--no-search"], "feasibility_report", (0, 2, 3), law_csv=False)

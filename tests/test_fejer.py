@@ -68,6 +68,18 @@ class TestKernel:
                 fejer_kernel(p, theta), fejer_kernel(p, theta + 2 * math.pi), atol=1e-9
             )
 
+    def test_two_dimensional_argument(self):
+        # rows of guarded entries, exact multiples of 2pi and ordinary angles
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-40.0, 40.0, size=(7, 33))
+        theta[:, :6] = [0.0, 2 * math.pi, -4 * math.pi, 9e-7, -5e-7, 2 * math.pi + 3e-7]
+        theta[3] = 1e-7 * np.arange(33)
+        for p in (0, 1, 3, 12):
+            out = fejer_kernel(p, theta)
+            assert out.shape == theta.shape
+            for row, values in zip(theta, out):
+                assert np.array_equal(values, fejer_kernel(p, row))
+
     def test_coefficient_form_reproduces_kernel(self):
         theta = np.linspace(-math.pi, math.pi, 257)
         for p in (0, 1, 2, 5, 9):

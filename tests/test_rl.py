@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope, random_instance
-from oracles import averaged_fejer_quadrature
+from oracles import averaged_fejer_quadrature, rl_filtered_distribution_per_string
 from fejercert import (
     fejer_kernel,
     filtered_distribution,
@@ -209,3 +209,45 @@ class TestRLFilteredDistribution:
         assert averaged.probs.sum() == pytest.approx(1.0)
         # the two averaging orders genuinely differ
         assert np.max(np.abs(pooled.probs - averaged.probs)) > 1e-6
+
+
+def _agreement_instances(rng):
+    """Random instances with a nonzero energy gap, and two instances whose
+    draws take several blocks: one level per string (one draw per block)
+    and three levels over eight strings (two draws per block)."""
+    found = []
+    while len(found) < 6:
+        inst = random_instance(rng)
+        if energy_gap(inst) > 0.0:
+            found.append(inst)
+    found.append(load_instance({"n": 3, "m": 2, "energy": [int(e) for e in rng.permutation(9)]}))
+    found.append(load_instance({"n": 2, "m": 3, "energy": [0, 3, 1, 3, 1, 1, 3, 0]}))
+    return found
+
+
+class TestLevelAgreement:
+    """The per-level dither average matches the per-string oracle.  stderr is
+    compared squared: both paths take it from the one-pass variance formula,
+    which cancels to noise near 1e-9 when all draws agree (as at p = 0)."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 37])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_per_string_oracle(self, rng, pooled, samples):
+        for inst in _agreement_instances(rng):
+            env = random_envelope(rng, inst.size)
+            subsets = [inst.optimal_indices(), rng.choice(inst.size, size=inst.size // 2 + 1)]
+            for p in range(6):
+                for subset in subsets:
+                    args = (env, inst, float(rng.uniform(0.1, 2.0)),
+                            DitherWindow(float(rng.uniform(0.1, 1.5))), p)
+                    kwargs = dict(samples=samples, seed=int(rng.integers(1000)),
+                                  pooled=pooled, subset=subset)
+                    law = rl_filtered_distribution(*args, **kwargs)
+                    ref = rl_filtered_distribution_per_string(*args, **kwargs)
+                    assert np.max(np.abs(law.probs - ref.probs)) < 1e-12
+                    assert np.max(np.abs(law.stderr**2 - ref.stderr**2)) < 1e-12
+                    assert abs(law.subset_mass - ref.subset_mass) < 1e-12
+                    if pooled:
+                        assert law.subset_stderr is None and ref.subset_stderr is None
+                    else:
+                        assert abs(law.subset_stderr - ref.subset_stderr) < 1e-12
