@@ -9,13 +9,11 @@ against brute-force oracles at desk scale.
 """
 
 from .fejer import (
-    FejerParams,
     FilteredLaw,
     denominator_bound,
     fejer_coefficients,
     fejer_kernel,
     filtered_distribution,
-    harmonic_schedule,
     offpeak_bound,
     offpeak_bound_loose,
     success_lower_bound,
@@ -34,11 +32,8 @@ from .instance import (
     index_string,
     load_instance,
     load_instance_file,
-    penalty_value,
     phase_gap,
-    string_index,
     wrap_angle,
-    wrapped_phase,
 )
 from .mixer import (
     Envelope,

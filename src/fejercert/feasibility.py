@@ -27,9 +27,6 @@ from .instance import (
 from .mixer import resonance_distance
 from .planner import ratio_bounds, ratio_parameter
 
-LIE_CLOSURE_TOL = 1e-9
-LIE_MAX_DIM = 64
-
 
 # ---------------------------------------------------------------------------
 # Level sets and the level-transition graph
@@ -221,7 +218,7 @@ def overlap_feasibility_floor(epsilon: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Invariant symmetry sector and the Lie-closure probe
+# Invariant symmetry sector
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -284,73 +281,6 @@ def invariant_sector_generators(n: int, m: int) -> tuple:
     b[src, dst] = counts
     sizes = np.asarray(basis.sizes, dtype=float)
     return a, b / np.sqrt(np.outer(sizes, sizes))
-
-
-@dataclass(frozen=True)
-class LieClosureReport:
-    dim: int
-    full_unitary_algebra: bool
-    hit_iteration_cap: bool
-
-
-def lie_closure_dim(a: np.ndarray, b: np.ndarray, tol: float = LIE_CLOSURE_TOL) -> LieClosureReport:
-    """Dimension of the real Lie algebra generated by {iA, iB}.
-
-    Iteratively brackets, orthonormalizes against the current span under the
-    trace inner product, and stops when no bracket contributes a direction
-    above tolerance.  Reports whether the closure is all of u(d) (dimension
-    d^2); the outcome is a numeric probe, never a proof.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("generators must be square matrices of equal shape")
-    d = a.shape[0]
-    if d > LIE_MAX_DIM:
-        raise ValueError(f"sector dimension {d} exceeds probe cap {LIE_MAX_DIM}")
-    for mat, name in ((a, "A"), (b, "B")):
-        if not np.allclose(mat, mat.T, atol=1e-12):
-            raise ValueError(f"generator {name} is not symmetric")
-
-    basis: list = []
-
-    def try_add(candidate: np.ndarray) -> bool:
-        norm = np.linalg.norm(candidate)
-        if norm < 1e-12:
-            return False
-        vec = candidate / norm
-        for _ in range(2):  # re-orthogonalize once for numerical stability
-            for el in basis:
-                vec = vec - np.real(np.vdot(el, vec)) * el
-        residual = np.linalg.norm(vec)
-        if residual > tol:
-            basis.append(vec / residual)
-            return True
-        return False
-
-    frontier = []
-    for gen in (1j * a, 1j * b):
-        if try_add(gen):
-            frontier.append(basis[-1])
-
-    hit_cap = False
-    max_sweeps = 10 * d * d
-    sweeps = 0
-    while frontier and len(basis) < d * d:
-        sweeps += 1
-        if sweeps > max_sweeps:
-            hit_cap = True
-            break
-        new = []
-        snapshot = list(basis)
-        for x in frontier:
-            for y in snapshot:
-                if try_add(x @ y - y @ x):
-                    new.append(basis[-1])
-        frontier = new
-
-    dim = len(basis)
-    return LieClosureReport(dim=dim, full_unitary_algebra=dim == d * d, hit_iteration_cap=hit_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -15,38 +15,18 @@ dimension-free success guarantee implemented here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import PhaseModel
-from .mixer import Envelope
+from .mixer import Envelope, _subset_indices
 
 # Below this |sin(theta/2)| the ratio form is catastrophically cancelled and
 # the explicit Dirichlet sum is used instead (exact at the removable
 # singularity: F_p(0) = p+1).
 _SINGULARITY_GUARD = 1e-6
-
-
-@dataclass(frozen=True)
-class FejerParams:
-    """Filter order, base angle, and target phase of a harmonic schedule."""
-
-    p: int
-    gamma: float
-    theta_star: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError("filter order must be nonnegative")
-
-    def harmonic_angles(self) -> np.ndarray:
-        """Cost angles r*gamma for layers r = 1..p."""
-        return harmonic_schedule(self.gamma, self.p)
-
-
-def harmonic_schedule(gamma: float, p: int) -> np.ndarray:
-    return gamma * np.arange(1, p + 1, dtype=float)
 
 
 def _fejer_by_sum(p: int, theta: np.ndarray) -> np.ndarray:
@@ -93,7 +73,12 @@ def offpeak_bound(p: int, delta: float) -> float:
     """Analytic off-peak bound: F_p(theta) <= 1/((p+1) sin^2(delta/2)) for
     |theta| >= delta, delta in (0, pi]."""
     _check_delta(delta)
-    return 1.0 / ((p + 1) * math.sin(delta / 2.0) ** 2)
+    denominator = (p + 1) * math.sin(delta / 2.0) ** 2
+    # a positive condition, so that an underflowed sin^2(delta/2) fails it
+    # and the bound stays finite
+    if not denominator > 1.0 / sys.float_info.max:
+        raise ValueError(f"off-peak bound overflows: sin^2(delta/2) underflows at delta={delta!r}")
+    return 1.0 / denominator
 
 
 def offpeak_bound_loose(p: int, delta: float) -> float:
@@ -133,10 +118,7 @@ def filtered_distribution(env: Envelope, pm: PhaseModel, p: int) -> FilteredLaw:
 
 def success_probability(law: FilteredLaw, omega_star) -> float:
     """Mass of the filtered law on the optimal set."""
-    idx = np.asarray(list(omega_star) if not isinstance(omega_star, np.ndarray) else omega_star)
-    if idx.size == 0:
-        raise ValueError("optimal set must be nonempty")
-    return float(law.probs[idx.astype(np.int64)].sum())
+    return float(law.probs[_subset_indices(law.probs.size, omega_star)].sum())
 
 
 def success_lower_bound(p: int, c_beta: float, delta: float) -> float:

@@ -56,16 +56,8 @@ class GapScope(Enum):
 # Canonical string indexing
 # ---------------------------------------------------------------------------
 
-def string_index(z: Sequence[int], n: int) -> int:
-    """Canonical index of a block string (block 0 fastest)."""
-    idx = 0
-    for b in reversed(range(len(z))):
-        idx = idx * n + int(z[b])
-    return idx
-
-
 def index_string(index: int, n: int, m: int) -> BlockString:
-    """Inverse of :func:`string_index`."""
+    """The block string at a canonical index (block 0 fastest)."""
     out = []
     for _ in range(m):
         index, r = divmod(index, n)
@@ -150,9 +142,6 @@ class ProblemInstance:
     def size(self) -> int:
         return self.n**self.m
 
-    def energy_of(self, z: Sequence[int]) -> int:
-        return int(self.energy[string_index(z, self.n)])
-
     def feasible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.penalty == 0)
 
@@ -173,12 +162,6 @@ class ProblemInstance:
 
     def t_max(self) -> int:
         return int(self.penalty.max(initial=0))
-
-
-def penalty_value(inst: ProblemInstance, z: Sequence[int]) -> int:
-    """Penalty of a block string (table lookup; the default table is the
-    column-collision form when m = n)."""
-    return int(inst.penalty[string_index(z, inst.n)])
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -318,11 +301,6 @@ def circular_distance(a, b):
     return np.abs(wrap_angle(np.asarray(a, dtype=float) - b))
 
 
-def wrapped_phase(gamma: float, energy: int, e_star: int) -> float:
-    """gamma * (energy - e_star) reduced to (-pi, pi]."""
-    return wrap_angle(gamma * float(energy - e_star))
-
-
 @dataclass(frozen=True)
 class PhaseModel:
     """Wrapped phases theta(z) = gamma*E(z) mod 2pi, the optimal phase, and
@@ -333,7 +311,6 @@ class PhaseModel:
     when the scope contains no non-optimal string.
     """
 
-    gamma: float
     theta: np.ndarray
     theta_star: float
     delta: float
@@ -375,34 +352,11 @@ def phase_gap(
     non_opt = scope_idx[~in_omega[scope_idx]]
 
     if non_opt.size == 0:
-        return PhaseModel(
-            gamma=gamma,
-            theta=theta,
-            theta_star=theta_star,
-            delta=math.pi,
-            gap_scope=scope,
-            omega_star=omega_star,
-            all_optimal=True,
-        )
+        return PhaseModel(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
 
     dist = circular_distance(theta[non_opt], theta_star)
     colliding = non_opt[dist < PHASE_COLLISION_TOL]
     if colliding.size > 0:
-        return PhaseModel(
-            gamma=gamma,
-            theta=theta,
-            theta_star=theta_star,
-            delta=0.0,
-            gap_scope=scope,
-            omega_star=omega_star,
-            collided=True,
-            colliding=tuple(int(i) for i in colliding),
-        )
-    return PhaseModel(
-        gamma=gamma,
-        theta=theta,
-        theta_star=theta_star,
-        delta=float(dist.min()),
-        gap_scope=scope,
-        omega_star=omega_star,
-    )
+        return PhaseModel(theta, theta_star, 0.0, scope, omega_star, collided=True,
+                          colliding=tuple(int(i) for i in colliding))
+    return PhaseModel(theta, theta_star, float(dist.min()), scope, omega_star)

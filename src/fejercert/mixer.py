@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance, string_index
+from .instance import ProblemInstance
 
 RESONANCE_TOL = 1e-12
 ENVELOPE_SUM_TOL = 1e-9
@@ -83,8 +83,12 @@ def external_envelope(probs: Sequence[float]) -> Envelope:
 
 def effective_beta(n: int, beta: float, convention: MixerConvention) -> float:
     """The adjacency-convention angle of ``beta``: A(K_n)/n at beta is A(K_n)
-    at beta/n."""
-    return beta / n if convention is MixerConvention.NORMALIZED else beta
+    at beta/n.  The block phase n * beta_eff must be finite."""
+    beta_eff = beta / n if convention is MixerConvention.NORMALIZED else beta
+    # a positive condition, so that a NaN phase fails it
+    if not abs(n * beta_eff) < math.inf:
+        raise ValueError(f"mixer angle {beta!r} gives a non-finite block phase n*beta")
+    return beta_eff
 
 
 def resonance_distance(n: int, beta: float) -> float:
@@ -185,40 +189,23 @@ def mixer_envelope(
 def envelope_mass(env: Envelope, subset) -> float:
     """Total envelope probability on a subset of strings.
 
-    ``subset`` is an iterable of canonical indices or of block strings;
-    a zero-mass result is reported with a warning.
+    ``subset`` is an iterable of canonical indices; a zero-mass result is
+    reported with a warning.
     """
-    idx = _subset_indices(env, subset)
+    idx = _subset_indices(env.size, subset)
     mass = float(env.probs[idx].sum())
     if mass == 0.0:
         warnings.warn("subset carries zero envelope mass", RuntimeWarning, stacklevel=2)
     return mass
 
 
-def _subset_indices(env: Envelope, subset) -> np.ndarray:
-    if isinstance(subset, np.ndarray) and subset.ndim == 1 and subset.dtype != object:
-        idx = subset.astype(np.int64)
-    else:
-        items = list(subset)
-        if not items:
-            raise ValueError("subset must be nonempty")
-        if all(isinstance(it, (int, np.integer)) for it in items):
-            idx = np.asarray(items, dtype=np.int64)
-        else:
-            n = _infer_n(env, items)
-            idx = np.asarray([string_index(z, n) for z in items], dtype=np.int64)
+def _subset_indices(size: int, subset) -> np.ndarray:
+    """Canonical indices of a nonempty subset, each in [0, size)."""
+    idx = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset))
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= env.size:
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("subset must be a list of canonical string indices")
+    if idx.min() < 0 or idx.max() >= size:
         raise ValueError("subset index out of range")
     return idx
-
-
-def _infer_n(env: Envelope, items) -> int:
-    m = len(items[0])
-    n = round(env.size ** (1.0 / m))
-    while n**m < env.size:
-        n += 1
-    if n**m != env.size:
-        raise ValueError("cannot infer symbol count from envelope length")
-    return n

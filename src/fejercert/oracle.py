@@ -24,6 +24,8 @@ from .instance import DEFAULT_ENUMERATION_CAP, ProblemInstance, capped_size
 from .mixer import MixerConvention, effective_beta
 
 NORM_TOL = 1e-10
+# the multinomial sampler counts shots in int64
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,17 @@ def simulate(
 
     ``cost_table`` defaults to the instance energies; pass the penalty table
     to drive the feasibility stage.  The instance already holds n**m-entry
-    tables, so the state is not capped again.
+    tables, so the state is not capped again.  Every cost phase gamma * E(z)
+    must be finite; the schedule is checked once, before the first layer.
     """
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
     energies = inst.energy if cost_table is None else np.asarray(cost_table)
+    scale = float(np.abs(energies).max(initial=0))
+    for gamma in gammas:
+        # a positive condition, so that a NaN phase fails it
+        if not abs(float(gamma)) * scale < math.inf:
+            raise ValueError(f"cost angle {gamma!r} gives a non-finite phase gamma*E")
     state = initial_state(inst.n, inst.m, cap=inst.size)
     for gamma, beta in zip(gammas, betas):
         state = apply_cost(state, energies, gamma)
@@ -128,15 +136,13 @@ class ShotReport(NamedTuple):
     frequency: float
     ci_low: float
     ci_high: float
-    shots: int
-    seed: int
 
 
 def sample_shots(dist: np.ndarray, shots: int, seed: int, subset: np.ndarray) -> ShotReport:
     """Multinomial sampling, deterministic under the seed; reports the subset
     hit frequency with a 95% normal-approximation binomial interval."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots {shots} must lie in [1, 2**63 - 1]")
     probs = np.clip(np.asarray(dist, dtype=float), 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
@@ -149,6 +155,4 @@ def sample_shots(dist: np.ndarray, shots: int, seed: int, subset: np.ndarray) ->
         frequency=freq,
         ci_low=max(0.0, freq - half),
         ci_high=min(1.0, freq + half),
-        shots=shots,
-        seed=seed,
     )

@@ -67,8 +67,7 @@ class Certificate:
 
 def ratio_parameter(p: int, delta: float, c_beta: float) -> float:
     """x = (p+1)^2 sin^2(delta/2) C_beta."""
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     if not 0.0 <= c_beta <= 1.0:
         raise ValueError("envelope mass must lie in [0, 1]")
     if not 0.0 <= delta <= math.pi:
@@ -144,8 +143,7 @@ def cmin_curve(delta_grid: Sequence[float], epsilon: float, p: int) -> np.ndarra
     """Envelope-mass threshold C_min(delta) = 1/(1 + eps/(1-eps) (p+1)^2 sin^2(delta/2))
     above which order p certifies success >= 1 - epsilon."""
     _check_epsilon(epsilon)
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
@@ -241,3 +239,9 @@ def build_certificate(
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+
+
+def _check_order(p: int) -> None:
+    # up to 2**53, p + 1 is exact as a float and (p+1)^2 stays far from overflow
+    if not 0 <= p <= 2**53:
+        raise ValueError(f"order {p} must lie in [0, 2**53]")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fejer import fejer_kernel
+from .fejer import _check_c, fejer_kernel
 from .instance import ProblemInstance
 from .mixer import Envelope
 
@@ -34,46 +34,6 @@ class DitherWindow:
         # the span 2*half_width must be a finite float for the uniform draw
         if not 0.0 < 2.0 * self.half_width < math.inf:
             raise ValueError("window half-width must be positive, with a finite span")
-
-    def fourier(self, xi):
-        return window_fourier(self, xi)
-
-    def density(self, u):
-        arr = np.asarray(u, dtype=float)
-        inside = np.abs(arr) <= self.half_width
-        return np.where(inside, 1.0 / (2.0 * self.half_width), 0.0)
-
-
-def window_fourier(w: DitherWindow, xi):
-    """sin(Gamma xi)/(Gamma xi), exactly 1 at xi = 0."""
-    arr = np.asarray(xi, dtype=float)
-    # np.sinc(x) = sin(pi x)/(pi x), so rescale the argument.
-    out = np.sinc(w.half_width * arr / math.pi)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def averaged_fejer(p: int, gamma: float, delta_e: float, w: DitherWindow) -> float:
-    """Window-averaged Fejér weight at energy offset delta_e, via the Fourier
-    form grouped by harmonic distance k:
-
-        1 + 2 sum_{k=1..p} (1 - k/(p+1)) cos(k gamma dE) w_hat(k dE).
-
-    Exactly p+1 at delta_e = 0.
-    """
-    if p < 0:
-        raise ValueError("order must be nonnegative")
-    if delta_e == 0.0:
-        return float(p + 1)
-    if p == 0:
-        return 1.0
-    k = np.arange(1, p + 1, dtype=float)
-    weights = 1.0 - k / (p + 1)
-    total = 1.0 + 2.0 * float(
-        np.sum(weights * np.cos(k * gamma * delta_e) * w.fourier(k * delta_e))
-    )
-    return total
 
 
 class AveragedOffpeakBound(NamedTuple):
@@ -100,14 +60,6 @@ def averaged_offpeak_bound(p: int, half_width: float, gap: float) -> AveragedOff
     if not (math.isfinite(exact) and math.isfinite(log_form)):
         raise ValueError("averaged off-peak bound overflows: half-width times gap is too small")
     return AveragedOffpeakBound(exact, log_form)
-
-
-def rl_ratio_parameter(p: int, c_beta: float, mbar: float) -> float:
-    """x_RL = (p+1) C / Mbar."""
-    if mbar <= 0:
-        raise ValueError("off-peak bound must be positive")
-    _check_c(c_beta)
-    return (p + 1) * c_beta / mbar
 
 
 def rl_success_bound(p: int, c_beta: float, mbar: float) -> float:
@@ -145,8 +97,6 @@ class RLLaw:
     probs: np.ndarray
     stderr: np.ndarray
     samples: int
-    seed: int
-    pooled: bool
     subset_mass: float | None = None
     subset_stderr: float | None = None
 
@@ -231,11 +181,6 @@ def rl_filtered_distribution(
             sub_mass = float(arr.mean())
             sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return RLLaw(
-        probs=probs, stderr=stderr, samples=samples, seed=seed, pooled=pooled,
-        subset_mass=sub_mass, subset_stderr=sub_err,
+        probs=probs, stderr=stderr, samples=samples, subset_mass=sub_mass, subset_stderr=sub_err
     )
 
-
-def _check_c(c_beta: float) -> None:
-    if not 0.0 < c_beta <= 1.0:
-        raise ValueError("envelope mass must lie in (0, 1]")

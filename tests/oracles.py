@@ -2,6 +2,8 @@
 compare the runtime closed forms against.  None of them is on a command's
 path, so they live with the tests (and only they need scipy).
 
+- ``string_index``: the canonical index of a block string, the inverse of
+  ``fejercert.instance.index_string``;
 - ``block_unitary_expm``: scaling-and-squaring exponential of the block
   generator, independent of the rank-one closed form;
 - ``dephased_reference``: exact diagonal of the dephased layer dynamics via
@@ -11,12 +13,18 @@ path, so they live with the tests (and only they need scipy).
   window-averaged Fejér kernel;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
   string by string, one Fejér kernel over all n**m strings per draw;
-- ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region.
+- ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region;
+- ``window_fourier``, ``window_density`` and ``averaged_fejer``: the uniform
+  dither window and the window-averaged Fejér weight in its Fourier form, a
+  second evaluation path of the averaged kernel;
+- ``lie_closure_dim``: numeric dimension of the Lie algebra generated by the
+  invariant-sector generators, a probe and never a proof.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +35,17 @@ from fejercert.instance import ProblemInstance
 from fejercert.mixer import Envelope, MixerConvention
 from fejercert.oracle import block_unitary
 from fejercert.rl import DitherWindow, RLLaw, energy_gap
+
+LIE_CLOSURE_TOL = 1e-9
+LIE_MAX_DIM = 64
+
+
+def string_index(z: Sequence[int], n: int) -> int:
+    """Canonical index of a block string (block 0 fastest)."""
+    idx = 0
+    for b in reversed(range(len(z))):
+        idx = idx * n + int(z[b])
+    return idx
 
 
 def block_unitary_expm(
@@ -190,8 +209,6 @@ def rl_filtered_distribution_per_string(
             probs=probs,
             stderr=np.zeros(env.size),
             samples=samples,
-            seed=seed,
-            pooled=True,
             subset_mass=sub_mass,
             subset_stderr=None,
         )
@@ -209,8 +226,111 @@ def rl_filtered_distribution_per_string(
         probs=mean,
         stderr=stderr,
         samples=samples,
-        seed=seed,
-        pooled=False,
         subset_mass=sub_mass,
         subset_stderr=sub_err,
     )
+
+
+def window_fourier(w: DitherWindow, xi):
+    """sin(Gamma xi)/(Gamma xi), exactly 1 at xi = 0."""
+    arr = np.asarray(xi, dtype=float)
+    # np.sinc(x) = sin(pi x)/(pi x), so rescale the argument.
+    out = np.sinc(w.half_width * arr / math.pi)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def window_density(w: DitherWindow, u):
+    """Uniform density 1/(2 Gamma) on [-Gamma, Gamma], zero outside."""
+    arr = np.asarray(u, dtype=float)
+    inside = np.abs(arr) <= w.half_width
+    return np.where(inside, 1.0 / (2.0 * w.half_width), 0.0)
+
+
+def averaged_fejer(p: int, gamma: float, delta_e: float, w: DitherWindow) -> float:
+    """Window-averaged Fejér weight at energy offset delta_e, via the Fourier
+    form grouped by harmonic distance k:
+
+        1 + 2 sum_{k=1..p} (1 - k/(p+1)) cos(k gamma dE) w_hat(k dE).
+
+    Exactly p+1 at delta_e = 0.
+    """
+    if p < 0:
+        raise ValueError("order must be nonnegative")
+    if delta_e == 0.0:
+        return float(p + 1)
+    if p == 0:
+        return 1.0
+    k = np.arange(1, p + 1, dtype=float)
+    weights = 1.0 - k / (p + 1)
+    return 1.0 + 2.0 * float(
+        np.sum(weights * np.cos(k * gamma * delta_e) * window_fourier(w, k * delta_e))
+    )
+
+
+@dataclass(frozen=True)
+class LieClosureReport:
+    dim: int
+    full_unitary_algebra: bool
+    hit_iteration_cap: bool
+
+
+def lie_closure_dim(a: np.ndarray, b: np.ndarray, tol: float = LIE_CLOSURE_TOL) -> LieClosureReport:
+    """Dimension of the real Lie algebra generated by {iA, iB}.
+
+    Iteratively brackets, orthonormalizes against the current span under the
+    trace inner product, and stops when no bracket contributes a direction
+    above tolerance.  Reports whether the closure is all of u(d) (dimension
+    d^2); the outcome is a numeric probe, never a proof.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("generators must be square matrices of equal shape")
+    d = a.shape[0]
+    if d > LIE_MAX_DIM:
+        raise ValueError(f"sector dimension {d} exceeds probe cap {LIE_MAX_DIM}")
+    for mat, name in ((a, "A"), (b, "B")):
+        if not np.allclose(mat, mat.T, atol=1e-12):
+            raise ValueError(f"generator {name} is not symmetric")
+
+    basis: list = []
+
+    def try_add(candidate: np.ndarray) -> bool:
+        norm = np.linalg.norm(candidate)
+        if norm < 1e-12:
+            return False
+        vec = candidate / norm
+        for _ in range(2):  # re-orthogonalize once for numerical stability
+            for el in basis:
+                vec = vec - np.real(np.vdot(el, vec)) * el
+        residual = np.linalg.norm(vec)
+        if residual > tol:
+            basis.append(vec / residual)
+            return True
+        return False
+
+    frontier = []
+    for gen in (1j * a, 1j * b):
+        if try_add(gen):
+            frontier.append(basis[-1])
+
+    hit_cap = False
+    max_sweeps = 10 * d * d
+    sweeps = 0
+    while frontier and len(basis) < d * d:
+        sweeps += 1
+        if sweeps > max_sweeps:
+            hit_cap = True
+            break
+        new = []
+        snapshot = list(basis)
+        for x in frontier:
+            for y in snapshot:
+                if try_add(x @ y - y @ x):
+                    new.append(basis[-1])
+        frontier = new
+
+    dim = len(basis)
+    return LieClosureReport(dim=dim, full_unitary_algebra=dim == d * d, hit_iteration_cap=hit_cap)

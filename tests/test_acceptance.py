@@ -16,6 +16,7 @@ from scipy.integrate import quad, simpson
 
 from conftest import random_envelope, random_instance
 from oracles import (
+    averaged_fejer,
     averaged_fejer_quadrature,
     block_unitary_expm,
     dephased_reference,
@@ -57,7 +58,6 @@ from fejercert.feasibility import (
 from fejercert.oracle import sample_shots
 from fejercert.rl import (
     DitherWindow,
-    averaged_fejer,
     averaged_offpeak_bound,
     energy_gap,
     rl_filtered_distribution,

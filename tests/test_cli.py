@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -378,6 +380,25 @@ BAD_INSTANCES = {
 }
 
 
+# Finite inputs that overflow a mixer phase n*beta, a cost phase gamma*E, the
+# off-peak bound's sin^2(delta/2), or the sampler's int64 shot count; each
+# error message names the input.
+OVERFLOWING_NAMED = {
+    "envelope_mixer_angle": (["envelope", "--instance", None, "--betas", "1e308"],
+                             "mixer angle 1e+308"),
+    "certify_mixer_angle": (["certify", "--instance", None, "--gamma", "0.5", "-p", "2",
+                             "--betas", "1e308,0.2"], "mixer angle 1e+308"),
+    "simulate_mixer_angle": (["simulate", "--instance", None, "--gammas", "0.3",
+                              "--betas", "1e308"], "mixer angle 1e+308"),
+    "simulate_cost_angle": (["simulate", "--instance", None, "--gammas", "1e308",
+                             "--betas", "0.3"], "cost angle 1e+308"),
+    "plan_offpeak_underflow": (["plan", "-p", "3", "--c-beta", "0.5", "--delta", "1e-200"],
+                               "delta=1e-200"),
+    "simulate_shots": (["simulate", "--instance", None, "--gammas", "0.3", "--betas", "0.5",
+                        "--shots", "100000000000000000000"], "shots 100000000000000000000"),
+}
+
+
 class TestFailClosed:
     @pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
     def test_bad_instance_exits_2_without_output(self, name, tmp_path):
@@ -437,6 +458,18 @@ class TestFailClosed:
         argv = [qap_instance if a is None else a for a in args]
         assert run(argv + ["-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_NAMED))
+    def test_overflow_names_input_without_warning(self, name, qap_instance, tmp_path, capsys):
+        args, named = OVERFLOWING_NAMED[name]
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([qap_instance if a is None else a for a in args] + ["-o", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_import_loads_no_scipy():
@@ -505,3 +538,86 @@ class TestFilterCommandsProperty:
     def test_feasibility(self, qap_path, gamma):
         _check_filter_run(["feasibility", "--instance", qap_path, f"--gamma={gamma!r}",
                            "--no-search"], "feasibility_report", (0, 2, 3), law_csv=False)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+def _json_floats(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in _json_floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def _check_document_run(argv, suffix, schema=None):
+    """Run a command; exit 2 leaves no file, exit 0 leaves a document whose
+    every JSON number is finite or null, or whose every numeric CSV value is
+    finite, and which validates against ``schema`` when one is given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"out.{suffix}"
+        code = main(argv + ["-o", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert list(Path(tmp).iterdir()) == []
+            return
+        text = out.read_text("utf-8")
+        if suffix == "csv":
+            for row in list(csv.reader(io.StringIO(text)))[1:]:
+                for value in row:
+                    try:
+                        number = float(value)
+                    except ValueError:  # a string label such as 0-2-1
+                        continue
+                    assert math.isfinite(number)
+            return
+        document = json.loads(text, parse_constant=_reject_constant)
+        assert all(math.isfinite(f) for f in _json_floats(document))
+        if schema is not None:
+            jsonschema.validate(document, load_schema(schema))
+
+
+def _floats_arg(values):
+    return ",".join(repr(v) for v in values)
+
+
+class TestCommandsProperty:
+    """Every finite angle, mass, gap and every integer order or shot count
+    either fails closed or yields a finite document."""
+
+    @settings(max_examples=100)
+    @given(gammas=st.lists(FINITE, max_size=2), betas=st.lists(FINITE, max_size=2),
+           shots=st.none() | st.integers(), seed=st.integers(min_value=0))
+    @example(gammas=[0.3], betas=[1e308], shots=None, seed=0)
+    @example(gammas=[1e308], betas=[0.3], shots=None, seed=0)
+    @example(gammas=[0.3], betas=[0.5], shots=10**20, seed=0)
+    def test_simulate(self, qap_path, gammas, betas, shots, seed):
+        argv = ["simulate", "--instance", qap_path, f"--gammas={_floats_arg(gammas)}",
+                f"--betas={_floats_arg(betas)}", f"--seed={seed}"]
+        _check_document_run(argv + ([] if shots is None else [f"--shots={shots}"]), "json")
+
+    @settings(max_examples=100)
+    @given(betas=st.lists(FINITE, max_size=3), fmt=st.sampled_from(["json", "csv"]))
+    @example(betas=[1e308], fmt="json")
+    def test_envelope(self, qap_path, betas, fmt):
+        _check_document_run(["envelope", "--instance", qap_path,
+                             f"--betas={_floats_arg(betas)}", "--format", fmt], fmt)
+
+    @settings(max_examples=100)
+    @given(p=st.integers(), c_beta=FINITE, delta=FINITE, epsilon=FINITE)
+    @example(p=3, c_beta=0.5, delta=1e-200, epsilon=0.1)
+    @example(p=2**600, c_beta=0.5, delta=1.0, epsilon=0.1)
+    def test_plan(self, p, c_beta, delta, epsilon):
+        _check_document_run(["plan", f"-p={p}", f"--c-beta={c_beta!r}", f"--delta={delta!r}",
+                             f"--epsilon={epsilon!r}"], "json", schema="certificate")
+
+    @settings(max_examples=100)
+    @given(deltas=st.lists(FINITE, max_size=4), orders=st.lists(st.integers(), max_size=3),
+           epsilon=FINITE)
+    @example(deltas=[1.0], orders=[2**600], epsilon=0.1)
+    def test_curves(self, deltas, orders, epsilon):
+        _check_document_run(["curves", f"--deltas={_floats_arg(deltas)}",
+                             f"--orders={','.join(map(str, orders))}",
+                             f"--epsilon={epsilon!r}"], "csv")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope
+from oracles import lie_closure_dim
 from fejercert import collision_penalty, load_instance
 from fejercert.feasibility import (
     LevelGraph,
@@ -18,7 +19,6 @@ from fejercert.feasibility import (
     invariant_sector_generators,
     level_graph,
     level_sets,
-    lie_closure_dim,
     overlap_feasibility_floor,
 )
 from fejercert.fejer import fejer_kernel

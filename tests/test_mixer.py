@@ -189,10 +189,6 @@ class TestEnvelopeMass:
         env = uniform_envelope(2, 2)
         assert envelope_mass(env, range(4)) == pytest.approx(1.0)
 
-    def test_block_string_subset(self):
-        env = uniform_envelope(2, 2)
-        assert envelope_mass(env, [(1, 0), (0, 1)]) == pytest.approx(0.5)
-
     def test_zero_support_warns(self):
         probs = np.zeros(4)
         probs[0] = 1.0
