@@ -37,7 +37,6 @@ from .instance import (
 )
 from .mixer import (
     Envelope,
-    MixerConvention,
     TransitionKernel,
     apply_block_kernel,
     averaged_block_kernel,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import feasibility as feas
 from . import oracle, rl, serialize
-from .fejer import filtered_distribution, success_probability
+from .fejer import _check_order, filtered_distribution, success_probability
 from .instance import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -35,7 +35,6 @@ from .instance import (
 )
 from .mixer import (
     Envelope,
-    MixerConvention,
     envelope_mass,
     external_envelope,
     mixer_envelope,
@@ -73,13 +72,14 @@ def _int_list(text: str) -> list:
     return _comma_list(text, int)
 
 
-def _grid(text: str) -> list:
-    """Either a comma list of values or 'start:stop:count' for a linspace."""
+def _grid(text: str) -> list | tuple:
+    """Either a comma list of values or 'start:stop:count' for a linspace,
+    kept as the tuple (start, stop, count) until the handler expands it."""
     if ":" in text:
         start, stop, count = text.split(":")
-        return [
-            float(v) for v in np.linspace(_finite_float(start), _finite_float(stop), int(count))
-        ]
+        if int(count) < 1:
+            raise argparse.ArgumentTypeError(f"grid count must be positive: {count!r}")
+        return _finite_float(start), _finite_float(stop), int(count)
     return _float_list(text)
 
 
@@ -169,10 +169,18 @@ def _to_radians(args: argparse.Namespace) -> None:
     for name in ("gamma", "delta", "half_width"):
         if getattr(args, name, None) is not None:
             setattr(args, name, math.radians(getattr(args, name)))
-    for name in ("betas", "gammas", "deltas"):
+    # curves converts its delta grid after expanding it
+    for name in ("betas", "gammas"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(args, name, [math.radians(v) for v in value])
+
+
+def _adjacency_betas(args: argparse.Namespace, n: int) -> list:
+    """The library takes A(K_n) mixer angles; --convention normalized gives
+    A(K_n)/n angles, and A(K_n)/n at beta is A(K_n) at beta/n."""
+    betas = args.betas or []
+    return [beta / n for beta in betas] if args.convention == "normalized" else betas
 
 
 def _load_diagonal(path: str, size: int) -> Envelope:
@@ -216,8 +224,7 @@ def _certificate_document(
 
 def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     scope = GapScope.ALL_STRINGS if args.scope == "all" else GapScope.FEASIBLE_ONLY
-    if args.order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(args.order)
 
     if args.envelope is not None:
         if args.betas:
@@ -225,11 +232,10 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         env = _load_diagonal(args.envelope, inst.size)
         source = "external"
     else:
-        betas = args.betas if args.betas is not None else []
+        betas = _adjacency_betas(args, inst.n)
         if betas and len(betas) != args.order:
             raise ValueError("need exactly one beta per layer")
-        env = mixer_envelope(inst, uniform_envelope(inst.n, inst.m), betas,
-                             convention=MixerConvention(args.convention))
+        env = mixer_envelope(inst, uniform_envelope(inst.n, inst.m), betas)
         source = "reference_uniform"
 
     pm = phase_gap(inst, args.gamma, scope)
@@ -283,8 +289,14 @@ def _cmd_curves(args: argparse.Namespace) -> tuple:
         raise ValueError("delta grid is empty")
     if not args.orders:
         raise ValueError("order list is empty")
+    deltas = args.deltas
+    if isinstance(deltas, tuple):
+        start, stop, count = deltas
+        if not math.isfinite(stop - start):
+            raise ValueError(f"delta grid span {start!r}:{stop!r} is not finite")
+        deltas = [float(v) for v in np.linspace(start, stop, count)]
+    deltas = sorted(map(math.radians, deltas) if args.degrees else deltas)
     orders = sorted(args.orders)
-    deltas = sorted(args.deltas)
     rows = []
     for p in orders:
         values = cmin_curve(deltas, args.epsilon, p)
@@ -298,7 +310,7 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         if args.v0 is not None
         else uniform_envelope(inst.n, inst.m)
     )
-    env = mixer_envelope(inst, v0, args.betas, convention=MixerConvention(args.convention))
+    env = mixer_envelope(inst, v0, _adjacency_betas(args, inst.n))
     if args.format == "json":
         text = serialize.dumps_json(list(env.probs))
     else:
@@ -384,9 +396,7 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
-    state = oracle.simulate(
-        inst, args.gammas, args.betas, convention=MixerConvention(args.convention)
-    )
+    state = oracle.simulate(inst, args.gammas, _adjacency_betas(args, inst.n))
     omega = inst.optimal_indices()
     feasible = inst.feasible_indices()
     document = {
@@ -423,8 +433,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _to_radians(args)
     handler = _HANDLERS[args.command]
     try:
@@ -438,7 +447,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, MemoryError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

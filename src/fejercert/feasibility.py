@@ -19,11 +19,13 @@ from . import oracle
 from .instance import (
     PHASE_COLLISION_TOL,
     ProblemInstance,
+    check_phase,
     circular_distance,
     collision_penalty,
     index_string,
     symbol_counts,
 )
+from .fejer import _check_order
 from .mixer import resonance_distance
 from .planner import ratio_bounds, ratio_parameter
 
@@ -181,6 +183,7 @@ def delta_feasible(gamma: float, ls: LevelStructure) -> DeltaFeasible:
     if not nonzero:
         return DeltaFeasible(math.pi, False, False, (), True)
     aliasing = gamma > math.pi / ls.t_max + 1e-15
+    check_phase(gamma, nonzero, "penalty angle")
     dist = circular_distance(gamma * np.asarray(nonzero, dtype=float), 0.0)
     # a positive condition, so that the NaN distance of an overflowed
     # gamma * t fails it
@@ -313,87 +316,71 @@ def feasibility_angle_search(
     angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
     resonant values rejected.
     """
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
     feasible = inst.feasible_indices()
     t_max = inst.t_max()
     evaluations = 0
 
-    def evaluate(gammas: np.ndarray, betas: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> float:
+        # x holds the p cost angles, then the p mixer angles
         nonlocal evaluations
         evaluations += 1
-        state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
+        state = oracle.simulate(inst, x[:p], x[p:], cost_table=inst.penalty)
         return oracle.projector_mass(state, feasible)
 
-    zeros = np.zeros(p)
-    best_g, best_b = zeros, zeros.copy()
-    best = evaluate(best_g, best_b)
+    best_x = np.zeros(2 * p)
+    best = evaluate(best_x)
 
-    if p == 0 or t_max == 0:
-        return AngleSearchResult(
-            gammas=tuple(best_g), betas=tuple(best_b), pi_f=best, evaluations=evaluations, seed=seed
-        )
+    if p > 0 and t_max > 0:
+        rng = np.random.default_rng(seed)
+        upper = [math.pi / t_max] * p + [2.0 * math.pi] * p
 
-    rng = np.random.default_rng(seed)
-    gamma_hi = math.pi / t_max
-    restart_budget = budget // 2
+        def draw_beta() -> float:
+            while True:
+                beta = rng.uniform(0.0, 2.0 * math.pi)
+                if resonance_distance(inst.n, beta) > 1e-6:
+                    return beta
 
-    def draw_beta() -> float:
-        while True:
-            beta = rng.uniform(0.0, 2.0 * math.pi)
-            if resonance_distance(inst.n, beta) > 1e-6:
-                return beta
+        while evaluations < budget // 2:
+            gammas = rng.uniform(0.0, upper[0], size=p)
+            x = np.concatenate([gammas, [draw_beta() for _ in range(p)]])
+            value = evaluate(x)
+            if value > best:
+                best, best_x = value, x
 
-    while evaluations < min(restart_budget, budget):
-        g = rng.uniform(0.0, gamma_hi, size=p)
-        b = np.asarray([draw_beta() for _ in range(p)])
-        value = evaluate(g, b)
-        if value > best:
-            best, best_g, best_b = value, g, b
+        # Coordinate refinement: golden-section on each angle in turn.
+        for j, hi in enumerate(upper):
+            if evaluations + 2 > budget:  # bracketing alone needs two evaluations
+                break
+            lo = 0.0
 
-    # Coordinate refinement: golden-section on each angle in turn.
-    coords = [("g", j) for j in range(p)] + [("b", j) for j in range(p)]
-    for kind, j in coords:
-        if evaluations + 2 > budget:  # bracketing alone needs two evaluations
-            break
-        lo, hi = (0.0, gamma_hi) if kind == "g" else (0.0, 2.0 * math.pi)
+            def coord_eval(val: float) -> float:
+                x = best_x.copy()
+                x[j] = val
+                return evaluate(x)
 
-        def coord_eval(val: float) -> float:
-            g = best_g.copy()
-            b = best_b.copy()
-            if kind == "g":
-                g[j] = val
-            else:
-                b[j] = val
-            return evaluate(g, b)
-
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = coord_eval(x1), coord_eval(x2)
-        while evaluations < budget and (hi - lo) > 1e-3:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = coord_eval(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = coord_eval(x1)
-        candidate, value = (x1, f1) if f1 >= f2 else (x2, f2)
-        if value > best:
-            best = value
-            if kind == "g":
-                best_g = best_g.copy()
-                best_g[j] = candidate
-            else:
-                best_b = best_b.copy()
-                best_b[j] = candidate
+            x1 = hi - _GOLDEN * (hi - lo)
+            x2 = lo + _GOLDEN * (hi - lo)
+            f1, f2 = coord_eval(x1), coord_eval(x2)
+            while evaluations < budget and (hi - lo) > 1e-3:
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + _GOLDEN * (hi - lo)
+                    f2 = coord_eval(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - _GOLDEN * (hi - lo)
+                    f1 = coord_eval(x1)
+            candidate, value = (x1, f1) if f1 >= f2 else (x2, f2)
+            if value > best:
+                best, best_x = value, best_x.copy()
+                best_x[j] = candidate
 
     return AngleSearchResult(
-        gammas=tuple(float(v) for v in best_g),
-        betas=tuple(float(v) for v in best_b),
+        gammas=tuple(float(v) for v in best_x[:p]),
+        betas=tuple(float(v) for v in best_x[p:]),
         pi_f=best,
         evaluations=evaluations,
         seed=seed,

@@ -20,31 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PhaseModel
+from .instance import TWO_PI, PhaseModel, wrap_angle
 from .mixer import Envelope, _subset_indices
 
 # Below this |sin(theta/2)| the ratio form is catastrophically cancelled and
-# the explicit Dirichlet sum is used instead (exact at the removable
-# singularity: F_p(0) = p+1).
+# the sinc form on the offset reduced mod 2pi is used instead (exactly p+1 at
+# the removable singularity).
 _SINGULARITY_GUARD = 1e-6
-
-
-def _fejer_by_sum(p: int, theta: np.ndarray) -> np.ndarray:
-    phases = np.exp(1j * np.outer(theta, np.arange(p + 1)))
-    total = phases.sum(axis=1)
-    return (total.real**2 + total.imag**2) / (p + 1)
 
 
 def fejer_kernel(p: int, theta):
     """Evaluate F_p pointwise on a scalar or an array of any shape, which
     the result keeps.
 
-    Near zeros of sin(theta/2) the Dirichlet-sum form is used, which is
-    exact at theta = 0 (mod 2pi) where the value is p+1.
+    Near zeros of sin(theta/2), F_p = (p+1) (sinc((p+1)r/2) / sinc(r/2))^2
+    on r = theta reduced mod 2pi, which is exactly p+1 at theta = 0 (mod
+    2pi).  Every (p+1) * theta must be finite.
     """
-    if p < 0:
-        raise ValueError("filter order must be nonnegative")
+    _check_order(p)
     arr = np.asarray(theta, dtype=float)
+    # a positive condition, so that a NaN argument fails it
+    if not float(np.abs(arr).max(initial=0.0)) * (p + 1) < math.inf:
+        raise ValueError(f"Fejér kernel argument (p+1)*theta is not finite at order {p}")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     half_sin = np.sin(arr / 2.0)
@@ -57,10 +54,10 @@ def fejer_kernel(p: int, theta):
         num = np.where(np.abs(num) < 1e-15, 0.0, num)
         out[~near] = (num / half_sin[~near]) ** 2 / (p + 1)
     if np.any(near):
-        out[near] = _fejer_by_sum(p, arr[near])
-    if scalar:
-        return float(out[0])
-    return out
+        # np.sinc(x) = sin(pi x)/(pi x), with its limit 1 at x = 0
+        r = wrap_angle(arr[near]) / TWO_PI
+        out[near] = (p + 1) * (np.sinc((p + 1) * r) / np.sinc(r)) ** 2
+    return float(out[0]) if scalar else out
 
 
 def fejer_coefficients(p: int) -> np.ndarray:
@@ -142,3 +139,9 @@ def denominator_bound(p: int, c_beta: float, delta: float) -> float:
 def _check_c(c_beta: float) -> None:
     if not 0.0 < c_beta <= 1.0:
         raise ValueError("envelope mass must lie in (0, 1]")
+
+
+def _check_order(p: int) -> None:
+    # up to 2**53, p is exact as a float and (p+1)^2 stays far from overflow
+    if not 0 <= p <= 2**53:
+        raise ValueError(f"order {p} must lie in [0, 2**53]")

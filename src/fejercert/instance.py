@@ -155,10 +155,7 @@ class ProblemInstance:
     def optimal_indices(self) -> np.ndarray:
         """Indices of optimal feasible strings (the set of optima)."""
         feas = self.feasible_indices()
-        if feas.size == 0:
-            raise ValueError("feasible set is empty; optimum undefined")
-        e_star = self.energy[feas].min()
-        return feas[self.energy[feas] == e_star]
+        return feas[self.energy[feas] == self.e_star()]
 
     def t_max(self) -> int:
         return int(self.penalty.max(initial=0))
@@ -296,6 +293,13 @@ def wrap_angle(x):
     return r
 
 
+def check_phase(angle: float, values, what: str = "cost angle") -> None:
+    """Reject an angle whose phases angle * v are not all finite."""
+    # a positive condition, so that a NaN angle fails it
+    if not abs(angle) * float(np.abs(values).max(initial=0)) < math.inf:
+        raise ValueError(f"{what} {angle!r} gives a non-finite phase")
+
+
 def circular_distance(a, b):
     """Distance on the torus, in [0, pi]."""
     return np.abs(wrap_angle(np.asarray(a, dtype=float) - b))
@@ -336,6 +340,7 @@ def phase_gap(
     optimal phase, taken over all strings or over the feasible set only.
     Phase collisions are flagged, not raised.
     """
+    check_phase(gamma, inst.energy)
     theta = wrap_angle(gamma * inst.energy.astype(float))
     omega_star = inst.optimal_indices()
     theta_star = wrap_angle(gamma * float(inst.e_star()))

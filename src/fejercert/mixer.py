@@ -8,7 +8,8 @@ over blocks.  Each block kernel is determined by two scalars:
     offdiag = 4/n^2 * sin^2(n*beta/2)
 
 Off-diagonal entries vanish exactly at the resonances beta in (2pi/n)Z,
-where the kernel degenerates to the identity.
+where the kernel degenerates to the identity.  Every mixer angle beta is an
+angle of the complete-graph generator A(K_n) on each block.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,14 +25,6 @@ from .instance import ProblemInstance
 
 RESONANCE_TOL = 1e-12
 ENVELOPE_SUM_TOL = 1e-9
-
-
-class MixerConvention(Enum):
-    """Generator convention: the complete-graph adjacency A(K_n), or the
-    normalized form A(K_n)/n (same closed form under beta -> beta/n)."""
-
-    ADJACENCY = "adjacency"
-    NORMALIZED = "normalized"
 
 
 @dataclass(frozen=True)
@@ -81,18 +73,16 @@ def external_envelope(probs: Sequence[float]) -> Envelope:
     return Envelope(np.asarray(probs, dtype=float))
 
 
-def effective_beta(n: int, beta: float, convention: MixerConvention) -> float:
-    """The adjacency-convention angle of ``beta``: A(K_n)/n at beta is A(K_n)
-    at beta/n.  The block phase n * beta_eff must be finite."""
-    beta_eff = beta / n if convention is MixerConvention.NORMALIZED else beta
+def check_block_phase(n: int, beta: float) -> None:
+    """Reject a mixer angle whose block phase n * beta is not finite."""
     # a positive condition, so that a NaN phase fails it
-    if not abs(n * beta_eff) < math.inf:
+    if not abs(n * beta) < math.inf:
         raise ValueError(f"mixer angle {beta!r} gives a non-finite block phase n*beta")
-    return beta_eff
 
 
 def resonance_distance(n: int, beta: float) -> float:
     """Distance from beta to the nearest resonance in (2pi/n)Z."""
+    check_block_phase(n, beta)
     period = 2.0 * math.pi / n
     return abs(math.remainder(beta, period))
 
@@ -102,20 +92,16 @@ class PrimitivityCheck(NamedTuple):
     resonance_distance: float
 
 
-def is_primitive(
-    n: int, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> PrimitivityCheck:
+def is_primitive(n: int, beta: float) -> PrimitivityCheck:
     """Whether the single-block kernel at this angle has strictly positive
     entries, plus the distance to the nearest resonance."""
     if n < 2:
         raise ValueError("primitivity requires n >= 2")
-    dist = resonance_distance(n, effective_beta(n, beta, convention))
+    dist = resonance_distance(n, beta)
     return PrimitivityCheck(dist > RESONANCE_TOL, dist)
 
 
-def single_block_kernel(
-    n: int, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> TransitionKernel:
+def single_block_kernel(n: int, beta: float) -> TransitionKernel:
     """Single-block kernel in closed form.
 
     Angles within RESONANCE_TOL of a resonance are snapped to the exact
@@ -126,10 +112,9 @@ def single_block_kernel(
         raise ValueError("n must be at least 1")
     if n == 1:
         return TransitionKernel(n=1, diag=1.0, offdiag=0.0)
-    beta_eff = effective_beta(n, beta, convention)
-    if resonance_distance(n, beta_eff) <= RESONANCE_TOL:
+    if resonance_distance(n, beta) <= RESONANCE_TOL:
         return TransitionKernel(n=n, diag=1.0, offdiag=0.0)
-    s2 = math.sin(n * beta_eff / 2.0) ** 2
+    s2 = math.sin(n * beta / 2.0) ** 2
     return TransitionKernel(
         n=n,
         diag=1.0 - 4.0 * (n - 1) / n**2 * s2,
@@ -170,18 +155,13 @@ def apply_block_kernel(kernel: TransitionKernel, env: Envelope, m: int) -> Envel
     return Envelope(np.ascontiguousarray(v.reshape(-1, order="F")))
 
 
-def mixer_envelope(
-    inst: ProblemInstance,
-    v0: Envelope,
-    betas: Sequence[float],
-    convention: MixerConvention = MixerConvention.ADJACENCY,
-) -> Envelope:
+def mixer_envelope(inst: ProblemInstance, v0: Envelope, betas: Sequence[float]) -> Envelope:
     """Propagate an initial diagonal through one kernel per layer angle."""
     if v0.size != inst.size:
         raise ValueError("initial envelope does not match the instance")
     env = v0
     for beta in betas:
-        kernel = single_block_kernel(inst.n, beta, convention)
+        kernel = single_block_kernel(inst.n, beta)
         env = apply_block_kernel(kernel, env, inst.m)
     return env
 

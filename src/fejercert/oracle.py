@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import DEFAULT_ENUMERATION_CAP, ProblemInstance, capped_size
-from .mixer import MixerConvention, effective_beta
+from .instance import DEFAULT_ENUMERATION_CAP, ProblemInstance, capped_size, check_phase
+from .mixer import check_block_phase
 
 NORM_TOL = 1e-10
 # the multinomial sampler counts shots in int64
@@ -62,31 +62,27 @@ def apply_cost(state: EncodedState, energies: np.ndarray, gamma: float) -> Encod
     return EncodedState(n=state.n, m=state.m, amplitudes=amps)
 
 
-def _block_coefficients(n: int, beta: float, convention: MixerConvention) -> tuple:
-    beta_eff = effective_beta(n, beta, convention)
-    phase = np.exp(1j * beta_eff)
-    coupling = (np.exp(-1j * beta_eff * n) - 1.0) / n
+def _block_coefficients(n: int, beta: float) -> tuple:
+    check_block_phase(n, beta)
+    phase = np.exp(1j * beta)
+    coupling = (np.exp(-1j * beta * n) - 1.0) / n
     return phase, coupling
 
 
-def block_unitary(
-    n: int, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> np.ndarray:
+def block_unitary(n: int, beta: float) -> np.ndarray:
     """Single-block mixer unitary from the rank-one closed form."""
-    phase, coupling = _block_coefficients(n, beta, convention)
+    phase, coupling = _block_coefficients(n, beta)
     return phase * (np.eye(n, dtype=complex) + coupling * np.ones((n, n)))
 
 
-def apply_mixer(
-    state: EncodedState, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> EncodedState:
+def apply_mixer(state: EncodedState, beta: float) -> EncodedState:
     """Apply the block-local mixer unitary to every block by axis contraction.
 
     Uses the rank-one structure: along each block axis the update is
     phase * (v + coupling * column_sum), O(n^m) work per block.
     """
     n, m = state.n, state.m
-    phase, coupling = _block_coefficients(n, beta, convention)
+    phase, coupling = _block_coefficients(n, beta)
     v = state.amplitudes.reshape((n,) * m, order="F")
     for axis in range(m):
         sums = v.sum(axis=axis, keepdims=True)
@@ -99,7 +95,6 @@ def simulate(
     inst: ProblemInstance,
     gammas: Sequence[float],
     betas: Sequence[float],
-    convention: MixerConvention = MixerConvention.ADJACENCY,
     cost_table: np.ndarray | None = None,
 ) -> EncodedState:
     """Alternate cost and mixer layers from the uniform initial state.
@@ -112,15 +107,12 @@ def simulate(
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
     energies = inst.energy if cost_table is None else np.asarray(cost_table)
-    scale = float(np.abs(energies).max(initial=0))
     for gamma in gammas:
-        # a positive condition, so that a NaN phase fails it
-        if not abs(float(gamma)) * scale < math.inf:
-            raise ValueError(f"cost angle {gamma!r} gives a non-finite phase gamma*E")
+        check_phase(gamma, energies)
     state = initial_state(inst.n, inst.m, cap=inst.size)
     for gamma, beta in zip(gammas, betas):
         state = apply_cost(state, energies, gamma)
-        state = apply_mixer(state, beta, convention)
+        state = apply_mixer(state, beta)
     return state
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fejer import success_lower_bound
+from .fejer import _check_order, success_lower_bound
 
 
 class Regime(Enum):
@@ -154,12 +154,11 @@ def cmin_curve(delta_grid: Sequence[float], epsilon: float, p: int) -> np.ndarra
 
 
 def gamma_safe(p: int, r_op: float) -> float:
-    """Anti-aliasing base angle pi/(p * R_op); the p = 0 convention is a
+    """Anti-aliasing base angle pi/(p * R_op); the p = 0 case is a
     single application, pi/R_op."""
     if r_op <= 0:
         raise ValueError("operator range proxy must be positive")
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     if p == 0:
         return math.pi / r_op
     return math.pi / (p * r_op)
@@ -194,8 +193,7 @@ def order_reduction(
 def lipschitz_envelope_bound(p_prime: int, h_m_norm: float) -> float:
     """Lipschitz constant 2 * p' * ||H_M|| of the envelope in the mixer
     angles (sup norm over the schedule)."""
-    if p_prime < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p_prime)
     if h_m_norm <= 0:
         raise ValueError("mixer norm must be positive")
     return 2.0 * p_prime * h_m_norm
@@ -240,8 +238,3 @@ def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
-
-def _check_order(p: int) -> None:
-    # up to 2**53, p + 1 is exact as a float and (p+1)^2 stays far from overflow
-    if not 0 <= p <= 2**53:
-        raise ValueError(f"order {p} must lie in [0, 2**53]")

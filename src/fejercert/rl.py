@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fejer import _check_c, fejer_kernel
-from .instance import ProblemInstance
+from .fejer import _check_c, _check_order, fejer_kernel
+from .instance import ProblemInstance, check_phase
 from .mixer import Envelope
 
 
@@ -36,6 +36,10 @@ class DitherWindow:
             raise ValueError("window half-width must be positive, with a finite span")
 
 
+# Up to this order the exact averaged bound sums its p terms.
+_SUMMED_MAX_ORDER = 1024
+
+
 class AveragedOffpeakBound(NamedTuple):
     exact: float
     log_form: float
@@ -47,15 +51,20 @@ def averaged_offpeak_bound(p: int, half_width: float, gap: float) -> AveragedOff
         exact    = 1 + (2/(Gamma g)) sum_{k=1..p} (1 - k/(p+1))/k
         log_form = 1 + 2 ln(p+1)/(Gamma g)
 
-    The partial-sum form is never larger than the logarithmic one.
+    The partial-sum form is never larger than the logarithmic one.  The sum
+    equals H_p - p/(p+1) with the harmonic number H_p.
     """
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     if half_width <= 0 or gap <= 0:
         raise ValueError("half-width and gap must be positive")
     scale = 2.0 / (half_width * gap)
-    k = np.arange(1, p + 1, dtype=float)
-    exact = 1.0 + scale * float(np.sum((1.0 - k / (p + 1)) / k))
+    if p <= _SUMMED_MAX_ORDER:
+        k = np.arange(1, p + 1, dtype=float)
+        total = float(np.sum((1.0 - k / (p + 1)) / k))
+    else:  # H_p from its asymptotic series; the next term is below 1e-20 here
+        x = 1.0 / p
+        total = math.log(p) + np.euler_gamma + x / 2 - x**2 / 12 + x**4 / 120 - p / (p + 1)
+    exact = 1.0 + scale * total
     log_form = 1.0 + scale * math.log(p + 1)
     if not (math.isfinite(exact) and math.isfinite(log_form)):
         raise ValueError("averaged off-peak bound overflows: half-width times gap is too small")
@@ -125,8 +134,7 @@ def rl_filtered_distribution(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(p)
     if env.size != inst.size:
         raise ValueError("envelope does not match the instance")
     e_star = inst.e_star()
@@ -135,6 +143,8 @@ def rl_filtered_distribution(
 
     offsets, level_of = np.unique(inst.energy - e_star, return_inverse=True)
     offsets = offsets.astype(float)
+    # every draw's cost angle lies within |gamma| + half_width of zero
+    check_phase(abs(gamma) + w.half_width, offsets, "cost angle plus dither half-width")
     level_env = np.bincount(level_of, weights=env.probs)
     if subset is not None:
         # the levels the subset meets, and its envelope mass on each

@@ -9,6 +9,8 @@ path, so they live with the tests (and only they need scipy).
 - ``dephased_reference``: exact diagonal of the dephased layer dynamics via
   the unistochastic kernel |U|^2 of the complex block unitary;
 - ``dirichlet_filter_oracle``: operator-level Dirichlet filtering;
+- ``dirichlet_kernel_sum``: the Fejér kernel as the squared Dirichlet sum,
+  term by term, the reference for the closed form near its peaks;
 - ``averaged_fejer_quadrature``: adaptive Simpson quadrature of the
   window-averaged Fejér kernel;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
@@ -32,7 +34,7 @@ from scipy.linalg import expm
 
 from fejercert.fejer import fejer_kernel
 from fejercert.instance import ProblemInstance
-from fejercert.mixer import Envelope, MixerConvention
+from fejercert.mixer import Envelope
 from fejercert.oracle import block_unitary
 from fejercert.rl import DitherWindow, RLLaw, energy_gap
 
@@ -48,13 +50,11 @@ def string_index(z: Sequence[int], n: int) -> int:
     return idx
 
 
-def block_unitary_expm(
-    n: int, beta: float, convention: MixerConvention = MixerConvention.ADJACENCY
-) -> np.ndarray:
-    """Scaling-and-squaring exponential of the block generator, independent
-    of the closed form."""
+def block_unitary_expm(n: int, beta: float, normalized: bool = False) -> np.ndarray:
+    """Scaling-and-squaring exponential of the block generator A(K_n), or of
+    A(K_n)/n when ``normalized``, independent of the closed form."""
     adjacency = np.ones((n, n)) - np.eye(n)
-    if convention is MixerConvention.NORMALIZED:
+    if normalized:
         adjacency = adjacency / n
     return expm(-1j * beta * adjacency)
 
@@ -63,7 +63,6 @@ def dephased_reference(
     inst: ProblemInstance,
     gammas: Sequence[float],
     betas: Sequence[float],
-    convention: MixerConvention = MixerConvention.ADJACENCY,
     v0: np.ndarray | None = None,
 ) -> Envelope:
     """Exact diagonal of the dephased layer dynamics.
@@ -81,7 +80,7 @@ def dephased_reference(
     else:
         diag = np.asarray(v0, dtype=float).copy()
     for beta in betas:
-        kernel = np.abs(block_unitary(n, beta, convention)) ** 2
+        kernel = np.abs(block_unitary(n, beta)) ** 2
         v = diag.reshape((n,) * m, order="F")
         for axis in range(m):
             v = np.moveaxis(np.tensordot(kernel, v, axes=([1], [axis])), 0, axis)
@@ -112,6 +111,13 @@ def dirichlet_filter_oracle(
     if total <= 0.0:
         raise ValueError("zero total filter weight")
     return weights / total
+
+
+def dirichlet_kernel_sum(p: int, theta) -> np.ndarray:
+    """F_p(theta) = |sum_{r=0..p} e^{i r theta}|^2 / (p+1), summed term by
+    term over a scalar or a 1-d array of angles."""
+    total = np.exp(1j * np.outer(np.atleast_1d(theta), np.arange(p + 1))).sum(axis=1)
+    return (total.real**2 + total.imag**2) / (p + 1)
 
 
 def averaged_fejer_quadrature(

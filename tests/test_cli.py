@@ -396,6 +396,18 @@ OVERFLOWING_NAMED = {
                                "delta=1e-200"),
     "simulate_shots": (["simulate", "--instance", None, "--gammas", "0.3", "--betas", "0.5",
                         "--shots", "100000000000000000000"], "shots 100000000000000000000"),
+    "certify_cost_angle": (["certify", "--instance", None, "--gamma", "1e308", "-p", "2"],
+                           "cost angle 1e+308"),
+    "rl_cost_angle": (["rl", "--instance", None, "--gamma", "1e308", "-p", "2",
+                       "--half-width", "0.2", "--samples", "5"], "dither half-width 1e+308"),
+    "feasibility_penalty_angle": (["feasibility", "--instance", None, "--gamma", "1e308",
+                                   "--no-search"], "penalty angle 1e+308"),
+    "certify_order": (["certify", "--instance", None, "--gamma", "0.5",
+                       "-p", "9007199254740993"], "order 9007199254740993"),
+    "rl_order": (["rl", "--instance", None, "--gamma", "0.5", "-p", "9007199254740993",
+                  "--half-width", "0.2", "--samples", "5"], "order 9007199254740993"),
+    "curves_grid_memory": (["curves", "--deltas", "0.1:1:1000000000000000", "--orders", "1"],
+                           "1000000000000000"),
 }
 
 
@@ -470,6 +482,63 @@ class TestFailClosed:
         assert not out.exists()
         assert named in capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+class TestConventionAtBoundary:
+    """--convention normalized --betas B writes the bytes of --convention
+    adjacency --betas B/n: the command converts, the library takes A(K_n)
+    angles.  The instance has n = 3."""
+
+    BETAS = [0.9, 2.3]
+
+    @staticmethod
+    def _outputs(argv, convention, tmp_path, law=False):
+        out, law_csv = tmp_path / f"{convention}.out", tmp_path / f"{convention}.csv"
+        args = argv + ["--convention", convention, "-o", str(out)]
+        assert run(args + (["--law-output", str(law_csv)] if law else [])) in (0, 3)
+        return [out.read_bytes()] + ([law_csv.read_bytes()] if law else [])
+
+    def _same_bytes(self, argv, tmp_path, law=False):
+        normalized = self._outputs(argv + [f"--betas={_floats_arg(self.BETAS)}"],
+                                   "normalized", tmp_path, law)
+        adjacency = self._outputs(argv + [f"--betas={_floats_arg([b / 3 for b in self.BETAS])}"],
+                                  "adjacency", tmp_path, law)
+        assert normalized == adjacency
+
+    def test_certify_with_law(self, qap_instance, tmp_path):
+        self._same_bytes(["certify", "--instance", qap_instance, "--gamma", "0.5", "-p", "2"],
+                         tmp_path, law=True)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_envelope(self, qap_instance, tmp_path, fmt):
+        self._same_bytes(["envelope", "--instance", qap_instance, "--format", fmt], tmp_path)
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_simulate_with_shots(self, qap_instance, tmp_path, degrees):
+        gammas, betas = ([30.0, 50.0], [40.0, 120.0]) if degrees else ([0.3, 0.5], self.BETAS)
+        radians = [math.radians(a) for a in gammas + betas] if degrees else gammas + betas
+        argv = ["simulate", "--instance", qap_instance, "--shots", "500", "--seed", "3"]
+        normalized = self._outputs(
+            argv + [f"--gammas={_floats_arg(gammas)}", f"--betas={_floats_arg(betas)}"]
+            + (["--degrees"] if degrees else []), "normalized", tmp_path)
+        adjacency = self._outputs(
+            argv + [f"--gammas={_floats_arg(radians[:2])}",
+                    f"--betas={_floats_arg([b / 3 for b in radians[2:]])}"],
+            "adjacency", tmp_path)
+        documents = [json.loads(out[0]) for out in (normalized, adjacency)]
+        for document in documents:
+            del document["betas"], document["convention"]
+        assert documents[0] == documents[1]
+
+
+@pytest.mark.parametrize("argv, schema", [
+    (["certify", "--gamma", "0.5"], "certificate"),
+    (["rl", "--gamma", "0.5", "--half-width", "0.2", "--samples", "5"], "rl_report"),
+])
+def test_order_far_beyond_memory(argv, schema, qap_path):
+    # 2**45 orders: the kernel, the averaged bound and the law use O(1) memory in p
+    _check_filter_run(argv[:1] + ["--instance", qap_path] + argv[1:] + ["-p", str(2**45)],
+                      schema, (0, 3))
 
 
 def test_cli_import_loads_no_scipy():
@@ -583,6 +652,11 @@ def _floats_arg(values):
     return ",".join(repr(v) for v in values)
 
 
+def _grid_arg(grid):
+    start, stop, count = grid
+    return f"{start!r}:{stop!r}:{count}"
+
+
 class TestCommandsProperty:
     """Every finite angle, mass, gap and every integer order or shot count
     either fails closed or yields a finite document."""
@@ -614,10 +688,12 @@ class TestCommandsProperty:
                              f"--epsilon={epsilon!r}"], "json", schema="certificate")
 
     @settings(max_examples=100)
-    @given(deltas=st.lists(FINITE, max_size=4), orders=st.lists(st.integers(), max_size=3),
-           epsilon=FINITE)
-    @example(deltas=[1.0], orders=[2**600], epsilon=0.1)
+    @given(deltas=st.lists(FINITE, max_size=4).map(_floats_arg)
+           | st.tuples(FINITE, FINITE, st.integers(1, 10**4)).map(_grid_arg),
+           orders=st.lists(st.integers(), max_size=3), epsilon=FINITE)
+    @example(deltas="1.0", orders=[2**600], epsilon=0.1)
+    @example(deltas="0.1:1:1000000000000000", orders=[1], epsilon=0.1)
     def test_curves(self, deltas, orders, epsilon):
-        _check_document_run(["curves", f"--deltas={_floats_arg(deltas)}",
+        _check_document_run(["curves", f"--deltas={deltas}",
                              f"--orders={','.join(map(str, orders))}",
                              f"--epsilon={epsilon!r}"], "csv")

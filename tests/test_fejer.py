@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from conftest import random_envelope, random_instance
-from oracles import offpeak_grid_max
+from oracles import dirichlet_kernel_sum, offpeak_grid_max
 from fejercert import (
     denominator_bound,
     envelope_mass,
@@ -58,6 +58,33 @@ class TestKernel:
         for p in (3, 12):
             near, far = 9e-7, 1.1e-6
             assert fejer_kernel(p, near) == pytest.approx(fejer_kernel(p, far), rel=1e-6)
+
+    def test_closed_form_matches_dirichlet_sum_near_peaks(self):
+        offsets = np.array([0.0, 1e-320, 3e-9, -4e-7, 9e-7, -9e-7])
+        for center in (0.0, 2 * math.pi, -2 * math.pi):
+            theta = center + offsets
+            for p in (0, 1, 3, 12, 40):
+                reference = dirichlet_kernel_sum(p, theta)
+                assert np.max(np.abs(fejer_kernel(p, theta) - reference)) < 1e-10
+
+    def test_exact_peak_at_multiples_of_two_pi(self):
+        for theta in (2 * math.pi, -2 * math.pi, -4 * math.pi):
+            for p in (0, 7, 2**45, 2**53):
+                assert fejer_kernel(p, theta) == float(p + 1)
+
+    def test_order_limit_without_order_sized_memory(self):
+        value = fejer_kernel(2**53, np.array([0.0, 1e-9, 0.5]))
+        assert value[0] == float(2**53 + 1)
+        assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            fejer_kernel(2**53 + 1, 0.0)
+        with pytest.raises(ValueError):
+            fejer_kernel(-1, 0.0)
+
+    @pytest.mark.parametrize("p, theta", [(2, 1e308), (2**53, 1e300), (2, math.nan)])
+    def test_non_finite_argument_rejected(self, p, theta):
+        with pytest.raises(ValueError, match="not finite"):
+            fejer_kernel(p, theta)
 
     def test_periodicity(self):
         theta = np.linspace(-2.9, 2.9, 41)

@@ -20,7 +20,6 @@ from fejercert import (
     single_block_kernel,
     uniform_envelope,
 )
-from fejercert.mixer import MixerConvention
 
 
 class TestSingleBlockKernel:
@@ -48,12 +47,6 @@ class TestSingleBlockKernel:
                 probs = np.abs(block_unitary_expm(n, beta)) ** 2
                 expected = k.matrix()
                 assert np.max(np.abs(probs - expected)) < 1e-9
-
-    def test_normalized_convention_rescales(self):
-        n, beta = 4, 1.3
-        k = single_block_kernel(n, beta, MixerConvention.NORMALIZED)
-        ref = single_block_kernel(n, beta / n)
-        assert k.diag == ref.diag and k.offdiag == ref.offdiag
 
     def test_resonance_snaps_to_identity(self):
         k = single_block_kernel(3, 2 * math.pi / 3)

@@ -15,7 +15,6 @@ from fejercert import (
     uniform_envelope,
 )
 from fejercert.instance import CapExceededError, index_string
-from fejercert.mixer import MixerConvention
 from fejercert.oracle import (
     EncodedState,
     apply_cost,
@@ -77,9 +76,9 @@ class TestApplyMixer:
         for n in range(2, 7):
             for _ in range(6):
                 beta = float(rng.uniform(0.05, 6.0))
-                for convention in MixerConvention:
-                    closed = block_unitary(n, beta, convention)
-                    reference = block_unitary_expm(n, beta, convention)
+                for normalized in (False, True):
+                    closed = block_unitary(n, beta / n if normalized else beta)
+                    reference = block_unitary_expm(n, beta, normalized)
                     assert np.max(np.abs(closed - reference)) < 1e-9
 
     def test_modulus_square_matches_kernel(self, rng):
@@ -219,11 +218,9 @@ class TestEncodedState:
 
     def test_normalized_convention_runs(self):
         inst = load_instance({"n": 3, "m": 1, "energy": [0, 1, 2]})
-        state = simulate(inst, [0.3], [0.9], convention=MixerConvention.NORMALIZED)
+        state = simulate(inst, [0.3], [0.9 / 3])
         # same kernel as adjacency at beta/n
-        reference = mixer_envelope(
-            inst, uniform_envelope(3, 1), [0.9], convention=MixerConvention.NORMALIZED
-        )
-        flat = simulate(inst, [0.0], [0.9], convention=MixerConvention.NORMALIZED)
+        reference = mixer_envelope(inst, uniform_envelope(3, 1), [0.9 / 3])
+        flat = simulate(inst, [0.0], [0.9 / 3])
         assert flat.probabilities() == pytest.approx(reference.probs, abs=1e-12)
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12

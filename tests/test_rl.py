@@ -21,6 +21,7 @@ from fejercert import (
     uniform_envelope,
 )
 from fejercert.rl import (
+    _SUMMED_MAX_ORDER,
     DitherWindow,
     averaged_offpeak_bound,
     energy_gap,
@@ -109,6 +110,19 @@ class TestAveragedOffpeak:
         hw, g = 0.7, 1.0
         bound = averaged_offpeak_bound(1, hw, g)
         assert bound.exact == pytest.approx(1 + 1 / (hw * g))
+
+    def test_series_matches_sum_around_threshold(self):
+        hw, g = 0.4, 2.0
+        for p in (_SUMMED_MAX_ORDER - 1, _SUMMED_MAX_ORDER, _SUMMED_MAX_ORDER + 1):
+            total = math.fsum((1.0 - k / (p + 1)) / k for k in range(1, p + 1))
+            expected = 1.0 + 2.0 / (hw * g) * total
+            assert averaged_offpeak_bound(p, hw, g).exact == pytest.approx(expected, rel=1e-12)
+
+    def test_order_limit(self):
+        bound = averaged_offpeak_bound(2**53, 0.4, 2.0)
+        assert math.isfinite(bound.exact) and bound.exact <= bound.log_form
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            averaged_offpeak_bound(2**53 + 1, 0.4, 2.0)
 
     def test_exact_below_log_form(self):
         for p in (0, 1, 2, 10, 100, 10_000):
