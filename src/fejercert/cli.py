@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -83,6 +84,7 @@ def _grid(text: str) -> list | tuple:
     return _float_list(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fejercert",
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--epsilon", type=_finite_float, default=0.1)
 
     envelope = command("envelope", "mixer envelope of an instance")
-    envelope.add_argument("--betas", type=_float_list, default=[])
+    envelope.add_argument("--betas", type=_float_list, default=None)
     envelope.add_argument("--v0", default=None, help="JSON array with an external initial diagonal")
     envelope.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
     envelope.add_argument("--format", choices=["json", "csv"], default="json")
@@ -312,7 +314,7 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     )
     env = mixer_envelope(inst, v0, _adjacency_betas(args, inst.n))
     if args.format == "json":
-        text = serialize.dumps_json(list(env.probs))
+        text = serialize.dumps_json(env.probs)
     else:
         text = serialize.envelope_csv(env.probs, inst.n, inst.m)
     return EXIT_OK, [(args.output, text)]
@@ -411,10 +413,10 @@ def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     }
     if args.shots is not None:
         report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
+        hits = np.flatnonzero(report.counts)
         document["counts"] = {
-            format_string(index_string(i, inst.n, inst.m)): int(c)
-            for i, c in enumerate(report.counts)
-            if c > 0
+            format_string(index_string(i, inst.n, inst.m)): c
+            for i, c in zip(hits.tolist(), report.counts[hits].tolist())
         }
         document["success_frequency"] = report.frequency
         document["success_ci"] = [report.ci_low, report.ci_high]

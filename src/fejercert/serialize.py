@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .instance import format_string, index_string
-
 SCHEMA_NAMES = ("instance", "certificate", "feasibility_report", "rl_report")
 
 
@@ -31,6 +29,8 @@ def json_safe(value):
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()
         return [json_safe(v) for v in value.tolist()]
     if isinstance(value, np.bool_):
         return bool(value)
@@ -62,45 +62,51 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def string_labels(n: int, m: int) -> list:
+    """Dash-joined labels of all n**m block strings in canonical order
+    (block 0 fastest), built by prefix extension."""
+    symbols = [str(s) for s in range(n)]
+    labels = symbols if m else [""]
+    for _ in range(m - 1):
+        labels = [p + "-" + s for s in symbols for p in labels]
+    return labels
 
 
-def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _labelled_csv(header: Sequence[str], n: int, m: int, *columns: np.ndarray) -> str:
+    """One row per block string: its label, then the repr of each column's
+    float.  Rows go out in runs that share the slow half of the blocks, so
+    only one run of labels and formatted values is alive at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    fast = string_labels(n, (m + 1) // 2)
+    parts = [",".join(header)]
+    for k, slow in enumerate(string_labels(n, m // 2)):
+        suffix = "-" + slow if slow else ""
+        rows = slice(k * len(fast), (k + 1) * len(fast))
+        formatted = [map(repr, c[rows].tolist()) for c in columns]
+        parts.append("\n".join(map(",".join, zip((p + suffix for p in fast), *formatted))))
+    return "\n".join(parts) + "\n"
 
 
 def envelope_csv(probs: np.ndarray, n: int, m: int) -> str:
-    rows = (
-        (format_string(index_string(i, n, m)), float(p)) for i, p in enumerate(probs)
-    )
-    return csv_table(("string", "probability"), rows)
+    return _labelled_csv(("string", "probability"), n, m, probs)
 
 
 def filtered_law_csv(
     probs: np.ndarray, theta: np.ndarray, weights: np.ndarray, n: int, m: int
 ) -> str:
-    rows = (
-        (format_string(index_string(i, n, m)), float(theta[i]), float(weights[i]), float(probs[i]))
-        for i in range(probs.size)
+    return _labelled_csv(
+        ("string", "phase", "fejer_weight", "probability"), n, m, theta, weights, probs
     )
-    return csv_table(("string", "phase", "fejer_weight", "probability"), rows)
 
 
 def rl_law_csv(probs: np.ndarray, stderr: np.ndarray, n: int, m: int) -> str:
-    rows = (
-        (format_string(index_string(i, n, m)), float(probs[i]), float(stderr[i]))
-        for i in range(probs.size)
-    )
-    return csv_table(("string", "probability", "stderr"), rows)
+    return _labelled_csv(("string", "probability", "stderr"), n, m, probs, stderr)
 
 
 def curves_csv(rows: Iterable[Sequence[float]]) -> str:
-    body = ((float(d), int(p), float(e), float(c)) for d, p, e, c in rows)
-    return csv_table(("delta", "p", "epsilon", "c_min"), body)
+    lines = ["delta,p,epsilon,c_min"]
+    lines.extend(f"{float(d)!r},{int(p)},{float(e)!r},{float(c)!r}" for d, p, e, c in rows)
+    return "\n".join(lines) + "\n"
 
 
 def load_schema(name: str) -> dict:

@@ -20,20 +20,24 @@ path, so they live with the tests (and only they need scipy).
   dither window and the window-averaged Fejér weight in its Fourier form, a
   second evaluation path of the averaged kernel;
 - ``lie_closure_dim``: numeric dimension of the Lie algebra generated by the
-  invariant-sector generators, a probe and never a proof.
+  invariant-sector generators, a probe and never a proof;
+- ``envelope_csv_rowwise``, ``filtered_law_csv_rowwise``,
+  ``rl_law_csv_rowwise`` and ``curves_csv_rowwise``: the CSV documents
+  formatted row by row, one label from ``index_string`` per string, the
+  byte-identity reference for the column-wise emitters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from fejercert.fejer import fejer_kernel
-from fejercert.instance import ProblemInstance
+from fejercert.instance import ProblemInstance, format_string, index_string
 from fejercert.mixer import Envelope
 from fejercert.oracle import block_unitary
 from fejercert.rl import DitherWindow, RLLaw, energy_gap
@@ -340,3 +344,44 @@ def lie_closure_dim(a: np.ndarray, b: np.ndarray, tol: float = LIE_CLOSURE_TOL) 
 
     dim = len(basis)
     return LieClosureReport(dim=dim, full_unitary_algebra=dim == d * d, hit_iteration_cap=hit_cap)
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def envelope_csv_rowwise(probs: np.ndarray, n: int, m: int) -> str:
+    rows = (
+        (format_string(index_string(i, n, m)), float(p)) for i, p in enumerate(probs)
+    )
+    return csv_table(("string", "probability"), rows)
+
+
+def filtered_law_csv_rowwise(
+    probs: np.ndarray, theta: np.ndarray, weights: np.ndarray, n: int, m: int
+) -> str:
+    rows = (
+        (format_string(index_string(i, n, m)), float(theta[i]), float(weights[i]), float(probs[i]))
+        for i in range(probs.size)
+    )
+    return csv_table(("string", "phase", "fejer_weight", "probability"), rows)
+
+
+def rl_law_csv_rowwise(probs: np.ndarray, stderr: np.ndarray, n: int, m: int) -> str:
+    rows = (
+        (format_string(index_string(i, n, m)), float(probs[i]), float(stderr[i]))
+        for i in range(probs.size)
+    )
+    return csv_table(("string", "probability", "stderr"), rows)
+
+
+def curves_csv_rowwise(rows: Iterable[Sequence[float]]) -> str:
+    body = ((float(d), int(p), float(e), float(c)) for d, p, e, c in rows)
+    return csv_table(("delta", "p", "epsilon", "c_min"), body)

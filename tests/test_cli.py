@@ -244,6 +244,33 @@ class TestEnvelopeCommand:
         run(["envelope", "--instance", inst, "--v0", str(v0), "-o", str(out)])
         assert json.loads(out.read_text()) == [0.9, 0.1]
 
+    def test_parser_reuse_keeps_bytes(self, qap_instance, tmp_path, capsys):
+        """main builds its parser once per process; runs in one process,
+        after a run with --betas and after a parse error, write what a fresh
+        process writes."""
+        with_betas = ["envelope", "--instance", qap_instance, "--betas", "0.4,0.9"]
+        plain = ["envelope", "--instance", qap_instance, "--format", "csv"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        fresh = []
+        for k, argv in enumerate((with_betas, plain)):
+            out = tmp_path / f"fresh{k}"
+            subprocess.run([sys.executable, "-m", "fejercert", *argv, "-o", str(out)],
+                           env=env, check=True)
+            fresh.append(out.read_bytes())
+
+        def in_process(argv, name):
+            out = tmp_path / name
+            assert main(argv + ["-o", str(out)]) == 0
+            return out.read_bytes()
+
+        assert in_process(with_betas, "a") == fresh[0]
+        assert in_process(plain, "b") == fresh[1]
+        with pytest.raises(SystemExit):
+            main(plain + ["--betas", "x", "-o", str(tmp_path / "bad")])
+        capsys.readouterr()
+        assert in_process(plain, "c") == fresh[1]
+        assert in_process(with_betas, "d") == fresh[0]
+
 
 class TestFeasibilityCommand:
     def test_report_schema_and_values(self, qap_instance, tmp_path):
