@@ -321,10 +321,13 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
-    ls = feas.level_sets(inst)
-    graph = feas.level_graph(ls, inst.n, inst.m)
+    if inst.default_penalty:
+        ls, graph = feas.sector_level_graph(inst.n, inst.m)
+    else:
+        ls = feas.level_sets(inst)
+        graph = feas.level_graph(ls, inst.penalty)
     sep = feas.delta_feasible(args.gamma, ls)
-    c_f = float(ls.levels[0].size) / inst.size if 0 in ls.levels else 0.0
+    c_f = float(ls.size_of(0)) / inst.size if 0 in ls.sizes else 0.0
 
     if sep.delta > 0.0 and c_f > 0.0:
         bounds = {

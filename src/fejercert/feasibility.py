@@ -5,11 +5,17 @@ The feasibility stage reuses the filter machinery with penalty-only phases:
 the target phase is 0 (the feasible level), the gap delta_F is the minimal
 wrapped distance of nonzero penalty phases gamma*t from 0, and the ratio
 bound applies verbatim with the feasible envelope mass.
+
+Under the default m = n collision penalty the level stage and the angle
+search run in the sector invariant under block permutations and symbol
+relabelings, one dimension per partition of m into at most n parts; a
+penalty table given by the user is handled over all n**m strings.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,11 +28,9 @@ from .instance import (
     check_phase,
     circular_distance,
     collision_penalty,
-    index_string,
-    symbol_counts,
 )
 from .fejer import _check_order
-from .mixer import resonance_distance
+from .mixer import check_block_phase, resonance_distance
 from .planner import ratio_bounds, ratio_parameter
 
 
@@ -36,19 +40,26 @@ from .planner import ratio_bounds, ratio_parameter
 
 @dataclass(frozen=True)
 class LevelStructure:
-    """Partition of [n]^m by penalty value t, with the active levels."""
+    """Sizes |L_t| of the partition of [n]^m by penalty value t, keyed by
+    the active levels in ascending order."""
 
     n: int
     m: int
-    levels: dict
-    active: tuple
-    t_max: int
+    sizes: dict
+
+    @property
+    def active(self) -> tuple:
+        return tuple(self.sizes)
+
+    @property
+    def t_max(self) -> int:
+        return self.active[-1]
 
     def size_of(self, t: int) -> int:
-        return self.levels[t].size
+        return self.sizes[t]
 
     def histogram(self) -> dict:
-        return {int(t): int(self.levels[t].size) for t in self.active}
+        return dict(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -63,11 +74,8 @@ class LevelGraph:
 
 def level_sets(inst: ProblemInstance) -> LevelStructure:
     """Exhaustive partition of the basis strings by penalty value."""
-    levels = {}
-    for t in np.unique(inst.penalty):
-        levels[int(t)] = np.flatnonzero(inst.penalty == t)
-    active = tuple(sorted(levels))
-    return LevelStructure(n=inst.n, m=inst.m, levels=levels, active=active, t_max=inst.t_max())
+    levels, sizes = np.unique(inst.penalty, return_counts=True)
+    return LevelStructure(inst.n, inst.m, dict(zip(levels.tolist(), sizes.tolist())))
 
 
 def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
@@ -94,26 +102,32 @@ def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
     return src, dst, total
 
 
-def level_graph(ls: LevelStructure, n: int, m: int) -> LevelGraph:
-    """Build the level-transition graph by single-block relabel pair counting.
+def level_graph(ls: LevelStructure, penalty: np.ndarray) -> LevelGraph:
+    """Build the level-transition graph of a penalty table by single-block
+    relabel pair counting over all n**m strings."""
+    rank = np.searchsorted(ls.active, penalty)
+    src, dst, counts = _relabel_pair_counts(rank, len(ls.active), ls.n, ls.m)
+    upper = src < dst
+    return _graph(ls, zip(src[upper].tolist(), dst[upper].tolist(), counts[upper].tolist()))
+
+
+def _graph(ls: LevelStructure, pairs) -> LevelGraph:
+    """The level graph from the relabel pair counts (i, j, count) between
+    level ranks i < j, given in (i, j) order.
 
     With the complete-graph block mixer every relabel pair couples with unit
     weight, so a nonzero pair count is equivalent to a nonzero matrix element
     between the normalized level vectors; the stored coupling is the count
     divided by sqrt(|L_t| |L_t'|).
     """
-    rank = np.empty(n**m, dtype=np.int64)
-    for r, t in enumerate(ls.active):
-        rank[ls.levels[t]] = r
-    src, dst, counts = _relabel_pair_counts(rank, len(ls.active), n, m)
+    active = ls.active
     edges = []
     couplings = {}
-    upper = src < dst
-    for i, j, c in zip(src[upper], dst[upper], counts[upper]):
-        t1, t2 = ls.active[i], ls.active[j]
+    for i, j, count in pairs:
+        t1, t2 = active[i], active[j]
         edges.append((t1, t2))
-        couplings[(t1, t2)] = int(c) / math.sqrt(ls.size_of(t1) * ls.size_of(t2))
-    return LevelGraph(vertices=ls.active, edges=tuple(edges), couplings=couplings)
+        couplings[(t1, t2)] = count / math.sqrt(ls.size_of(t1) * ls.size_of(t2))
+    return LevelGraph(vertices=active, edges=tuple(edges), couplings=couplings)
 
 
 def graph_connected(g: LevelGraph) -> bool:
@@ -228,8 +242,11 @@ def overlap_feasibility_floor(epsilon: float) -> float:
 class SectorBasis:
     """Orbits of block permutations times global symbol relabelings on [n]^m.
 
-    Each orbit is identified by its sorted symbol-count signature; the
+    Each orbit is identified by its sorted symbol-count signature, a
+    partition of m into at most n parts padded with zeros to length n; the
     normalized orbit-sum vectors form a basis of the fixed-point sector.
+    Orbits are ordered by their first string in canonical order, which is
+    also the representative.
     """
 
     n: int
@@ -242,31 +259,73 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.keys)
 
+    @property
+    def penalties(self) -> tuple:
+        """The collision penalty sum_k (N_k - 1)^2 of each orbit."""
+        return tuple(sum((c - 1) ** 2 for c in key) for key in self.keys)
 
-def _sector_orbits(n: int, m: int) -> tuple:
-    """The orbit basis and the orbit index of every string.  The complete
-    invariant of an orbit is the multiset of symbol occupation counts;
-    orbits are ordered by their first string."""
-    signature = np.sort(symbol_counts(n, m), axis=1)[:, ::-1]
-    keys, first, inverse, sizes = np.unique(
-        signature, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    basis = SectorBasis(
-        n=n,
-        m=m,
-        keys=tuple(tuple(int(v) for v in keys[i]) for i in order),
-        representatives=tuple(int(first[i]) for i in order),
-        sizes=tuple(int(sizes[i]) for i in order),
-    )
-    return basis, rank[inverse.reshape(-1)]
+
+def _partitions(m: int, parts: int, largest: int):
+    """Partitions of m into at most ``parts`` parts of at most ``largest``,
+    each in descending order, in descending lexicographic order."""
+    if m == 0:
+        yield ()
+    elif parts > 0:
+        for first in range(min(m, largest), 0, -1):
+            for rest in _partitions(m - first, parts - 1, first):
+                yield (first,) + rest
 
 
 def invariant_sector_basis(n: int, m: int) -> SectorBasis:
-    """Enumerate the group orbits of [n]^m."""
-    return _sector_orbits(n, m)[0]
+    """The group orbits of [n]^m, built from the partitions of m without
+    enumerating the strings.
+
+    The orbit of signature (c_0, ..., c_{n-1}) holds m!/prod c_k! block
+    arrangements of each of n!/prod_j mult_j! symbol assignments, where
+    mult_j counts the symbols that occur j times.  Its first string puts
+    c_0 copies of symbol 0 in the highest blocks, then c_1 copies of
+    symbol 1, and so on; so the partitions, in descending lexicographic
+    order, come in the order of their first strings.
+    """
+    keys, representatives, sizes = [], [], []
+    for part in _partitions(m, n, m):
+        key = part + (0,) * (n - len(part))
+        first = 0
+        for k, c in enumerate(key):
+            for _ in range(c):  # the highest block is the leading digit
+                first = first * n + k
+        arrangements = math.factorial(m)
+        for c in key:
+            arrangements //= math.factorial(c)
+        assignments = math.factorial(n)
+        for mult in Counter(key).values():
+            assignments //= math.factorial(mult)
+        keys.append(key)
+        representatives.append(first)
+        sizes.append(arrangements * assignments)
+    return SectorBasis(n, m, tuple(keys), tuple(representatives), tuple(sizes))
+
+
+def _orbit_pair_counts(basis: SectorBasis) -> dict:
+    """Counts of ordered single-block relabel pairs between orbits,
+    {(src, dst): count}.  Moving one of the c_i blocks on a symbol to
+    another symbol j takes each string of the orbit to the orbit of the
+    signature with c_i - 1 and c_j + 1."""
+    position = {key: r for r, key in enumerate(basis.keys)}
+    counts = {}
+    for src, (key, size) in enumerate(zip(basis.keys, basis.sizes)):
+        for i, c in enumerate(key):
+            if c == 0:
+                continue
+            for j in range(len(key)):
+                if j == i:
+                    continue
+                moved = list(key)
+                moved[i] -= 1
+                moved[j] += 1
+                pair = (src, position[tuple(sorted(moved, reverse=True))])
+                counts[pair] = counts.get(pair, 0) + c * size
+    return counts
 
 
 def invariant_sector_generators(n: int, m: int) -> tuple:
@@ -276,14 +335,32 @@ def invariant_sector_generators(n: int, m: int) -> tuple:
     A is diagonal with the per-orbit penalty level; B counts single-block
     relabel pairs between orbits, normalized by the orbit sizes.
     """
-    basis, orbit_of = _sector_orbits(n, m)
-    penalty = [collision_penalty(index_string(rep, n, m), n) for rep in basis.representatives]
-    a = np.diag(np.asarray(penalty, dtype=float))
-    src, dst, counts = _relabel_pair_counts(orbit_of, basis.dim, n, m)
+    basis = invariant_sector_basis(n, m)
+    a = np.diag(np.asarray(basis.penalties, dtype=float))
     b = np.zeros((basis.dim, basis.dim))
-    b[src, dst] = counts
+    for pair, count in _orbit_pair_counts(basis).items():
+        b[pair] = count
     sizes = np.asarray(basis.sizes, dtype=float)
     return a, b / np.sqrt(np.outer(sizes, sizes))
+
+
+def sector_level_graph(n: int, m: int) -> tuple:
+    """The level sizes and the level graph of the collision penalty, as
+    ``level_sets`` and ``level_graph`` give them, from the orbit sector:
+    the orbit sizes and orbit pair counts are summed by penalty level, so
+    no work grows with n**m."""
+    basis = invariant_sector_basis(n, m)
+    penalties = basis.penalties
+    sizes = {}
+    for t, size in zip(penalties, basis.sizes):
+        sizes[t] = sizes.get(t, 0) + size
+    ls = LevelStructure(n, m, dict(sorted(sizes.items())))
+    rank = {t: r for r, t in enumerate(ls.active)}
+    pairs = {}
+    for (src, dst), count in _orbit_pair_counts(basis).items():
+        pair = (rank[penalties[src]], rank[penalties[dst]])
+        pairs[pair] = pairs.get(pair, 0) + count
+    return ls, _graph(ls, ((i, j, c) for (i, j), c in sorted(pairs.items()) if i < j))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +379,50 @@ class AngleSearchResult:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _statevector_feasibility(inst: ProblemInstance) -> tuple:
+    """The feasibility probability of a schedule from the statevector, and
+    the largest penalty level."""
+    feasible = inst.feasible_indices()
+
+    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> float:
+        state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
+        return oracle.projector_mass(state, feasible)
+
+    return pi_f, inst.t_max()
+
+
+def _sector_feasibility(n: int, m: int) -> tuple:
+    """The feasibility probability of a schedule under the collision penalty,
+    from the invariant sector, and the largest penalty level.
+
+    The uniform start state has amplitude sqrt(|orbit| / n**m) on each
+    normalized orbit vector; a layer multiplies by exp(-i gamma A) and then
+    by exp(-i beta B) from one eigendecomposition of B.  The checks are those
+    of ``oracle.simulate``: finite cost and block phases and a unit norm.
+    """
+    basis = invariant_sector_basis(n, m)
+    a, b = invariant_sector_generators(n, m)
+    penalty = np.diag(a)
+    mixer_phases, vectors = np.linalg.eigh(b)
+    vectors = vectors.astype(complex)
+    inverse = vectors.T.copy()  # B is real symmetric, so V is orthogonal
+    start = np.sqrt(np.asarray(basis.sizes, dtype=float) / n**m).astype(complex)
+    feasible = basis.penalties.index(0)  # the permutations, as m = n
+
+    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> float:
+        for gamma in gammas:
+            check_phase(gamma, penalty)
+        psi = start
+        for gamma, beta in zip(gammas, betas):
+            check_block_phase(n, beta)
+            psi = np.exp(-1j * gamma * penalty) * psi
+            psi = vectors @ (np.exp(-1j * beta * mixer_phases) * (inverse @ psi))
+        oracle.check_norm(psi)
+        return float(abs(psi[feasible]) ** 2)
+
+    return pi_f, max(basis.penalties)
+
+
 def feasibility_angle_search(
     inst: ProblemInstance,
     p: int,
@@ -314,21 +435,21 @@ def feasibility_angle_search(
     The zero-angle baseline (whose feasibility mass is |L_0|/n^m) is always
     evaluated first, so the reported optimum is never below it.  Restart
     angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
-    resonant values rejected.
+    resonant values rejected.  The default collision penalty is simulated in
+    the invariant sector; any other penalty on the statevector.
     """
     _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
-    feasible = inst.feasible_indices()
-    t_max = inst.t_max()
+    pi_f, t_max = (_sector_feasibility(inst.n, inst.m) if inst.default_penalty
+                   else _statevector_feasibility(inst))
     evaluations = 0
 
     def evaluate(x: np.ndarray) -> float:
         # x holds the p cost angles, then the p mixer angles
         nonlocal evaluations
         evaluations += 1
-        state = oracle.simulate(inst, x[:p], x[p:], cost_table=inst.penalty)
-        return oracle.projector_mass(state, feasible)
+        return pi_f(x[:p], x[p:])
 
     best_x = np.zeros(2 * p)
     best = evaluate(best_x)

@@ -71,12 +71,6 @@ def enumerate_strings(n: int, m: int) -> np.ndarray:
     return np.stack([(idx // n**b) % n for b in range(m)], axis=1)
 
 
-def symbol_counts(n: int, m: int) -> np.ndarray:
-    """Symbol occupation counts N_k(z) of every string, shape (n**m, n)."""
-    strings = enumerate_strings(n, m)
-    return np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
-
-
 def format_string(z: Iterable[int]) -> str:
     """Dash-joined symbol string, e.g. (0, 2, 1) -> '0-2-1'."""
     return "-".join(str(int(s)) for s in z)
@@ -98,8 +92,21 @@ def collision_penalty(z: Sequence[int], n: int) -> int:
 
 
 def collision_penalty_table(n: int, m: int) -> np.ndarray:
-    """Dense collision-penalty table over [n]^m in canonical order."""
-    return ((symbol_counts(n, m) - 1) ** 2).sum(axis=1).astype(np.int64)
+    """Dense collision-penalty table over [n]^m in canonical order.
+
+    As sum_k N_k = m and sum_k N_k^2 = m + 2 #{b < c : z_b = z_c}, the
+    penalty is 2 #{b < c : z_b = z_c} + n - m.  On the (n,)*m grid whose
+    axis b holds the symbol of block b, each pair of blocks adds an
+    identity matrix broadcast along its two axes.
+    """
+    pairs = np.zeros((n,) * m, dtype=np.int64)
+    same = np.eye(n, dtype=np.int64)
+    for c in range(m):
+        for b in range(c):
+            shape = [1] * m
+            shape[b] = shape[c] = n
+            pairs += same.reshape(shape)
+    return (2 * pairs + (n - m)).reshape(-1, order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +119,9 @@ class ProblemInstance:
 
     ``energy`` holds dimensionless lattice energies E(z); the physical energy
     is ``lattice_scale * E(z)``.  ``penalty`` holds nonnegative integers whose
-    zero set is the feasible set L_0.
+    zero set is the feasible set L_0.  ``default_penalty`` marks the m = n
+    collision table that the loader supplies when the document gives no
+    penalty; the feasibility stage then works in the orbit sector.
     """
 
     n: int
@@ -120,6 +129,7 @@ class ProblemInstance:
     energy: np.ndarray
     penalty: np.ndarray
     lattice_scale: float = 1.0
+    default_penalty: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -248,7 +258,8 @@ def load_instance(
     else:
         penalty = np.zeros(size, dtype=np.int64)
 
-    return ProblemInstance(n=n, m=m, energy=energy, penalty=penalty, lattice_scale=lattice_scale)
+    return ProblemInstance(n=n, m=m, energy=energy, penalty=penalty, lattice_scale=lattice_scale,
+                           default_penalty=m == n and "penalty" not in document)
 
 
 def _is_number(value, kind: type) -> bool:

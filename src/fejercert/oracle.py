@@ -39,13 +39,18 @@ class EncodedState:
     def __post_init__(self) -> None:
         if self.amplitudes.shape != (self.n**self.m,):
             raise ValueError("amplitude vector does not match n**m")
-        norm = float(np.linalg.norm(self.amplitudes))
-        # a positive condition, so that a NaN norm fails it
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
+        check_norm(self.amplitudes)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def check_norm(amplitudes: np.ndarray) -> None:
+    """Reject a state vector whose norm deviates from 1 beyond NORM_TOL."""
+    norm = float(np.linalg.norm(amplitudes))
+    # a positive condition, so that a NaN norm fails it
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
 
 
 def initial_state(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EncodedState:

@@ -19,6 +19,9 @@ path, so they live with the tests (and only they need scipy).
 - ``window_fourier``, ``window_density`` and ``averaged_fejer``: the uniform
   dither window and the window-averaged Fejér weight in its Fourier form, a
   second evaluation path of the averaged kernel;
+- ``sector_by_enumeration``: the invariant-sector orbits and generators
+  found by enumerating all n**m strings and their relabel pairs, the
+  reference for the combinatorial sector build;
 - ``lie_closure_dim``: numeric dimension of the Lie algebra generated by the
   invariant-sector generators, a probe and never a proof;
 - ``envelope_csv_rowwise``, ``filtered_law_csv_rowwise``,
@@ -36,8 +39,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from fejercert.feasibility import SectorBasis, _relabel_pair_counts
 from fejercert.fejer import fejer_kernel
-from fejercert.instance import ProblemInstance, format_string, index_string
+from fejercert.instance import (
+    ProblemInstance,
+    collision_penalty,
+    enumerate_strings,
+    format_string,
+    index_string,
+)
 from fejercert.mixer import Envelope
 from fejercert.oracle import block_unitary
 from fejercert.rl import DitherWindow, RLLaw, energy_gap
@@ -277,6 +287,36 @@ def averaged_fejer(p: int, gamma: float, delta_e: float, w: DitherWindow) -> flo
     return 1.0 + 2.0 * float(
         np.sum(weights * np.cos(k * gamma * delta_e) * window_fourier(w, k * delta_e))
     )
+
+
+def sector_by_enumeration(n: int, m: int) -> tuple:
+    """The orbit basis and the generators (A, B) of the invariant sector from
+    all n**m strings: each string's sorted symbol counts name its orbit, the
+    orbits are ordered by their first string, A holds the penalty of that
+    string and B the relabel pair counts, normalized by the orbit sizes."""
+    strings = enumerate_strings(n, m)
+    counts = np.stack([(strings == k).sum(axis=1) for k in range(n)], axis=1)
+    keys, first, inverse, sizes = np.unique(
+        np.sort(counts, axis=1)[:, ::-1], axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    basis = SectorBasis(
+        n=n,
+        m=m,
+        keys=tuple(tuple(int(v) for v in keys[i]) for i in order),
+        representatives=tuple(int(first[i]) for i in order),
+        sizes=tuple(int(sizes[i]) for i in order),
+    )
+    a = np.diag([float(collision_penalty(index_string(r, n, m), n))
+                 for r in basis.representatives])
+    src, dst, pairs = _relabel_pair_counts(rank[inverse.reshape(-1)], basis.dim, n, m)
+    b = np.zeros((basis.dim, basis.dim))
+    b[src, dst] = pairs
+    weights = np.asarray(basis.sizes, dtype=float)
+    return basis, a, b / np.sqrt(np.outer(weights, weights))
 
 
 @dataclass(frozen=True)

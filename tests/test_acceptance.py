@@ -198,7 +198,7 @@ def test_criterion_07_feasibility_machinery():
                 assert collision_penalty(descent_step(z), n) <= before - 2
     for n in (2, 3, 4, 5):
         inst = load_instance({"n": n, "m": n, "energy": [0] * n**n})
-        assert graph_connected(level_graph(level_sets(inst), n, n))
+        assert graph_connected(level_graph(level_sets(inst), inst.penalty))
 
     rng = np.random.default_rng(SEED + 7)
     for n in (2, 3):
@@ -207,10 +207,10 @@ def test_criterion_07_feasibility_machinery():
         gamma = 0.9 * math.pi / ls.t_max
         sep = delta_feasible(gamma, ls)
         env = random_envelope(rng, inst.size)
-        c_f = float(env.probs[ls.levels[0]].sum())
+        c_f = float(env.probs[inst.feasible_indices()].sum())
         for p, prefactor in ((1, 4.0), (2, 9.0)):
             weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
-            exact = float(weights[ls.levels[0]].sum() / weights.sum())
+            exact = float(weights[inst.feasible_indices()].sum() / weights.sum())
             fb = feasibility_bound(p, c_f, sep.delta)
             assert fb.x_f == pytest.approx(prefactor * math.sin(sep.delta / 2) ** 2 * c_f)
             assert fb.simple <= fb.tight <= exact + 1e-12

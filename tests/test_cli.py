@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fejercert import collision_penalty_table, feasibility, oracle
 from fejercert.cli import main
 from fejercert.serialize import load_schema
 
@@ -310,6 +311,73 @@ class TestFeasibilityCommand:
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["collided"] is True and doc["bounds"] is None
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("called on the other feasibility path")
+
+
+class TestFeasibilityRoute:
+    """The default collision penalty runs the feasibility stage in the orbit
+    sector, a penalty given in the document on the statevector; the two
+    documents differ only by rounding in pi_f."""
+
+    ARGV = ["feasibility", "--gamma", "0.1", "--search-order", "2", "--budget", "200",
+            "--seed", "7"]
+
+    @staticmethod
+    def square_doc(n):
+        cost = [[(3 * i + 5 * j) % 7 for j in range(n)] for i in range(n)]
+        return {"n": n, "m": n, "generator": {"kind": "assignment", "cost": cost}}
+
+    def run_without(self, monkeypatch, names, instance, out):
+        with monkeypatch.context() as patch:
+            for module, name in names:
+                patch.setattr(module, name, _unexpected)
+            assert run(self.ARGV + ["--instance", instance, "-o", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_sector_matches_statevector(self, n, tmp_path, monkeypatch):
+        doc = self.square_doc(n)
+        default = write_instance(tmp_path / "default.json", doc)
+        explicit = write_instance(tmp_path / "explicit.json",
+                                  {**doc, "penalty": collision_penalty_table(n, n).tolist()})
+        sector = self.run_without(monkeypatch, [(oracle, "simulate"), (feasibility, "level_sets")],
+                                  default, tmp_path / "sector.json")
+        statevector = self.run_without(monkeypatch, [(feasibility, "invariant_sector_basis")],
+                                       explicit, tmp_path / "statevector.json")
+        sector_pi_f = sector["search"].pop("pi_f")
+        statevector_pi_f = statevector["search"].pop("pi_f")
+        assert sector == statevector
+        assert abs(sector_pi_f - statevector_pi_f) <= 1e-12
+
+    @pytest.mark.parametrize("args", [
+        ["--gamma", "nan", "--no-search"],
+        ["--gamma", "1e308", "--no-search"],
+        ["--gamma", "1e308"],
+        ["--gamma", "0.5", "--search-order", "9007199254740993"],
+        ["--gamma", "0.5", "--budget", "0"],
+    ], ids=["nan_angle", "penalty_phase_overflow", "overflow_with_search", "search_order",
+            "budget"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["sector", "statevector"])
+    def test_fail_closed_on_both_paths(self, args, explicit, tmp_path):
+        doc = self.square_doc(3)
+        if explicit:
+            doc["penalty"] = collision_penalty_table(3, 3).tolist()
+        out = tmp_path / "feas.json"
+        # a RuntimeWarning is an error under the test configuration
+        assert exit_code(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                          *args, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_other_user_penalty_uses_statevector(self, tmp_path, monkeypatch):
+        doc = {**self.square_doc(3), "penalty": (2 * collision_penalty_table(3, 3)).tolist()}
+        report = self.run_without(monkeypatch, [(feasibility, "invariant_sector_basis")],
+                                  write_instance(tmp_path / "user.json", doc),
+                                  tmp_path / "feas.json")
+        assert report["levels"] == {"0": 6, "4": 18, "12": 3}
+        assert report["search"]["pi_f"] >= 6 / 27 - 1e-12
 
 
 class TestRLCommand:
@@ -634,6 +702,41 @@ class TestFilterCommandsProperty:
     def test_feasibility(self, qap_path, gamma):
         _check_filter_run(["feasibility", "--instance", qap_path, f"--gamma={gamma!r}",
                            "--no-search"], "feasibility_report", (0, 2, 3), law_csv=False)
+
+
+@pytest.fixture(scope="module")
+def qap_explicit_path(tmp_path_factory):
+    doc = {**QAP_DOC, "penalty": collision_penalty_table(3, 3).tolist()}
+    return write_instance(tmp_path_factory.mktemp("property") / "qap-explicit.json", doc)
+
+
+class TestFeasibilitySearchProperty:
+    """Every search order, budget and seed either fails closed or yields a
+    schema-valid report whose pi_f lies in [n!/n^n, 1], on the sector path
+    (default penalty) and on the statevector path (explicit penalty)."""
+
+    @settings(max_examples=100)
+    @given(order=st.integers(0, 3), budget=st.integers(1, 60), seed=st.integers(),
+           explicit=st.booleans())
+    @example(order=9007199254740993, budget=10, seed=0, explicit=False)
+    @example(order=9007199254740993, budget=10, seed=0, explicit=True)
+    def test_feasibility_search(self, qap_path, qap_explicit_path, order, budget, seed,
+                                explicit):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.json"
+            code = main(["feasibility", "--instance", qap_explicit_path if explicit else qap_path,
+                         "--gamma", "0.5", f"--search-order={order}", f"--budget={budget}",
+                         f"--seed={seed}", "-o", str(out)])
+            assert code in (0, 2, 3)
+            if order > 2**53:
+                assert code == 2
+            if code == 2:
+                assert list(Path(tmp).iterdir()) == []
+                return
+            doc = json.loads(out.read_text("utf-8"))
+        jsonschema.validate(doc, load_schema("feasibility_report"))
+        floor = math.factorial(3) / 3**3
+        assert floor - 1e-12 <= doc["search"]["pi_f"] <= 1 + 1e-12
 
 
 def _reject_constant(name):

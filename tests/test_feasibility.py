@@ -1,14 +1,16 @@
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_envelope
-from oracles import lie_closure_dim
-from fejercert import collision_penalty, load_instance
+from oracles import lie_closure_dim, sector_by_enumeration
+from fejercert import collision_penalty, load_instance, oracle
 from fejercert.feasibility import (
+    _sector_feasibility,
     LevelGraph,
     delta_feasible,
     descent_step,
@@ -20,6 +22,7 @@ from fejercert.feasibility import (
     level_graph,
     level_sets,
     overlap_feasibility_floor,
+    sector_level_graph,
 )
 from fejercert.fejer import fejer_kernel
 
@@ -27,7 +30,7 @@ from fejercert.fejer import fejer_kernel
 def assignment_instance(n, energies=None):
     size = n**n
     energy = energies if energies is not None else [0] * size
-    return load_instance({"n": n, "m": n, "energy": energy})
+    return load_instance({"n": n, "m": n, "energy": energy}, cap=max(size, 4096))
 
 
 def canonical_strings(n, m):
@@ -54,10 +57,11 @@ def orbit_key(z, n):
 
 class TestLevelSets:
     def test_two_by_two(self):
-        ls = level_sets(assignment_instance(2))
+        inst = assignment_instance(2)
+        ls = level_sets(inst)
         assert ls.histogram() == {0: 2, 2: 2}
         assert ls.active == (0, 2)
-        assert sorted(ls.levels[0]) == [1, 2]  # strings (1,0) and (0,1)
+        assert inst.feasible_indices().tolist() == [1, 2]  # strings (1,0) and (0,1)
 
     def test_single_block(self):
         ls = level_sets(load_instance({"n": 1, "m": 1, "energy": [0]}))
@@ -75,8 +79,8 @@ class TestLevelSets:
 
 class TestLevelGraph:
     def test_two_by_two_edge(self):
-        ls = level_sets(assignment_instance(2))
-        g = level_graph(ls, 2, 2)
+        inst = assignment_instance(2)
+        g = level_graph(level_sets(inst), inst.penalty)
         assert g.vertices == (0, 2)
         assert g.edges == ((0, 2),)
         # (1,0) and (0,1) each reach both of (0,0), (1,1) by one relabel:
@@ -86,14 +90,15 @@ class TestLevelGraph:
     def test_single_level_no_edges(self):
         inst = load_instance({"n": 2, "m": 3, "energy": [0] * 8})
         ls = level_sets(inst)
-        g = level_graph(ls, 2, 3)
+        g = level_graph(ls, inst.penalty)
         assert g.vertices == (0,)
         assert g.edges == ()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_connected_for_assignment_penalty(self, n):
-        ls = level_sets(assignment_instance(n))
-        assert graph_connected(level_graph(ls, n, n))
+        inst = assignment_instance(n)
+        assert graph_connected(level_graph(level_sets(inst), inst.penalty))
+        assert graph_connected(sector_level_graph(n, n)[1])
 
     @pytest.mark.parametrize("n,m,user_penalty", [
         (2, 2, None), (3, 3, None), (4, 4, None), (2, 3, None), (3, 4, "random"),
@@ -106,7 +111,7 @@ class TestLevelGraph:
         elif user_penalty == "distinct":  # one level per string
             doc["penalty"] = list(range(n**m))
         inst = load_instance(doc)
-        g = level_graph(level_sets(inst), n, m)
+        g = level_graph(level_sets(inst), inst.penalty)
         index = {z: i for i, z in enumerate(canonical_strings(n, m))}
         counts = brute_relabel_pairs(n, m, lambda z: int(inst.penalty[index[z]]))
         sizes = collections.Counter(int(t) for t in inst.penalty)
@@ -220,8 +225,8 @@ class TestFeasibilityBound:
             sep = delta_feasible(gamma, ls)
             env = random_envelope(rng, inst.size)
             weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
-            exact = weights[ls.levels[0]].sum() / weights.sum()
-            c_f = env.probs[ls.levels[0]].sum()
+            exact = weights[inst.feasible_indices()].sum() / weights.sum()
+            c_f = env.probs[inst.feasible_indices()].sum()
             fb = feasibility_bound(p, c_f, sep.delta)
             assert fb.simple <= fb.tight <= exact + 1e-12
 
@@ -272,6 +277,57 @@ class TestInvariantSector:
             for ki in keys
         ])
         assert np.array_equal(b, expected_b)
+
+
+SECTOR_SHAPES = [(n, m) for n in range(1, 7) for m in range(1, 7) if n**m <= 50000]
+
+
+class TestSectorAgreement:
+    """The combinatorial sector build against enumeration of the n**m
+    strings, and the sector feasibility stage against the statevector."""
+
+    @pytest.mark.parametrize("n,m", SECTOR_SHAPES)
+    def test_build_matches_enumeration(self, n, m):
+        basis, a, b = sector_by_enumeration(n, m)
+        assert invariant_sector_basis(n, m) == basis
+        sector_a, sector_b = invariant_sector_generators(n, m)
+        assert np.array_equal(sector_a, a) and np.array_equal(sector_b, b)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pi_f_matches_statevector(self, n):
+        inst = assignment_instance(n)
+        pi_f, t_max = _sector_feasibility(n, n)
+        assert t_max == inst.t_max()
+        rng = np.random.default_rng(900 + n)
+        for p in range(4):
+            for _ in range(20):
+                gammas = rng.uniform(-math.pi, math.pi, size=p)
+                betas = rng.uniform(0.0, 2.0 * math.pi, size=p)
+                state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
+                expected = oracle.projector_mass(state, inst.feasible_indices())
+                assert abs(pi_f(gammas, betas) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_levels_match_statevector(self, n):
+        inst = assignment_instance(n)
+        ls = level_sets(inst)
+        graph = level_graph(ls, inst.penalty)
+        sector_ls, sector_graph = sector_level_graph(n, n)
+        assert sector_ls.histogram() == ls.histogram()
+        assert sector_ls.active == ls.active
+        assert sector_graph.vertices == graph.vertices
+        assert sector_graph.edges == graph.edges
+        assert sector_graph.couplings == graph.couplings
+
+    @pytest.mark.parametrize("gammas, betas, named", [
+        ([1e308], [0.3], "cost angle 1e+308"),
+        ([0.3], [1e308], "mixer angle 1e+308"),
+        ([0.3], [math.nan], "mixer angle nan"),
+    ])
+    def test_sector_keeps_statevector_checks(self, gammas, betas, named):
+        pi_f, _ = _sector_feasibility(3, 3)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            pi_f(gammas, betas)
 
 
 class TestLieClosure:

@@ -100,6 +100,21 @@ class TestPenalty:
         inst = load_instance({"n": 2, "m": 2, "energy": [0] * 4})
         assert inst.penalty[string_index((0, 0), inst.n)] == 2
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 2), (3, 3), (2, 4), (4, 2), (3, 5),
+                                     (5, 5)])
+    def test_table_matches_per_string_penalty(self, n, m):
+        table = collision_penalty_table(n, m)
+        assert table.dtype == np.int64
+        assert table.tolist() == [collision_penalty(index_string(i, n, m), n)
+                                  for i in range(n**m)]
+
+    def test_default_penalty_recorded_only_when_loader_supplies_it(self):
+        square = {"n": 3, "m": 3, "energy": [0] * 27}
+        assert load_instance(square).default_penalty
+        table = collision_penalty_table(3, 3).tolist()
+        assert not load_instance({**square, "penalty": table}).default_penalty
+        assert not load_instance({"n": 2, "m": 3, "energy": [0] * 8}).default_penalty
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_zero_iff_permutation_exhaustive(self, n):
         for z in itertools.product(range(n), repeat=n):

@@ -22,9 +22,6 @@ UNCALLED_ALLOWED = {
     "order_reduction",
     "overlap_feasibility_floor",
     "second_eigenvalue",
-    # the invariant sector, which the sector-reduced feasibility stage will use
-    "invariant_sector_basis",
-    "invariant_sector_generators",
     # access to the shipped schemas
     "load_schema",
     # the matrix view of the runtime mixer coefficients
