@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("--instance", required=True)
             p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                           help="enumeration cap on n**m (default %(default)s)")
+                           help="cap on the largest table a path allocates: n**m, or the "
+                                "orbit-sector dimension (default %(default)s)")
         return p
 
     certify = command("certify", "end-to-end success certificate for an instance")
@@ -321,13 +322,15 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
-    if inst.default_penalty:
+    if inst.default_penalty:  # the orbit sector reads neither n**m table
+        feas.sector_dimension(inst.n, inst.m, inst.cap)
         ls, graph = feas.sector_level_graph(inst.n, inst.m)
     else:
         ls = feas.level_sets(inst)
         graph = feas.level_graph(ls, inst.penalty)
     sep = feas.delta_feasible(args.gamma, ls)
-    c_f = float(ls.size_of(0)) / inst.size if 0 in ls.sizes else 0.0
+    # exact int/int division: n**m reaches 2**64 at 16x16
+    c_f = ls.size_of(0) / inst.size if 0 in ls.sizes else 0.0
 
     if sep.delta > 0.0 and c_f > 0.0:
         bounds = {
@@ -442,8 +445,13 @@ def main(argv=None) -> int:
     _to_radians(args)
     handler = _HANDLERS[args.command]
     try:
+        if "seed" in args and not 0 <= args.seed < 2**63:
+            raise ValueError(f"--seed {args.seed} must lie in [0, 2**63)")
         if "instance" in args:
-            code, outputs = handler(args, load_instance_file(args.instance, cap=args.cap))
+            inst = load_instance_file(args.instance, cap=args.cap)
+            if args.command != "feasibility":  # it bounds its own tables
+                inst.checked_size()
+            code, outputs = handler(args, inst)
         else:
             code, outputs = handler(args)
         for path, text in outputs:

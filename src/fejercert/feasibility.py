@@ -24,6 +24,7 @@ import numpy as np
 from . import oracle
 from .instance import (
     PHASE_COLLISION_TOL,
+    CapExceededError,
     ProblemInstance,
     check_phase,
     circular_distance,
@@ -276,6 +277,20 @@ def _partitions(m: int, parts: int, largest: int):
                 yield (first,) + rest
 
 
+def sector_dimension(n: int, m: int, cap: int) -> int:
+    """The number of partitions of m into at most n parts, the dimension of
+    the invariant sector, or CapExceededError once it exceeds cap; at most
+    cap + 1 partitions are generated."""
+    dim = 0
+    for _ in _partitions(m, n, m):
+        dim += 1
+        if dim > cap:
+            raise CapExceededError(
+                f"sector dimension (partitions of m = {m} into at most n = {n} parts) "
+                f"exceeds enumeration cap {cap}")
+    return dim
+
+
 def invariant_sector_basis(n: int, m: int) -> SectorBasis:
     """The group orbits of [n]^m, built from the partitions of m without
     enumerating the strings.
@@ -377,28 +392,36 @@ class AngleSearchResult:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# restart schedules evaluated together; bounds the batch's memory for any budget
+_RESTART_BATCH = 256
 
 
 def _statevector_feasibility(inst: ProblemInstance) -> tuple:
-    """The feasibility probability of a schedule from the statevector, and
-    the largest penalty level."""
+    """The feasibility probabilities of a batch of schedules, one per row of
+    the (K, p) angle arrays, from one statevector run each, and the largest
+    penalty level."""
     feasible = inst.feasible_indices()
 
-    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> float:
-        state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
-        return oracle.projector_mass(state, feasible)
+    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        return np.array([
+            oracle.projector_mass(oracle.simulate(inst, g, b, cost_table=inst.penalty), feasible)
+            for g, b in zip(gammas, betas)
+        ])
 
     return pi_f, inst.t_max()
 
 
 def _sector_feasibility(n: int, m: int) -> tuple:
-    """The feasibility probability of a schedule under the collision penalty,
-    from the invariant sector, and the largest penalty level.
+    """The feasibility probabilities of a batch of schedules under the
+    collision penalty, one per row of the (K, p) angle arrays, from the
+    invariant sector, and the largest penalty level.
 
     The uniform start state has amplitude sqrt(|orbit| / n**m) on each
-    normalized orbit vector; a layer multiplies by exp(-i gamma A) and then
-    by exp(-i beta B) from one eigendecomposition of B.  The checks are those
-    of ``oracle.simulate``: finite cost and block phases and a unit norm.
+    normalized orbit vector; a layer multiplies every row by
+    exp(-i gamma A) and then by exp(-i beta B) from one eigendecomposition
+    of B, as one (K x dim) product.  The checks are those of
+    ``oracle.simulate``: finite cost and block phases and a unit norm of
+    every row.
     """
     basis = invariant_sector_basis(n, m)
     a, b = invariant_sector_generators(n, m)
@@ -409,16 +432,18 @@ def _sector_feasibility(n: int, m: int) -> tuple:
     start = np.sqrt(np.asarray(basis.sizes, dtype=float) / n**m).astype(complex)
     feasible = basis.penalties.index(0)  # the permutations, as m = n
 
-    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> float:
-        for gamma in gammas:
-            check_phase(gamma, penalty)
-        psi = start
-        for gamma, beta in zip(gammas, betas):
-            check_block_phase(n, beta)
-            psi = np.exp(-1j * gamma * penalty) * psi
-            psi = vectors @ (np.exp(-1j * beta * mixer_phases) * (inverse @ psi))
+    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        # the largest |angle| bounds every phase of the batch; a NaN angle
+        # makes it NaN, which fails the check
+        check_phase(float(np.abs(gammas).max(initial=0.0)), penalty)
+        check_block_phase(n, float(np.abs(betas).max(initial=0.0)))
+        psi = np.broadcast_to(start, (len(gammas), start.size))
+        for layer in range(gammas.shape[1]):
+            psi = np.exp(-1j * gammas[:, layer, None] * penalty) * psi
+            # row form of V diag(exp(-i beta lambda)) V^T psi
+            psi = (np.exp(-1j * betas[:, layer, None] * mixer_phases) * (psi @ vectors)) @ inverse
         oracle.check_norm(psi)
-        return float(abs(psi[feasible]) ** 2)
+        return np.abs(psi[:, feasible]) ** 2
 
     return pi_f, max(basis.penalties)
 
@@ -445,14 +470,14 @@ def feasibility_angle_search(
                    else _statevector_feasibility(inst))
     evaluations = 0
 
-    def evaluate(x: np.ndarray) -> float:
-        # x holds the p cost angles, then the p mixer angles
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        # each row of x holds p cost angles, then p mixer angles
         nonlocal evaluations
-        evaluations += 1
-        return pi_f(x[:p], x[p:])
+        evaluations += len(x)
+        return pi_f(x[:, :p], x[:, p:])
 
     best_x = np.zeros(2 * p)
-    best = evaluate(best_x)
+    best = evaluate(best_x[None])[0]
 
     if p > 0 and t_max > 0:
         rng = np.random.default_rng(seed)
@@ -464,12 +489,16 @@ def feasibility_angle_search(
                 if resonance_distance(inst.n, beta) > 1e-6:
                     return beta
 
+        # Random restarts, drawn one schedule at a time in stream order and
+        # evaluated in batches; strict > keeps the first maximum.
         while evaluations < budget // 2:
-            gammas = rng.uniform(0.0, upper[0], size=p)
-            x = np.concatenate([gammas, [draw_beta() for _ in range(p)]])
-            value = evaluate(x)
-            if value > best:
-                best, best_x = value, x
+            rows = min(_RESTART_BATCH, budget // 2 - evaluations)
+            x = np.array([np.concatenate([rng.uniform(0.0, upper[0], size=p),
+                                          [draw_beta() for _ in range(p)]])
+                          for _ in range(rows)])
+            for row, value in zip(x, evaluate(x)):
+                if value > best:
+                    best, best_x = value, row
 
         # Coordinate refinement: golden-section on each angle in turn.
         for j, hi in enumerate(upper):
@@ -480,7 +509,7 @@ def feasibility_angle_search(
             def coord_eval(val: float) -> float:
                 x = best_x.copy()
                 x[j] = val
-                return evaluate(x)
+                return evaluate(x[None])[0]
 
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
@@ -502,7 +531,7 @@ def feasibility_angle_search(
     return AngleSearchResult(
         gammas=tuple(float(v) for v in best_x[:p]),
         betas=tuple(float(v) for v in best_x[p:]),
-        pi_f=best,
+        pi_f=float(best),
         evaluations=evaluations,
         seed=seed,
     )

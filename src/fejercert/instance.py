@@ -12,6 +12,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +32,8 @@ BlockString = tuple
 
 
 class CapExceededError(ValueError):
-    """n**m exceeds the configured enumeration cap."""
+    """A table a path would allocate, n**m strings or the sector dimension,
+    exceeds the configured enumeration cap."""
 
 
 class InstanceFormatError(ValueError):
@@ -63,12 +65,6 @@ def index_string(index: int, n: int, m: int) -> BlockString:
         index, r = divmod(index, n)
         out.append(r)
     return tuple(out)
-
-
-def enumerate_strings(n: int, m: int) -> np.ndarray:
-    """All block strings in canonical order, shape (n**m, m)."""
-    idx = np.arange(n**m)
-    return np.stack([(idx // n**b) % n for b in range(m)], axis=1)
 
 
 def format_string(z: Iterable[int]) -> str:
@@ -115,42 +111,66 @@ def collision_penalty_table(n: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Lattice-normalized instance: integer energies and penalties over [n]^m.
+    """Lattice-normalized instance over [n]^m, holding what the document gave.
 
-    ``energy`` holds dimensionless lattice energies E(z); the physical energy
-    is ``lattice_scale * E(z)``.  ``penalty`` holds nonnegative integers whose
-    zero set is the feasible set L_0.  ``default_penalty`` marks the m = n
-    collision table that the loader supplies when the document gives no
-    penalty; the feasibility stage then works in the orbit sector.
+    ``terms`` holds the lattice energies: a dense table of length n**m, or the
+    (m, n) integer matrix of an assignment generator whose entries along a
+    string add up to its energy, E(z) = sum_b terms[b, z_b].  Row 0 holds
+    the energies of the strings that leave blocks 1..m-1 at symbol 0, and
+    row b > 0 the change from moving block b off symbol 0, so every partial
+    sum over rows 0..b is itself an energy.  ``given_penalty`` is the
+    document's penalty table, or None for the loader's default: the
+    collision table when m = n (``default_penalty``), all-zero otherwise.
+
+    The n**m tables ``energy`` and ``penalty`` are built on first read,
+    after n**m is checked against ``cap``; the physical energy is
+    ``lattice_scale * E(z)``.
     """
 
     n: int
     m: int
-    energy: np.ndarray
-    penalty: np.ndarray
+    terms: np.ndarray
+    given_penalty: np.ndarray | None = None
     lattice_scale: float = 1.0
-    default_penalty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise InstanceFormatError("n and m must be positive integers")
-        size = self.size
-        if self.energy.shape != (size,):
-            raise InstanceFormatError(
-                f"energy table has shape {self.energy.shape}, expected ({size},)"
-            )
-        if self.penalty.shape != (size,):
-            raise InstanceFormatError(
-                f"penalty table has shape {self.penalty.shape}, expected ({size},)"
-            )
-        if np.any(self.penalty < 0):
-            raise InstanceFormatError("penalty values must be nonnegative")
-        if not 0.0 < self.lattice_scale < math.inf:
-            raise InstanceFormatError("lattice_scale must be finite and positive")
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     @property
     def size(self) -> int:
         return self.n**self.m
+
+    @property
+    def default_penalty(self) -> bool:
+        """Whether the penalty is the loader's m = n collision table, under
+        which the feasibility stage works in the orbit sector."""
+        return self.given_penalty is None and self.m == self.n
+
+    def checked_size(self) -> int:
+        """n**m, or CapExceededError when it exceeds the cap; called before
+        anything of that size is allocated."""
+        return capped_size(self.n, self.m, self.cap)
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Lattice energies E(z) in canonical order, as int64."""
+        self.checked_size()
+        if self.terms.ndim == 1:
+            return self.terms
+        # each pass puts block b in front of the faster blocks 0..b-1
+        table = self.terms[0]
+        for row in self.terms[1:]:
+            table = (row[:, None] + table).reshape(-1)
+        return table
+
+    @cached_property
+    def penalty(self) -> np.ndarray:
+        """Nonnegative integer penalties in canonical order, zero exactly on
+        the feasible set L_0."""
+        if self.given_penalty is not None:
+            return self.given_penalty
+        size = self.checked_size()
+        if self.default_penalty:
+            return collision_penalty_table(self.n, self.m)
+        return np.zeros(size, dtype=np.int64)
 
     def feasible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.penalty == 0)
@@ -189,17 +209,61 @@ def _to_integers(values: np.ndarray, what: str) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def _assignment_terms(cost: np.ndarray, lattice_scale: float, what: str) -> np.ndarray:
+    """The integer terms of an assignment cost matrix (see ProblemInstance),
+    validated in O(mn) without the n**m sums.
+
+    The largest and smallest energies are the sums of the row maxima and
+    minima; as float rounding is monotone, every string's energy summed in
+    the same order lies between them, so the magnitude limit is checked on
+    these two (and on each entry c / s, so that its integer part is an
+    int64).  Each c / s splits exactly into an integer and a fraction; the
+    base sum_b frac[b, 0] and the row offsets frac[b, j] - frac[b, 0] must
+    each lie within INTEGRALITY_TOL / (m + 1) of an integer, so that every
+    energy lies within INTEGRALITY_TOL of its integer.  The integer parts
+    are added in int64 and Python ints, so the table is exact where a float
+    sum of large costs would round.
+    """
+    m = cost.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        highest = cost.max(axis=1).sum() / lattice_scale
+        lowest = cost.min(axis=1).sum() / lattice_scale
+        lattice = cost / lattice_scale
+    # positive conditions, so that NaN and inf fail them
+    if not (abs(highest) < LATTICE_LIMIT and abs(lowest) < LATTICE_LIMIT
+            and np.all(np.abs(lattice) < LATTICE_LIMIT)):
+        raise InstanceFormatError(f"{what} must be finite and below 2**62 in magnitude")
+    whole = np.round(lattice)
+    frac = lattice - whole  # exact: below 2**52 by Sterbenz, zero above
+    offsets = frac - frac[:, :1]
+    base = math.fsum(frac[:, 0])
+    tol = INTEGRALITY_TOL / (m + 1)
+    if abs(base - round(base)) > tol or np.max(np.abs(offsets - np.round(offsets))) > tol:
+        raise InstanceFormatError(f"non-integral {what}")
+    terms = whole.astype(np.int64) + np.round(offsets).astype(np.int64)
+    # move the symbol-0 terms of blocks 1..m-1 and the base into row 0
+    shift = sum(terms[1:, 0].tolist()) + round(base)
+    terms[1:] -= terms[1:, :1]
+    terms[0] += shift
+    return terms
+
+
 def load_instance(
     document: Mapping, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ProblemInstance:
-    """Materialize a ProblemInstance from a parsed instance document.
+    """Read a ProblemInstance from a parsed instance document.
 
     The document provides ``n``, ``m`` and either a dense ``energy`` array of
     length n**m or an ``assignment`` generator with an m-by-n cost matrix.
     Energies are divided by ``lattice_scale`` (default 1) and must come out
     integral.  Every number must be finite, and lattice energies and
-    penalties must stay below LATTICE_LIMIT in magnitude.  A missing ``penalty`` defaults to the column-collision table
-    when m = n and to all-zero (everything feasible) otherwise.
+    penalties must stay below LATTICE_LIMIT in magnitude.  A missing
+    ``penalty`` defaults to the column-collision table when m = n and to
+    all-zero (everything feasible) otherwise.
+
+    A dense ``energy`` or ``penalty`` array is an n**m table in hand, so
+    n**m is checked against ``cap`` here; otherwise the instance checks it
+    when a table is first read.
     """
     unknown = set(document) - {"n", "m", "energy", "generator", "penalty", "lattice_scale"}
     if unknown:
@@ -210,7 +274,8 @@ def load_instance(
     n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise InstanceFormatError("n and m must be positive integers")
-    size = capped_size(n, m, cap)
+    if "energy" in document or "penalty" in document:
+        size = capped_size(n, m, cap)
 
     lattice_scale = document.get("lattice_scale", 1.0)
     if not (_is_number(lattice_scale, numbers.Real)
@@ -223,12 +288,14 @@ def load_instance(
     if has_energy == has_generator:
         raise InstanceFormatError("provide exactly one of 'energy' or 'generator'")
 
+    what = f"lattice energies after dividing by lattice_scale={lattice_scale}"
     if has_energy:
         energy = _float_array(document["energy"], "energy")
         if energy.shape != (size,):
             raise InstanceFormatError(
                 f"energy array has length {energy.size}, expected n**m = {size}"
             )
+        terms = _to_integers(energy / lattice_scale, what)
     else:
         gen = document["generator"]
         if not isinstance(gen, Mapping) or gen.get("kind") != "assignment":
@@ -238,14 +305,9 @@ def load_instance(
             raise InstanceFormatError(
                 f"assignment cost matrix has shape {cost.shape}, expected ({m}, {n})"
             )
-        strings = enumerate_strings(n, m)
-        energy = cost[np.arange(m)[None, :], strings].sum(axis=1)
+        terms = _assignment_terms(cost, lattice_scale, what)
 
-    energy = _to_integers(
-        energy / lattice_scale,
-        f"lattice energies after dividing by lattice_scale={lattice_scale}",
-    )
-
+    penalty = None
     if "penalty" in document:
         penalty = _float_array(document["penalty"], "penalty")
         if penalty.shape != (size,):
@@ -253,13 +315,11 @@ def load_instance(
                 f"penalty array has length {penalty.size}, expected n**m = {size}"
             )
         penalty = _to_integers(penalty, "penalty values")
-    elif m == n:
-        penalty = collision_penalty_table(n, m)
-    else:
-        penalty = np.zeros(size, dtype=np.int64)
+        if np.any(penalty < 0):
+            raise InstanceFormatError("penalty values must be nonnegative")
 
-    return ProblemInstance(n=n, m=m, energy=energy, penalty=penalty, lattice_scale=lattice_scale,
-                           default_penalty=m == n and "penalty" not in document)
+    return ProblemInstance(n=n, m=m, terms=terms, given_penalty=penalty,
+                           lattice_scale=lattice_scale, cap=cap)
 
 
 def _is_number(value, kind: type) -> bool:

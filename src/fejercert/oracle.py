@@ -46,11 +46,13 @@ class EncodedState:
 
 
 def check_norm(amplitudes: np.ndarray) -> None:
-    """Reject a state vector whose norm deviates from 1 beyond NORM_TOL."""
-    norm = float(np.linalg.norm(amplitudes))
+    """Reject a state vector, or a stack of them along the last axis, whose
+    norm deviates from 1 beyond NORM_TOL."""
+    norms = np.linalg.norm(amplitudes, axis=-1)
     # a positive condition, so that a NaN norm fails it
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(f"state norm {float(norms[bad].flat[0])} deviates from 1 beyond tolerance")
 
 
 def initial_state(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EncodedState:
@@ -105,16 +107,16 @@ def simulate(
     """Alternate cost and mixer layers from the uniform initial state.
 
     ``cost_table`` defaults to the instance energies; pass the penalty table
-    to drive the feasibility stage.  The instance already holds n**m-entry
-    tables, so the state is not capped again.  Every cost phase gamma * E(z)
-    must be finite; the schedule is checked once, before the first layer.
+    to drive the feasibility stage.  The state is capped like the instance's
+    tables.  Every cost phase gamma * E(z) must be finite; the schedule is
+    checked once, before the first layer.
     """
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
     energies = inst.energy if cost_table is None else np.asarray(cost_table)
     for gamma in gammas:
         check_phase(gamma, energies)
-    state = initial_state(inst.n, inst.m, cap=inst.size)
+    state = initial_state(inst.n, inst.m, cap=inst.cap)
     for gamma, beta in zip(gammas, betas):
         state = apply_cost(state, energies, gamma)
         state = apply_mixer(state, beta)

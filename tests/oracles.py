@@ -4,6 +4,11 @@ path, so they live with the tests (and only they need scipy).
 
 - ``string_index``: the canonical index of a block string, the inverse of
   ``fejercert.instance.index_string``;
+- ``enumerate_strings``: all n**m block strings as an (n**m, m) matrix, the
+  reference for the broadcast build of the assignment energy table;
+- ``assignment_energy_by_enumeration``: the assignment energy table as a
+  float sum over every string, validated string by string, the reference
+  for the O(mn) validation rule;
 - ``block_unitary_expm``: scaling-and-squaring exponential of the block
   generator, independent of the rank-one closed form;
 - ``dephased_reference``: exact diagonal of the dephased layer dynamics via
@@ -22,6 +27,9 @@ path, so they live with the tests (and only they need scipy).
 - ``sector_by_enumeration``: the invariant-sector orbits and generators
   found by enumerating all n**m strings and their relabel pairs, the
   reference for the combinatorial sector build;
+- ``sector_feasibility_rowwise``: the invariant-sector feasibility
+  probability of one schedule at a time, the reference for the batched
+  restart evaluator;
 - ``lie_closure_dim``: numeric dimension of the Lie algebra generated by the
   invariant-sector generators, a probe and never a proof;
 - ``envelope_csv_rowwise``, ``filtered_law_csv_rowwise``,
@@ -39,17 +47,23 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from fejercert.feasibility import SectorBasis, _relabel_pair_counts
+from fejercert.feasibility import (
+    SectorBasis,
+    _relabel_pair_counts,
+    invariant_sector_basis,
+    invariant_sector_generators,
+)
 from fejercert.fejer import fejer_kernel
 from fejercert.instance import (
     ProblemInstance,
+    _to_integers,
+    check_phase,
     collision_penalty,
-    enumerate_strings,
     format_string,
     index_string,
 )
-from fejercert.mixer import Envelope
-from fejercert.oracle import block_unitary
+from fejercert.mixer import Envelope, check_block_phase
+from fejercert.oracle import block_unitary, check_norm
 from fejercert.rl import DitherWindow, RLLaw, energy_gap
 
 LIE_CLOSURE_TOL = 1e-9
@@ -62,6 +76,21 @@ def string_index(z: Sequence[int], n: int) -> int:
     for b in reversed(range(len(z))):
         idx = idx * n + int(z[b])
     return idx
+
+
+def enumerate_strings(n: int, m: int) -> np.ndarray:
+    """All block strings in canonical order, shape (n**m, m)."""
+    idx = np.arange(n**m)
+    return np.stack([(idx // n**b) % n for b in range(m)], axis=1)
+
+
+def assignment_energy_by_enumeration(cost: np.ndarray, lattice_scale: float) -> np.ndarray:
+    """The int64 lattice energies of an assignment cost matrix, summed in
+    float over all n**m strings and checked per string; raises
+    InstanceFormatError for a non-integral or oversized energy."""
+    m, n = cost.shape
+    energy = cost[np.arange(m)[None, :], enumerate_strings(n, m)].sum(axis=1)
+    return _to_integers(energy / lattice_scale, "lattice energies")
 
 
 def block_unitary_expm(n: int, beta: float, normalized: bool = False) -> np.ndarray:
@@ -317,6 +346,33 @@ def sector_by_enumeration(n: int, m: int) -> tuple:
     b[src, dst] = pairs
     weights = np.asarray(basis.sizes, dtype=float)
     return basis, a, b / np.sqrt(np.outer(weights, weights))
+
+
+def sector_feasibility_rowwise(n: int, m: int) -> Callable:
+    """The feasibility probability of one schedule (p cost angles, p mixer
+    angles) under the collision penalty, from the invariant sector: each
+    angle checked on its own, each layer a matrix-vector product."""
+    basis = invariant_sector_basis(n, m)
+    a, b = invariant_sector_generators(n, m)
+    penalty = np.diag(a)
+    mixer_phases, vectors = np.linalg.eigh(b)
+    vectors = vectors.astype(complex)
+    inverse = vectors.T.copy()
+    start = np.sqrt(np.asarray(basis.sizes, dtype=float) / n**m).astype(complex)
+    feasible = basis.penalties.index(0)
+
+    def pi_f(gammas: Sequence[float], betas: Sequence[float]) -> float:
+        for gamma in gammas:
+            check_phase(gamma, penalty)
+        psi = start
+        for gamma, beta in zip(gammas, betas):
+            check_block_phase(n, beta)
+            psi = np.exp(-1j * gamma * penalty) * psi
+            psi = vectors @ (np.exp(-1j * beta * mixer_phases) * (inverse @ psi))
+        check_norm(psi)
+        return float(abs(psi[feasible]) ** 2)
+
+    return pi_f
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -304,6 +305,28 @@ class TestFeasibilityCommand:
                     "--search-order", "1", "--budget", "3", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["search"]["evaluations"] == 3
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_c_f_is_exact_ratio(self, n, tmp_path):
+        # the value n!/n**n had before it became an int/int division
+        inst = write_instance(tmp_path / "i.json", TestFeasibilityRoute.square_doc(n))
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", inst, "--gamma", "0.1", "--no-search",
+                    "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["c_f"] == float(math.factorial(n)) / n**n
+
+    def test_sixteen_blocks_without_cap(self, tmp_path):
+        rng = np.random.default_rng(1616)
+        doc = {"n": 16, "m": 16,
+               "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (16, 16)).tolist()}}
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                    "--gamma", "0.1", "--seed", "7", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sum(report["levels"].values()) == 16**16
+        assert report["c_f"] == math.factorial(16) / 16**16
+        assert report["search"]["evaluations"] <= 200
+        assert report["search"]["pi_f"] >= math.factorial(16) / 16**16 - 1e-12
+
     def test_penalty_phase_collision_exit(self, qap_instance, tmp_path):
         out = tmp_path / "feas.json"
         code = run(["feasibility", "--instance", qap_instance, "--gamma", str(math.pi),
@@ -378,6 +401,92 @@ class TestFeasibilityRoute:
                                   tmp_path / "feas.json")
         assert report["levels"] == {"0": 6, "4": 18, "12": 3}
         assert report["search"]["pi_f"] >= 6 / 27 - 1e-12
+
+
+SIX = {"n": 6, "m": 6, "generator": {"kind": "assignment",
+                                      "cost": [[(i * j) % 7 for j in range(6)] for i in range(6)]}}
+
+
+class TestCapOnEveryPath:
+    """--cap bounds the largest table a path allocates: n**m on the dense
+    paths, the orbit-sector dimension on the default-penalty feasibility
+    path.  A 6x6 instance (46656 strings) under the default cap of 4096."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--gamma", "0.3", "-p", "2"],
+        ["certify", "--gamma", "0.3", "-p", "2", "--law-output", "LAW"],
+        ["certify", "--gamma", "0.3", "-p", "2", "--envelope", "ENV"],
+        ["rl", "--gamma", "0.3", "-p", "2", "--half-width", "0.2", "--samples", "5"],
+        ["envelope", "--betas", "0.4"],
+        ["envelope", "--v0", "ENV"],
+        ["simulate", "--gammas", "0.3", "--betas", "0.5"],
+        ["simulate", "--gammas", "", "--betas", "", "--shots", "10"],
+    ], ids=["certify", "certify_law", "certify_envelope", "rl", "envelope", "envelope_v0",
+            "simulate", "simulate_no_layers"])
+    def test_dense_paths_exit_4_without_output(self, argv, tmp_path, capsys):
+        uniform = write_instance(tmp_path / "env.json", [1 / 6**6] * 6**6)
+        names = {"LAW": str(tmp_path / "law.csv"), "ENV": uniform}
+        argv = [names.get(a, a) for a in argv]
+        out = tmp_path / "out.json"
+        assert run(argv[:1] + ["--instance", write_instance(tmp_path / "six.json", SIX)]
+                   + argv[1:] + ["-o", str(out)]) == 4
+        assert "n**m = 6**6 exceeds enumeration cap 4096" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "six.json"]
+
+    @pytest.mark.parametrize("doc", [
+        {**SIX, "penalty": [0] * 6**6},
+        {"n": 6, "m": 7, "generator": {"kind": "assignment", "cost": [[0] * 6] * 7}},
+    ], ids=["document_penalty", "non_square"])
+    @pytest.mark.parametrize("search", [[], ["--no-search"]], ids=["search", "no_search"])
+    def test_dense_feasibility_exits_4(self, doc, search, tmp_path, capsys):
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                    "--gamma", "0.1", *search, "-o", str(out)]) == 4
+        assert "exceeds enumeration cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_penalty_feasibility_runs_past_cap(self, tmp_path):
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "six.json", SIX),
+                    "--gamma", "0.1", "--no-search", "-o", str(out)]) == 0
+        assert sum(json.loads(out.read_text())["levels"].values()) == 6**6
+
+    @pytest.mark.parametrize("cap,code", [(76, 4), (77, 0)])
+    @pytest.mark.parametrize("search", [[], ["--no-search"]], ids=["search", "no_search"])
+    def test_sector_dimension_bounded_by_cap(self, cap, code, search, tmp_path, capsys):
+        # 12x12 has 77 orbits, the partitions of 12
+        doc = {"n": 12, "m": 12, "generator": {"kind": "assignment", "cost": [[0] * 12] * 12}}
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                    "--gamma", "0.1", "--budget", "20", *search, "--cap", str(cap),
+                    "-o", str(out)]) == code
+        if code == 4:
+            assert "sector dimension" in capsys.readouterr().err
+            assert not out.exists()
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", ["-3", str(2**63)])
+    @pytest.mark.parametrize("argv", [
+        ["feasibility", "--gamma", "0.5", "--search-order", "0"],
+        ["feasibility", "--gamma", "0.5", "--search-order", "1"],
+        ["feasibility", "--gamma", "0.5", "--no-search"],
+        ["rl", "--gamma", "0.5", "-p", "2", "--half-width", "0.2", "--samples", "5"],
+        ["simulate", "--gammas", "0.3", "--betas", "0.5", "--shots", "10"],
+        ["simulate", "--gammas", "0.3", "--betas", "0.5"],
+    ], ids=["feasibility_order0", "feasibility_order1", "feasibility_nosearch", "rl",
+            "simulate_shots", "simulate"])
+    def test_out_of_range_seed_exits_2(self, argv, seed, qap_instance, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run(argv[:1] + ["--instance", qap_instance] + argv[1:]
+                   + ["--seed", seed, "-o", str(out)]) == 2
+        assert f"--seed {seed} must lie in [0, 2**63)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, qap_instance, tmp_path):
+        out = tmp_path / "out.json"
+        assert run(["feasibility", "--instance", qap_instance, "--gamma", "0.5", "--budget", "10",
+                    "--seed", str(2**63 - 1), "-o", str(out)]) == 0
 
 
 class TestRLCommand:
@@ -728,7 +837,7 @@ class TestFeasibilitySearchProperty:
                          "--gamma", "0.5", f"--search-order={order}", f"--budget={budget}",
                          f"--seed={seed}", "-o", str(out)])
             assert code in (0, 2, 3)
-            if order > 2**53:
+            if order > 2**53 or not 0 <= seed < 2**63:
                 assert code == 2
             if code == 2:
                 assert list(Path(tmp).iterdir()) == []

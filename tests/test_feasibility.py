@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope
-from oracles import lie_closure_dim, sector_by_enumeration
-from fejercert import collision_penalty, load_instance, oracle
+from oracles import lie_closure_dim, sector_by_enumeration, sector_feasibility_rowwise
+from fejercert import CapExceededError, collision_penalty, feasibility, load_instance, oracle
 from fejercert.feasibility import (
     _sector_feasibility,
     LevelGraph,
@@ -22,6 +22,7 @@ from fejercert.feasibility import (
     level_graph,
     level_sets,
     overlap_feasibility_floor,
+    sector_dimension,
     sector_level_graph,
 )
 from fejercert.fejer import fejer_kernel
@@ -300,12 +301,13 @@ class TestSectorAgreement:
         assert t_max == inst.t_max()
         rng = np.random.default_rng(900 + n)
         for p in range(4):
-            for _ in range(20):
-                gammas = rng.uniform(-math.pi, math.pi, size=p)
-                betas = rng.uniform(0.0, 2.0 * math.pi, size=p)
-                state = oracle.simulate(inst, gammas, betas, cost_table=inst.penalty)
+            schedules = [(rng.uniform(-math.pi, math.pi, size=p),
+                          rng.uniform(0.0, 2.0 * math.pi, size=p)) for _ in range(20)]
+            gammas, betas = (np.array(angles).reshape(20, p) for angles in zip(*schedules))
+            for (g, b), value in zip(schedules, pi_f(gammas, betas)):
+                state = oracle.simulate(inst, g, b, cost_table=inst.penalty)
                 expected = oracle.projector_mass(state, inst.feasible_indices())
-                assert abs(pi_f(gammas, betas) - expected) <= 1e-12
+                assert abs(value - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_levels_match_statevector(self, n):
@@ -327,7 +329,34 @@ class TestSectorAgreement:
     def test_sector_keeps_statevector_checks(self, gammas, betas, named):
         pi_f, _ = _sector_feasibility(3, 3)
         with pytest.raises(ValueError, match=re.escape(named)):
-            pi_f(gammas, betas)
+            pi_f(np.array([gammas]), np.array([betas]))
+
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_batched_matches_rowwise(self, n):
+        # restart-like schedules: gamma in (0, pi/t_max], beta in (0, 2pi)
+        batched, t_max = _sector_feasibility(n, n)
+        rowwise = sector_feasibility_rowwise(n, n)
+        rng = np.random.default_rng(700 + n)
+        for p in range(4):
+            gammas = rng.uniform(0.0, math.pi / t_max, size=(99, p))
+            betas = rng.uniform(0.0, 2.0 * math.pi, size=(99, p))
+            values = batched(gammas, betas)
+            expected = np.array([rowwise(g, b) for g, b in zip(gammas, betas)])
+            assert np.max(np.abs(values - expected)) <= 1e-12
+            assert np.argmax(values) == np.argmax(expected)
+
+    @pytest.mark.parametrize("n,m,dim", [(1, 1, 1), (3, 3, 3), (2, 5, 3), (5, 5, 7), (6, 6, 11),
+                                         (12, 12, 77), (16, 16, 231)])
+    def test_sector_dimension_counts_partitions(self, n, m, dim):
+        assert sector_dimension(n, m, cap=dim) == dim == invariant_sector_basis(n, m).dim
+        with pytest.raises(CapExceededError, match="sector dimension"):
+            sector_dimension(n, m, cap=dim - 1)
+
+    def test_sector_dimension_past_cap_without_enumeration(self):
+        # p(3000000) has about 1900 digits; the count stops at cap + 1
+        with pytest.raises(CapExceededError, match="exceeds enumeration cap 4096"):
+            sector_dimension(3000000, 3000000, cap=4096)
 
 
 class TestLieClosure:
@@ -390,3 +419,21 @@ class TestAngleSearch:
         inst = assignment_instance(3)
         result = feasibility_angle_search(inst, 2, budget=200, seed=3)
         assert result.pi_f > 6 / 27
+
+    @pytest.mark.parametrize("n,p,budget", [(3, 2, 200), (4, 3, 120), (5, 1, 600)])
+    def test_batched_restarts_match_rowwise_search(self, n, p, budget, monkeypatch):
+        # same draws, same first maximum: only pi_f may move, by rounding
+        inst = assignment_instance(n)
+        batched = feasibility_angle_search(inst, p, budget=budget, seed=11)
+
+        def rowwise_sector(n, m):
+            one = sector_feasibility_rowwise(n, m)
+            _, t_max = _sector_feasibility(n, m)
+            return (lambda gammas, betas: np.array([one(g, b) for g, b in zip(gammas, betas)]),
+                    t_max)
+
+        monkeypatch.setattr(feasibility, "_sector_feasibility", rowwise_sector)
+        reference = feasibility_angle_search(inst, p, budget=budget, seed=11)
+        assert (batched.gammas, batched.betas, batched.evaluations) == (
+            reference.gammas, reference.betas, reference.evaluations)
+        assert abs(batched.pi_f - reference.pi_f) <= 1e-12

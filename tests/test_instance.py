@@ -3,17 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import string_index
+from oracles import assignment_energy_by_enumeration, enumerate_strings, string_index
 from fejercert import (
     CapExceededError,
     GapScope,
     InstanceFormatError,
     collision_penalty,
     collision_penalty_table,
-    enumerate_strings,
     index_string,
     load_instance,
     phase_gap,
@@ -85,6 +84,91 @@ class TestLoadInstance:
         )
         assert inst.e_star() == 1
         assert list(inst.optimal_indices()) == [1]
+
+
+def _assignment(cost, **extra):
+    m, n = len(cost), len(cost[0])
+    return {"n": n, "m": m, "generator": {"kind": "assignment", "cost": cost}, **extra}
+
+
+@st.composite
+def _cost_shapes(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12 if n == 1 else int(math.log(4096, n) + 1e-9)))
+    return n, m
+
+
+class TestLazyTables:
+    """Assignment instances keep their m x n terms; the n**m tables are
+    built on first read, exactly and under the cap."""
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_table_matches_enumeration_in_int64(self, data):
+        n, m = data.draw(_cost_shapes())
+        # every |cost| up to 2**53 is a float exactly, but its float sums are not
+        cost = data.draw(st.lists(st.lists(st.integers(-2**53, 2**53), min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        scale = data.draw(st.sampled_from([1, 0.5]))
+        inst = load_instance(_assignment(cost, lattice_scale=scale))
+        lattice = np.array(cost, dtype=np.int64) * round(1 / scale)
+        expected = lattice[np.arange(m)[None, :], enumerate_strings(n, m)].sum(axis=1)
+        assert inst.energy.dtype == np.int64
+        assert np.array_equal(inst.energy, expected)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_rule_accepts_nothing_enumeration_rejects(self, data):
+        # integer costs plus offsets that the per-string rule tolerates,
+        # crosses, or meets only in sum; none lies at a tolerance boundary
+        n, m = data.draw(_cost_shapes().filter(lambda s: s[0] ** s[1] <= 256))
+        fractions = st.sampled_from([0.0, 1e-11, -1e-11, 3e-10, 0.5])
+        cost = data.draw(st.lists(
+            st.lists(st.builds(lambda k, f: k + f, st.integers(-1000, 1000), fractions),
+                     min_size=n, max_size=n), min_size=m, max_size=m))
+        scale = data.draw(st.sampled_from([1.0, 0.5]))
+        try:
+            expected = assignment_energy_by_enumeration(np.array(cost), scale)
+        except InstanceFormatError:
+            expected = None
+        try:
+            table = load_instance(_assignment(cost, lattice_scale=scale)).energy
+        except InstanceFormatError:
+            return
+        assert expected is not None and np.array_equal(table, expected)
+
+    def test_each_term_needs_its_share_of_the_tolerance(self):
+        # every string is within 7e-10 of an integer, which enumeration
+        # accepts, but the offset exceeds 1e-9 / (m + 1)
+        cost = [[0, 1 + 7e-10], [0, 1]]
+        assignment_energy_by_enumeration(np.array(cost), 1.0)
+        with pytest.raises(InstanceFormatError, match="non-integral"):
+            load_instance(_assignment(cost))
+        assert load_instance(_assignment([[0, 1 + 3e-10], [0, 1]])).energy.tolist() == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("cost", [[[2.0**61, 0], [2.0**61, 0]], [[0, 1e300], [1, 0]],
+                                      [[1e300], [-1e300]], [[0, math.nan]], [[0, math.inf]]])
+    def test_magnitude_limit(self, cost):
+        with pytest.raises(InstanceFormatError, match="below 2\\*\\*62"):
+            load_instance(_assignment(cost))
+
+    def test_load_forms_no_table(self):
+        doc = _assignment([[(3 * i + j) % 10 for j in range(16)] for i in range(16)])
+        inst = load_instance(doc)
+        assert inst.size == 16**16 and inst.default_penalty
+        for table in ("energy", "penalty"):
+            with pytest.raises(CapExceededError, match="n\\*\\*m = 16\\*\\*16"):
+                getattr(inst, table)
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2)])
+    def test_default_penalty_built_on_read(self, n, m):
+        inst = load_instance(_assignment([[0] * n] * m))
+        expected = collision_penalty_table(n, m) if m == n else np.zeros(n**m, dtype=np.int64)
+        assert np.array_equal(inst.penalty, expected) and inst.penalty.dtype == np.int64
+
+    def test_dense_tables_capped_at_load(self):
+        with pytest.raises(CapExceededError):
+            load_instance(_assignment([[0] * 6] * 6, penalty=[0] * 6**6))
 
 
 class TestPenalty:
