@@ -420,10 +420,11 @@ def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     if args.shots is not None:
         report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
         hits = np.flatnonzero(report.counts)
-        document["counts"] = {
-            format_string(index_string(i, inst.n, inst.m)): c
-            for i, c in zip(hits.tolist(), report.counts[hits].tolist())
-        }
+        symbols = [str(s) for s in range(inst.n)]
+        # the label of each hit from its base-n digits, block 0 first
+        blocks = [map(symbols.__getitem__, (hits // inst.n**b % inst.n).tolist())
+                  for b in range(inst.m)]
+        document["counts"] = dict(zip(map("-".join, zip(*blocks)), report.counts[hits].tolist()))
         document["success_frequency"] = report.frequency
         document["success_ci"] = [report.ci_low, report.ci_high]
     return EXIT_OK, [(args.output, serialize.dumps_json(document))]

@@ -173,7 +173,14 @@ class ProblemInstance:
         return np.zeros(size, dtype=np.int64)
 
     def feasible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.penalty == 0)
+        """Canonical indices of the feasible set L_0, read-only."""
+        return self._feasible
+
+    @cached_property
+    def _feasible(self) -> np.ndarray:
+        feasible = np.flatnonzero(self.penalty == 0)
+        feasible.flags.writeable = False
+        return feasible
 
     def e_star(self) -> int:
         """Minimum energy over the feasible set."""

@@ -151,7 +151,10 @@ def apply_block_kernel(kernel: TransitionKernel, env: Envelope, m: int) -> Envel
     mat = kernel.matrix()
     v = env.probs.reshape((n,) * m, order="F")
     for axis in range(m):
-        v = np.moveaxis(np.tensordot(mat, v, axes=([1], [axis])), 0, axis)
+        # the product np.tensordot(mat, v, axes=([1], [axis])) forms, without its overhead
+        front = v.transpose(axis, *range(axis), *range(axis + 1, m))
+        out = np.dot(mat, front.reshape(n, -1)).reshape(front.shape)
+        v = out.transpose(*range(1, axis + 1), 0, *range(axis + 1, m))
     return Envelope(np.ascontiguousarray(v.reshape(-1, order="F")))
 
 

@@ -11,19 +11,30 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import tempfile
+from collections.abc import Iterable, Mapping, Sequence
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 SCHEMA_NAMES = ("instance", "certificate", "feasibility_report", "rl_report")
+# values per run of a top-level float array, between which its memo may be cleared
+_JSON_RUN = 1024
+_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
 
 
 def json_safe(value):
     """Recursively convert numpy scalars/arrays and non-finite floats into
     JSON-serializable values."""
+    # exact JSON types return first: the Mapping test below is an ABC lookup
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else None
     if isinstance(value, Mapping):
         return {str(k): json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -44,6 +55,10 @@ def json_safe(value):
 
 
 def dumps_json(obj) -> str:
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
+            and obj.size and np.isfinite(obj).all()):
+        # the layout of json.dumps(..., indent=2), whose indenting encoder is pure Python
+        return "[\n  " + ",\n  ".join(chain.from_iterable(_float_reprs(obj, _JSON_RUN))) + "\n]\n"
     return json.dumps(json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -72,18 +87,37 @@ def string_labels(n: int, m: int) -> list:
     return labels
 
 
+class _ReprMemo(dict):
+    """repr of a float64, keyed by its bit pattern, formatted on first use."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(_DOUBLE.unpack(_INT64.pack(bits))[0])
+        return text
+
+
+def _float_reprs(column: np.ndarray, run: int):
+    """Yield the reprs of a float column as one list per run of ``run``
+    values.  Each distinct bit pattern is formatted once, so -0.0 and 0.0
+    (and NaN payloads) stay apart; the memo is cleared when it holds more
+    than one run, so it never outgrows two."""
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    memo = _ReprMemo()
+    for start in range(0, bits.size, run):
+        if len(memo) > run:
+            memo.clear()
+        yield list(map(memo.__getitem__, bits[start:start + run].tolist()))
+
+
 def _labelled_csv(header: Sequence[str], n: int, m: int, *columns: np.ndarray) -> str:
     """One row per block string: its label, then the repr of each column's
     float.  Rows go out in runs that share the slow half of the blocks, so
     only one run of labels and formatted values is alive at a time."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
     fast = string_labels(n, (m + 1) // 2)
+    runs = zip(string_labels(n, m // 2), *(_float_reprs(c, len(fast)) for c in columns))
     parts = [",".join(header)]
-    for k, slow in enumerate(string_labels(n, m // 2)):
+    for slow, *formatted in runs:
         suffix = "-" + slow if slow else ""
-        rows = slice(k * len(fast), (k + 1) * len(fast))
-        formatted = [map(repr, c[rows].tolist()) for c in columns]
-        parts.append("\n".join(map(",".join, zip((p + suffix for p in fast), *formatted))))
+        parts.append("\n".join(map(",".join, zip([p + suffix for p in fast], *formatted))))
     return "\n".join(parts) + "\n"
 
 

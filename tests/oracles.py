@@ -35,14 +35,20 @@ path, so they live with the tests (and only they need scipy).
 - ``envelope_csv_rowwise``, ``filtered_law_csv_rowwise``,
   ``rl_law_csv_rowwise`` and ``curves_csv_rowwise``: the CSV documents
   formatted row by row, one label from ``index_string`` per string, the
-  byte-identity reference for the column-wise emitters.
+  byte-identity reference for the column-wise emitters;
+- ``apply_block_kernel_tensordot``: the m-fold kernel applied one block
+  axis at a time through ``np.tensordot``, the bit-for-bit reference for
+  the direct products of ``fejercert.mixer.apply_block_kernel``;
+- ``json_safe_generic``: the JSON conversion through the generic type chain
+  alone, the reference for the exact-type early returns of
+  ``fejercert.serialize.json_safe``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -481,3 +487,31 @@ def rl_law_csv_rowwise(probs: np.ndarray, stderr: np.ndarray, n: int, m: int) ->
 def curves_csv_rowwise(rows: Iterable[Sequence[float]]) -> str:
     body = ((float(d), int(p), float(e), float(c)) for d, p, e, c in rows)
     return csv_table(("delta", "p", "epsilon", "c_min"), body)
+
+
+def json_safe_generic(value):
+    if isinstance(value, Mapping):
+        return {str(k): json_safe_generic(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe_generic(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()
+        return [json_safe_generic(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def apply_block_kernel_tensordot(mat: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
+    n = mat.shape[0]
+    v = probs.reshape((n,) * m, order="F")
+    for axis in range(m):
+        v = np.moveaxis(np.tensordot(mat, v, axes=([1], [axis])), 0, axis)
+    return np.ascontiguousarray(v.reshape(-1, order="F"))

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fejercert import collision_penalty_table, feasibility, oracle
+from fejercert import collision_penalty_table, feasibility, load_instance, oracle
 from fejercert.cli import main
+from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
 
 
@@ -515,6 +516,37 @@ class TestSimulateCommand:
         assert 0.0 <= doc["feasibility_probability"] <= 1.0
         assert sum(doc["counts"].values()) == 500
         assert doc["success_ci"][0] <= doc["success_frequency"] <= doc["success_ci"][1]
+
+    @pytest.mark.parametrize("doc", [
+        QAP_DOC,
+        {"n": 4, "m": 3, "energy": list(range(64))},
+        {"n": 12, "m": 2, "energy": [(7 * i) % 11 for i in range(144)]},
+    ], ids=["3x3", "4^3", "12^2"])
+    def test_counts_labelled_by_index_string(self, doc, tmp_path):
+        path = write_instance(tmp_path / "inst.json", doc)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", path, "--gammas", "0.3,0.6",
+                    "--betas", "0.5,0.5", "--shots", "3000", "--seed", "4",
+                    "-o", str(out)]) == 0
+        inst = load_instance(doc)
+        state = oracle.simulate(inst, [0.3, 0.6], [0.5, 0.5])
+        report = oracle.sample_shots(state.probabilities(), 3000, 4, inst.optimal_indices())
+        expected = {format_string(index_string(i, inst.n, inst.m)): int(c)
+                    for i, c in enumerate(report.counts) if c}
+        assert json.loads(out.read_text())["counts"] == expected
+
+    def test_zero_hits_interval_has_width(self, tmp_path):
+        rng = np.random.default_rng(1)
+        cost = rng.integers(0, 10, size=(6, 6)).tolist()
+        path = write_instance(tmp_path / "inst.json",
+                              {"n": 6, "m": 6, "generator": {"kind": "assignment", "cost": cost}})
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", path, "--gammas", "0.3", "--betas", "0.5",
+                    "--shots", "50", "--seed", "1", "--cap", "46656", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["success_frequency"] == 0.0
+        assert doc["success_ci"][0] == 0.0
+        assert doc["success_ci"][1] == pytest.approx(0.0713, abs=5e-5)
 
     def test_without_shots_no_counts(self, qap_instance, tmp_path):
         out = tmp_path / "sim.json"

@@ -85,6 +85,26 @@ class TestLoadInstance:
         assert inst.e_star() == 1
         assert list(inst.optimal_indices()) == [1]
 
+    def test_feasible_set_computed_once(self, monkeypatch):
+        inst = load_instance({"n": 3, "m": 3, "energy": list(range(27))})
+        scans = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flatnonzero(a))
+        feasible = inst.feasible_indices()
+        assert inst.optimal_indices().tolist() == [min(feasible.tolist())]
+        assert inst.e_star() == min(feasible.tolist())
+        assert inst.feasible_indices() is feasible
+        assert len(scans) == 1
+        assert not feasible.flags.writeable
+        assert feasible.tolist() == [i for i in range(27) if inst.penalty[i] == 0]
+
+    def test_empty_feasible_set_has_no_optimum(self):
+        inst = load_instance({"n": 2, "m": 1, "energy": [0, 1], "penalty": [1, 2]})
+        assert inst.feasible_indices().size == 0
+        for method in (inst.e_star, inst.optimal_indices):
+            with pytest.raises(ValueError, match="feasible set is empty"):
+                method()
+
 
 def _assignment(cost, **extra):
     m, n = len(cost), len(cost[0])

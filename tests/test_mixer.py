@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_envelope
-from oracles import block_unitary_expm
+from oracles import apply_block_kernel_tensordot, block_unitary_expm
 from fejercert import (
     apply_block_kernel,
     averaged_block_kernel,
@@ -151,6 +151,16 @@ class TestApplyKernel:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_block_kernel(single_block_kernel(3, 0.3), uniform_envelope(2, 2), 2)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 5), (4, 4), (3, 5), (6, 6), (16, 2),
+                                     (36, 3)])
+    def test_bits_match_tensordot(self, n, m, rng):
+        """The documents keep their bytes: the same products as np.tensordot."""
+        for beta in (0.4, 0.9, 2.9):
+            k = single_block_kernel(n, beta)
+            for env in (uniform_envelope(n, m), random_envelope(rng, n**m)):
+                out = apply_block_kernel(k, env, m).probs
+                assert out.tobytes() == apply_block_kernel_tensordot(k.matrix(), env.probs, m).tobytes()
 
 
 class TestMixerEnvelope:

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from conftest import random_envelope, random_instance
 from oracles import block_unitary_expm, dephased_reference, dirichlet_filter_oracle
@@ -20,6 +24,7 @@ from fejercert.oracle import (
     apply_cost,
     apply_mixer,
     block_unitary,
+    check_norm,
     initial_state,
     projector_mass,
     sample_shots,
@@ -205,6 +210,72 @@ class TestSampleShots:
         a = sample_shots(dist, 999, seed=7, subset=np.array([0]))
         b = sample_shots(dist, 999, seed=7, subset=np.array([0]))
         assert np.array_equal(a.counts, b.counts)
+
+    def test_wilson_interval_matches_scipy(self):
+        rng = np.random.default_rng(1927)
+        for shots in (1, 2, 7, 50, 999, 10**6, 2**40):
+            for _ in range(20):
+                dist = rng.dirichlet(np.full(6, 0.3))
+                subset = np.flatnonzero(rng.random(6) < 0.5)
+                report = sample_shots(dist, shots, seed=int(rng.integers(2**32)), subset=subset)
+                hits = int(report.counts[subset].sum())
+                ci = binomtest(hits, shots).proportion_ci(method="wilson")
+                assert report.ci_low == pytest.approx(ci.low, rel=1e-12, abs=1e-15)
+                assert report.ci_high == pytest.approx(ci.high, rel=1e-12, abs=1e-15)
+
+    def test_no_hits_keeps_a_positive_width(self):
+        report = sample_shots(np.array([0.0, 1.0]), 50, seed=1, subset=np.array([0]))
+        assert report.frequency == 0.0
+        assert report.ci_low == 0.0
+        assert report.ci_high == pytest.approx(0.0713, abs=5e-5)
+        assert report.ci_high == pytest.approx(
+            binomtest(0, 50).proportion_ci(method="wilson").high, rel=1e-12)
+
+    def test_all_hits_keeps_a_positive_width(self):
+        report = sample_shots(np.array([0.0, 1.0]), 50, seed=1, subset=np.array([1]))
+        assert report.frequency == 1.0
+        assert report.ci_high == 1.0
+        assert report.ci_low == pytest.approx(1.0 - 0.0713, abs=5e-5)
+
+    @given(shots=st.integers(1, 10**9), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_interval_contains_frequency_with_positive_width(self, shots, p, seed):
+        report = sample_shots(np.array([1.0 - p, p]), shots, seed=seed, subset=np.array([1]))
+        assert 0.0 <= report.ci_low <= report.frequency <= report.ci_high <= 1.0
+        assert report.ci_high > report.ci_low
+
+
+class TestCheckNorm:
+    @pytest.mark.parametrize("size", [1, 2, 7, 256, 4096, 46656])
+    def test_matches_linalg_norm(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1.0, 1.0 + 5e-11, 1.0 - 5e-11):
+            x = rng.normal(size=size) + 1j * rng.normal(size=size)
+            x *= scale / np.linalg.norm(x)
+            (norm,) = check_norm(x)
+            assert norm == pytest.approx(float(np.linalg.norm(x, axis=-1)), rel=1e-15)
+
+    def test_stack_checks_every_row(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        assert check_norm(stack) == pytest.approx(np.linalg.norm(stack, axis=-1), rel=1e-15)
+        stack[3] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="deviates from 1"):
+            check_norm(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(math.inf, 1.0)])
+    def test_non_finite_state_rejected(self, bad):
+        # the inner product of an infinite entry may come out inf or nan
+        x = np.full(4, 0.5, dtype=complex)
+        x[2] = bad
+        with pytest.raises(ValueError, match="state norm (nan|inf) deviates"):
+            check_norm(x)
+        # on a stack, np.linalg.norm may warn about an infinite entry first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="state norm (nan|inf) deviates"):
+                check_norm(np.stack([np.full(4, 0.5, dtype=complex), x]))
 
 
 class TestEncodedState:

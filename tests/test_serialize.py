@@ -4,17 +4,24 @@ float arrays must match the per-element path."""
 
 import json
 import math
+import struct
 import tracemalloc
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fejercert import serialize
 from fejercert.instance import format_string, index_string
 from fejercert.serialize import (
     curves_csv,
     dumps_json,
     envelope_csv,
     filtered_law_csv,
+    json_safe,
     rl_law_csv,
     string_labels,
 )
@@ -22,6 +29,7 @@ from oracles import (
     curves_csv_rowwise,
     envelope_csv_rowwise,
     filtered_law_csv_rowwise,
+    json_safe_generic,
     rl_law_csv_rowwise,
 )
 
@@ -104,3 +112,114 @@ def test_json_finite_float_array_matches_per_element_path():
 def test_json_integer_and_bool_arrays_unchanged():
     assert dumps_json(np.arange(-2, 3)) == dumps_json([-2, -1, 0, 1, 2])
     assert dumps_json(np.array([True, False])) == "[\n  true,\n  false\n]\n"
+
+
+def _nan_with_payload(payload: int) -> float:
+    return struct.unpack("d", struct.pack("q", 0x7FF8000000000000 | payload))[0]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_csv_repeated_values_byte_identical_to_rowwise(writer, n, m):
+    """Few distinct values, each repeated across runs: -0.0 next to 0.0, the
+    smallest subnormal, NaNs with different payloads and both infinities."""
+    fast, reference, count = WRITERS[writer]
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, math.nan, _nan_with_payload(7),
+                     math.inf, -math.inf, 0.1, 1e308])
+    rng = np.random.default_rng(77 * n + m)
+    columns = [pool[rng.integers(0, pool.size, size=n**m)] for _ in range(count)]
+    assert fast(*columns, n, m) == reference(*columns, n, m)
+
+
+@given(
+    pool=st.lists(st.floats(width=64), min_size=1, max_size=40),
+    shape=st.sampled_from([(1, 1), (2, 3), (3, 3), (4, 3), (2, 7)]),
+    picks=st.lists(st.integers(0, 39), min_size=3 * 128, max_size=3 * 128),
+)
+def test_csv_drawn_columns_byte_identical_to_rowwise(pool, shape, picks):
+    """Drawn columns with repeated values; pools larger than one run make
+    the memo clear and refill, and every pool holds both signed zeros."""
+    n, m = shape
+    size = n**m
+    pool = pool + [0.0, -0.0]
+    values = np.array(pool)[np.array(picks) % len(pool)]
+    a, b, c = values[:size], values[128:128 + size], values[256:256 + size]
+    assert envelope_csv(a, n, m) == envelope_csv_rowwise(a, n, m)
+    assert rl_law_csv(a, b, n, m) == rl_law_csv_rowwise(a, b, n, m)
+    assert filtered_law_csv(a, b, c, n, m) == filtered_law_csv_rowwise(a, b, c, n, m)
+
+
+def _json_reference(values: np.ndarray) -> str:
+    return json.dumps(values.tolist(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0.25],
+    [-0.0],
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1],
+    np.random.default_rng(4).normal(size=3000).tolist(),
+    np.random.default_rng(5).choice([0.5, -0.0, 0.0, 5e-324, 1e308], size=5000).tolist(),
+], ids=["empty", "one", "minus-zero", "specials", "distinct", "repeated"])
+def test_json_float64_array_matches_json_dumps(values):
+    array = np.array(values, dtype=np.float64)
+    assert dumps_json(array) == _json_reference(array)
+
+
+def test_json_fast_path_skips_json_dumps_only_for_finite_float64_vectors(monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", spy)
+    dumps_json(np.array([0.5, -0.0, 5e-324]))
+    assert calls == []
+    for value in (np.array([0.5, 1.5], dtype=np.float32), np.array([[0.5, 1.5]]),
+                  np.array([0.5, math.nan]), np.array([math.inf]), np.array([], dtype=float)):
+        calls.clear()
+        dumps_json(value)
+        assert len(calls) == 1, value
+
+
+class _Half(float):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+def _same(a, b) -> bool:
+    """Equal values of identical types, containers compared element by
+    element, and zeros of the same sign."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+@pytest.mark.parametrize("value", [
+    np.float64(1.5), np.float64(math.nan), np.float32(-math.inf), np.bool_(True),
+    np.int64(-3), (1, 2.5, "a"), (math.nan, (np.bool_(False),)),
+    OrderedDict([(2, np.float64(0.5)), ("b", (1,))]), MappingProxyType({1: math.inf}),
+    _Half(0.5), _Half(math.nan), _Count(4), _Name("x"), True, 7, "s", None,
+    math.inf, -math.inf, math.nan, -0.0, 5e-324,
+    {"a": [np.array([0.5, math.nan]), np.arange(2)], "b": {"c": (None, False)}},
+], ids=repr)
+def test_json_safe_matches_generic_chain(value):
+    """Exact str/int/bool/None/float values take the early return; numpy
+    scalars, tuples, Mapping subclasses and subclasses of float, int and str
+    keep the generic chain's handling, type for type."""
+    assert _same(json_safe(value), json_safe_generic(value))
