@@ -48,7 +48,7 @@ EXIT_PRECONDITION = 2
 EXIT_UNCERTIFIABLE = 3
 EXIT_CAP = 4
 
-BOUND_SLACK = 1e-9
+BOUND_SLACK = 1e-9  # relative, so that the cross-check binds however small the bound
 
 
 def _finite_float(text: str) -> float:
@@ -258,7 +258,7 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         args.order, c_beta, delta, args.epsilon, eta=args.eta,
         q0_exact=q0_exact, status=status,
     )
-    bound_ok = q0_exact >= cert.q0_bound - BOUND_SLACK
+    bound_ok = q0_exact >= cert.q0_bound * (1.0 - BOUND_SLACK)
     if status == "certified" and not bound_ok:
         # Reachable only under the feasible-only gap scope, when an
         # out-of-scope string sits inside the gap; the bound is then vacuous
@@ -322,15 +322,17 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
+    basis = None
     if inst.default_penalty:  # the orbit sector reads neither n**m table
         feas.sector_dimension(inst.n, inst.m, inst.cap)
-        ls, graph = feas.sector_level_graph(inst.n, inst.m)
+        basis = feas.invariant_sector_basis(inst.n, inst.m)  # shared with the search
+        ls, graph = feas.sector_level_graph(basis)
     else:
         ls = feas.level_sets(inst)
-        graph = feas.level_graph(ls, inst.penalty)
+        graph = feas.level_graph(inst, ls)
     sep = feas.delta_feasible(args.gamma, ls)
     # exact int/int division: n**m reaches 2**64 at 16x16
-    c_f = ls.size_of(0) / inst.size if 0 in ls.sizes else 0.0
+    c_f = ls.counts[0] / inst.size if ls.values[0] == 0 else 0.0
 
     if sep.delta > 0.0 and c_f > 0.0:
         bounds = {
@@ -342,13 +344,13 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     search = None
     if not args.no_search:
         search = dataclasses.asdict(
-            feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed)
+            feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed, basis)
         )
 
     document = {
         "command": "feasibility",
         "gamma": args.gamma,
-        "levels": {str(t): size for t, size in ls.histogram().items()},
+        "levels": {str(t): size for t, size in zip(ls.values, ls.counts)},
         "graph": {
             "vertices": list(graph.vertices),
             "edges": [list(edge) for edge in graph.edges],

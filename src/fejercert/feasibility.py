@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from . import oracle
 from .instance import (
     PHASE_COLLISION_TOL,
     CapExceededError,
+    Levels,
     ProblemInstance,
     check_phase,
     circular_distance,
@@ -40,30 +42,6 @@ from .planner import ratio_bounds, ratio_parameter
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LevelStructure:
-    """Sizes |L_t| of the partition of [n]^m by penalty value t, keyed by
-    the active levels in ascending order."""
-
-    n: int
-    m: int
-    sizes: dict
-
-    @property
-    def active(self) -> tuple:
-        return tuple(self.sizes)
-
-    @property
-    def t_max(self) -> int:
-        return self.active[-1]
-
-    def size_of(self, t: int) -> int:
-        return self.sizes[t]
-
-    def histogram(self) -> dict:
-        return dict(self.sizes)
-
-
-@dataclass(frozen=True)
 class LevelGraph:
     """Undirected graph on active penalty levels; an edge means nonzero mixer
     coupling between the uniform level-set vectors."""
@@ -73,10 +51,9 @@ class LevelGraph:
     couplings: dict
 
 
-def level_sets(inst: ProblemInstance) -> LevelStructure:
-    """Exhaustive partition of the basis strings by penalty value."""
-    levels, sizes = np.unique(inst.penalty, return_counts=True)
-    return LevelStructure(inst.n, inst.m, dict(zip(levels.tolist(), sizes.tolist())))
+def level_sets(inst: ProblemInstance) -> Levels:
+    """The penalty levels t and their sizes |L_t|, over all n**m strings."""
+    return Levels.of(inst.penalty)
 
 
 def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
@@ -103,16 +80,16 @@ def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
     return src, dst, total
 
 
-def level_graph(ls: LevelStructure, penalty: np.ndarray) -> LevelGraph:
-    """Build the level-transition graph of a penalty table by single-block
-    relabel pair counting over all n**m strings."""
-    rank = np.searchsorted(ls.active, penalty)
-    src, dst, counts = _relabel_pair_counts(rank, len(ls.active), ls.n, ls.m)
+def level_graph(inst: ProblemInstance, ls: Levels) -> LevelGraph:
+    """Build the level-transition graph of the penalty levels ``ls`` of an
+    instance by single-block relabel pair counting over all n**m strings."""
+    rank = np.searchsorted(ls.values, inst.penalty)
+    src, dst, counts = _relabel_pair_counts(rank, len(ls.values), inst.n, inst.m)
     upper = src < dst
     return _graph(ls, zip(src[upper].tolist(), dst[upper].tolist(), counts[upper].tolist()))
 
 
-def _graph(ls: LevelStructure, pairs) -> LevelGraph:
+def _graph(ls: Levels, pairs) -> LevelGraph:
     """The level graph from the relabel pair counts (i, j, count) between
     level ranks i < j, given in (i, j) order.
 
@@ -121,14 +98,13 @@ def _graph(ls: LevelStructure, pairs) -> LevelGraph:
     between the normalized level vectors; the stored coupling is the count
     divided by sqrt(|L_t| |L_t'|).
     """
-    active = ls.active
     edges = []
     couplings = {}
     for i, j, count in pairs:
-        t1, t2 = active[i], active[j]
+        t1, t2 = ls.values[i], ls.values[j]
         edges.append((t1, t2))
-        couplings[(t1, t2)] = count / math.sqrt(ls.size_of(t1) * ls.size_of(t2))
-    return LevelGraph(vertices=active, edges=tuple(edges), couplings=couplings)
+        couplings[(t1, t2)] = count / math.sqrt(ls.counts[i] * ls.counts[j])
+    return LevelGraph(vertices=ls.values, edges=tuple(edges), couplings=couplings)
 
 
 def graph_connected(g: LevelGraph) -> bool:
@@ -184,7 +160,7 @@ class DeltaFeasible(NamedTuple):
     all_feasible: bool
 
 
-def delta_feasible(gamma: float, ls: LevelStructure) -> DeltaFeasible:
+def delta_feasible(gamma: float, ls: Levels) -> DeltaFeasible:
     """Penalty-phase separation: the minimal wrapped distance of gamma*t from
     0 over nonzero active levels t.
 
@@ -194,10 +170,10 @@ def delta_feasible(gamma: float, ls: LevelStructure) -> DeltaFeasible:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    nonzero = [t for t in ls.active if t > 0]
+    nonzero = [t for t in ls.values if t > 0]
     if not nonzero:
         return DeltaFeasible(math.pi, False, False, (), True)
-    aliasing = gamma > math.pi / ls.t_max + 1e-15
+    aliasing = gamma > math.pi / nonzero[-1] + 1e-15
     check_phase(gamma, nonzero, "penalty angle")
     dist = circular_distance(gamma * np.asarray(nonzero, dtype=float), 0.0)
     # a positive condition, so that the NaN distance of an overflowed
@@ -246,14 +222,12 @@ class SectorBasis:
     Each orbit is identified by its sorted symbol-count signature, a
     partition of m into at most n parts padded with zeros to length n; the
     normalized orbit-sum vectors form a basis of the fixed-point sector.
-    Orbits are ordered by their first string in canonical order, which is
-    also the representative.
+    Orbits are ordered by their first string in canonical order.
     """
 
     n: int
     m: int
     keys: tuple
-    representatives: tuple
     sizes: tuple
 
     @property
@@ -264,6 +238,28 @@ class SectorBasis:
     def penalties(self) -> tuple:
         """The collision penalty sum_k (N_k - 1)^2 of each orbit."""
         return tuple(sum((c - 1) ** 2 for c in key) for key in self.keys)
+
+    @cached_property
+    def pair_counts(self) -> dict:
+        """Counts of ordered single-block relabel pairs between orbits,
+        {(src, dst): count}.  Moving one of the c_i blocks on a symbol to
+        another symbol j takes each string of the orbit to the orbit of the
+        signature with c_i - 1 and c_j + 1."""
+        position = {key: r for r, key in enumerate(self.keys)}
+        counts = {}
+        for src, (key, size) in enumerate(zip(self.keys, self.sizes)):
+            for i, c in enumerate(key):
+                if c == 0:
+                    continue
+                for j in range(len(key)):
+                    if j == i:
+                        continue
+                    moved = list(key)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    pair = (src, position[tuple(sorted(moved, reverse=True))])
+                    counts[pair] = counts.get(pair, 0) + c * size
+        return counts
 
 
 def _partitions(m: int, parts: int, largest: int):
@@ -302,13 +298,9 @@ def invariant_sector_basis(n: int, m: int) -> SectorBasis:
     symbol 1, and so on; so the partitions, in descending lexicographic
     order, come in the order of their first strings.
     """
-    keys, representatives, sizes = [], [], []
+    keys, sizes = [], []
     for part in _partitions(m, n, m):
         key = part + (0,) * (n - len(part))
-        first = 0
-        for k, c in enumerate(key):
-            for _ in range(c):  # the highest block is the leading digit
-                first = first * n + k
         arrangements = math.factorial(m)
         for c in key:
             arrangements //= math.factorial(c)
@@ -316,63 +308,30 @@ def invariant_sector_basis(n: int, m: int) -> SectorBasis:
         for mult in Counter(key).values():
             assignments //= math.factorial(mult)
         keys.append(key)
-        representatives.append(first)
         sizes.append(arrangements * assignments)
-    return SectorBasis(n, m, tuple(keys), tuple(representatives), tuple(sizes))
+    return SectorBasis(n, m, tuple(keys), tuple(sizes))
 
 
-def _orbit_pair_counts(basis: SectorBasis) -> dict:
-    """Counts of ordered single-block relabel pairs between orbits,
-    {(src, dst): count}.  Moving one of the c_i blocks on a symbol to
-    another symbol j takes each string of the orbit to the orbit of the
-    signature with c_i - 1 and c_j + 1."""
-    position = {key: r for r, key in enumerate(basis.keys)}
-    counts = {}
-    for src, (key, size) in enumerate(zip(basis.keys, basis.sizes)):
-        for i, c in enumerate(key):
-            if c == 0:
-                continue
-            for j in range(len(key)):
-                if j == i:
-                    continue
-                moved = list(key)
-                moved[i] -= 1
-                moved[j] += 1
-                pair = (src, position[tuple(sorted(moved, reverse=True))])
-                counts[pair] = counts.get(pair, 0) + c * size
-    return counts
-
-
-def invariant_sector_generators(n: int, m: int) -> tuple:
-    """Restrictions (A, B) of the collision penalty and the block mixer to
-    the invariant sector, in the normalized orbit basis.
-
-    A is diagonal with the per-orbit penalty level; B counts single-block
-    relabel pairs between orbits, normalized by the orbit sizes.
-    """
-    basis = invariant_sector_basis(n, m)
-    a = np.diag(np.asarray(basis.penalties, dtype=float))
+def sector_mixer(basis: SectorBasis) -> np.ndarray:
+    """The block mixer restricted to the invariant sector, in the normalized
+    orbit basis: the relabel pair counts between orbits over sqrt of their sizes."""
     b = np.zeros((basis.dim, basis.dim))
-    for pair, count in _orbit_pair_counts(basis).items():
+    for pair, count in basis.pair_counts.items():
         b[pair] = count
     sizes = np.asarray(basis.sizes, dtype=float)
-    return a, b / np.sqrt(np.outer(sizes, sizes))
+    return b / np.sqrt(np.outer(sizes, sizes))
 
 
-def sector_level_graph(n: int, m: int) -> tuple:
-    """The level sizes and the level graph of the collision penalty, as
+def sector_level_graph(basis: SectorBasis) -> tuple:
+    """The levels and the level graph of the collision penalty, as
     ``level_sets`` and ``level_graph`` give them, from the orbit sector:
     the orbit sizes and orbit pair counts are summed by penalty level, so
     no work grows with n**m."""
-    basis = invariant_sector_basis(n, m)
     penalties = basis.penalties
-    sizes = {}
-    for t, size in zip(penalties, basis.sizes):
-        sizes[t] = sizes.get(t, 0) + size
-    ls = LevelStructure(n, m, dict(sorted(sizes.items())))
-    rank = {t: r for r, t in enumerate(ls.active)}
+    ls = Levels.summed(penalties, basis.sizes)
+    rank = {t: r for r, t in enumerate(ls.values)}
     pairs = {}
-    for (src, dst), count in _orbit_pair_counts(basis).items():
+    for (src, dst), count in basis.pair_counts.items():
         pair = (rank[penalties[src]], rank[penalties[dst]])
         pairs[pair] = pairs.get(pair, 0) + count
     return ls, _graph(ls, ((i, j, c) for (i, j), c in sorted(pairs.items()) if i < j))
@@ -411,10 +370,10 @@ def _statevector_feasibility(inst: ProblemInstance) -> tuple:
     return pi_f, inst.t_max()
 
 
-def _sector_feasibility(n: int, m: int) -> tuple:
+def _sector_feasibility(basis: SectorBasis) -> tuple:
     """The feasibility probabilities of a batch of schedules under the
     collision penalty, one per row of the (K, p) angle arrays, from the
-    invariant sector, and the largest penalty level.
+    invariant sector of ``basis``, and the largest penalty level.
 
     The uniform start state has amplitude sqrt(|orbit| / n**m) on each
     normalized orbit vector; a layer multiplies every row by
@@ -423,10 +382,9 @@ def _sector_feasibility(n: int, m: int) -> tuple:
     ``oracle.simulate``: finite cost and block phases and a unit norm of
     every row.
     """
-    basis = invariant_sector_basis(n, m)
-    a, b = invariant_sector_generators(n, m)
-    penalty = np.diag(a)
-    mixer_phases, vectors = np.linalg.eigh(b)
+    n, m = basis.n, basis.m
+    penalty = np.asarray(basis.penalties, dtype=float)
+    mixer_phases, vectors = np.linalg.eigh(sector_mixer(basis))
     vectors = vectors.astype(complex)
     inverse = vectors.T.copy()  # B is real symmetric, so V is orthogonal
     start = np.sqrt(np.asarray(basis.sizes, dtype=float) / n**m).astype(complex)
@@ -453,6 +411,7 @@ def feasibility_angle_search(
     p: int,
     budget: int,
     seed: int,
+    basis: SectorBasis | None = None,
 ) -> AngleSearchResult:
     """Seeded random-restart plus coordinate golden-section search maximizing
     the feasibility probability of the penalty-phase circuit.
@@ -461,13 +420,14 @@ def feasibility_angle_search(
     evaluated first, so the reported optimum is never below it.  Restart
     angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
     resonant values rejected.  The default collision penalty is simulated in
-    the invariant sector; any other penalty on the statevector.
+    the invariant sector, from ``basis`` when the caller has built it
+    already; any other penalty on the statevector.
     """
     _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
-    pi_f, t_max = (_sector_feasibility(inst.n, inst.m) if inst.default_penalty
-                   else _statevector_feasibility(inst))
+    pi_f, t_max = (_sector_feasibility(basis or invariant_sector_basis(inst.n, inst.m))
+                   if inst.default_penalty else _statevector_feasibility(inst))
     evaluations = 0
 
     def evaluate(x: np.ndarray) -> np.ndarray:

@@ -110,6 +110,30 @@ def collision_penalty_table(n: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Levels:
+    """The distinct integer values of a table over strings, ascending, and
+    how many strings hold each, as Python ints (a count can pass 2**63)."""
+
+    values: tuple
+    counts: tuple
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> Levels:
+        """The levels of a dense table."""
+        values, counts = np.unique(table, return_counts=True)
+        return cls(tuple(values.tolist()), tuple(counts.tolist()))
+
+    @classmethod
+    def summed(cls, values: Iterable[int], weights: Iterable[int]) -> Levels:
+        """The levels of classes of strings that share a value, such as the
+        orbits of a symmetry with their sizes: weights of equal values add."""
+        total = {}
+        for value, weight in zip(values, weights):
+            total[value] = total.get(value, 0) + weight
+        return cls(*zip(*sorted(total.items())))
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """Lattice-normalized instance over [n]^m, holding what the document gave.
 
@@ -182,17 +206,37 @@ class ProblemInstance:
         feasible.flags.writeable = False
         return feasible
 
+    @cached_property
+    def levels(self) -> Levels:
+        """The energy levels of all n**m strings."""
+        return Levels.of(self.energy)
+
+    @cached_property
+    def feasible_levels(self) -> Levels:
+        """The energy levels of the feasible set; the first is E*, and its
+        count is |Omega*|."""
+        return Levels.of(self.energy[self.feasible_indices()])
+
     def e_star(self) -> int:
         """Minimum energy over the feasible set."""
-        feas = self.feasible_indices()
-        if feas.size == 0:
+        if not self.feasible_levels.values:
             raise ValueError("feasible set is empty; optimum undefined")
-        return int(self.energy[feas].min())
+        return self.feasible_levels.values[0]
 
     def optimal_indices(self) -> np.ndarray:
         """Indices of optimal feasible strings (the set of optima)."""
         feas = self.feasible_indices()
         return feas[self.energy[feas] == self.e_star()]
+
+    def nonoptimal_levels(self, scope: GapScope) -> tuple:
+        """The energy levels in the scope that hold a non-optimal string.  Every
+        feasible string at E* is optimal, so E* counts only in the all-strings
+        scope, and only when some infeasible string sits there too."""
+        e_star, optima = self.e_star(), self.feasible_levels.counts[0]
+        if scope is GapScope.FEASIBLE_ONLY:
+            return self.feasible_levels.values[1:]
+        return tuple(value for value, count in zip(self.levels.values, self.levels.counts)
+                     if value != e_star or count > optima)
 
     def t_max(self) -> int:
         return int(self.penalty.max(initial=0))
@@ -415,31 +459,26 @@ def phase_gap(
     """Compute the wrapped-phase model and the phase gap for an instance.
 
     The gap is the minimum circular distance from non-optimal phases to the
-    optimal phase, taken over all strings or over the feasible set only.
-    Phase collisions are flagged, not raised.
+    optimal phase, taken over all strings or over the feasible set only, level
+    by level: a phase depends on a string only through its energy.  Phase
+    collisions are flagged, not raised.
     """
     check_phase(gamma, inst.energy)
     theta = wrap_angle(gamma * inst.energy.astype(float))
     omega_star = inst.optimal_indices()
     theta_star = wrap_angle(gamma * float(inst.e_star()))
 
-    if scope is GapScope.ALL_STRINGS:
-        scope_idx = np.arange(inst.size)
-    else:
-        scope_idx = inst.feasible_indices()
-    if scope_idx.size == 0:
-        raise ValueError("gap scope selects no strings")
-
-    in_omega = np.zeros(inst.size, dtype=bool)
-    in_omega[omega_star] = True
-    non_opt = scope_idx[~in_omega[scope_idx]]
-
-    if non_opt.size == 0:
+    levels = np.array(inst.nonoptimal_levels(scope), dtype=np.int64)
+    if levels.size == 0:
         return PhaseModel(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
 
-    dist = circular_distance(theta[non_opt], theta_star)
-    colliding = non_opt[dist < PHASE_COLLISION_TOL]
+    dist = circular_distance(wrap_angle(gamma * levels.astype(float)), theta_star)
+    colliding = levels[dist < PHASE_COLLISION_TOL]
     if colliding.size > 0:
+        # the non-optimal strings of the scope on the colliding levels
+        in_scope = True if scope is GapScope.ALL_STRINGS else inst.penalty == 0
+        hit = np.isin(inst.energy, colliding) & in_scope
+        hit[omega_star] = False
         return PhaseModel(theta, theta_star, 0.0, scope, omega_star, collided=True,
-                          colliding=tuple(int(i) for i in colliding))
+                          colliding=tuple(np.flatnonzero(hit).tolist()))
     return PhaseModel(theta, theta_star, float(dist.min()), scope, omega_star)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fejer import _check_c, _check_order, fejer_kernel
-from .instance import ProblemInstance, check_phase
+from .instance import GapScope, ProblemInstance, check_phase
 from .mixer import Envelope
 
 
@@ -86,12 +86,9 @@ def rl_success_bound(p: int, c_beta: float, mbar: float) -> float:
 
 def energy_gap(inst: ProblemInstance) -> float:
     """Minimal |E(z) - E_star| over non-optimal strings (inf if none)."""
-    omega = inst.optimal_indices()
-    mask = np.ones(inst.size, dtype=bool)
-    mask[omega] = False
-    if not mask.any():
-        return math.inf
-    return float(np.abs(inst.energy[mask] - inst.e_star()).min())
+    e_star = inst.e_star()
+    levels = inst.nonoptimal_levels(GapScope.ALL_STRINGS)
+    return float(min(abs(level - e_star) for level in levels)) if levels else math.inf
 
 
 @dataclass(frozen=True)
@@ -132,24 +129,26 @@ def rl_filtered_distribution(
     energy level, so each draw evaluates the kernel once per level: the cost
     is O(samples * levels + n**m).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < (1 if pooled else 2):
+        raise ValueError(f"--samples {samples}: need at least 2 draws, or 1 when pooled; "
+                         "one draw has no standard error")
     _check_order(p)
     if env.size != inst.size:
         raise ValueError("envelope does not match the instance")
     e_star = inst.e_star()
-    if np.count_nonzero(inst.energy == e_star) > inst.optimal_indices().size:
+    if e_star in inst.nonoptimal_levels(GapScope.ALL_STRINGS):
         raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
 
-    offsets, level_of = np.unique(inst.energy - e_star, return_inverse=True)
-    offsets = offsets.astype(float)
+    levels = np.array(inst.levels.values, dtype=np.int64)
+    level_of = np.searchsorted(levels, inst.energy)
+    offsets = (levels - e_star).astype(float)
     # every draw's cost angle lies within |gamma| + half_width of zero
     check_phase(abs(gamma) + w.half_width, offsets, "cost angle plus dither half-width")
     level_env = np.bincount(level_of, weights=env.probs)
     if subset is not None:
-        # the levels the subset meets, and its envelope mass on each
-        subset_levels, subset_of = np.unique(level_of[subset], return_inverse=True)
-        subset_env = np.bincount(subset_of, weights=env.probs[subset])
+        # the subset's envelope mass on each level, and the levels that hold some
+        subset_env = np.bincount(level_of[subset], weights=env.probs[subset])
+        subset_levels = np.flatnonzero(subset_env)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-w.half_width, w.half_width, size=samples)
 
@@ -173,23 +172,22 @@ def rl_filtered_distribution(
         total += kernel.sum(axis=0)
         total_sq += (kernel**2).sum(axis=0)
         if subset is not None and not pooled:
-            subset_masses.append(kernel[:, subset_levels] @ subset_env)
+            subset_masses.append(kernel[:, subset_levels] @ subset_env[subset_levels])
 
     probs = env.probs * (total / samples)[level_of]
-    stderr = np.zeros(env.size)
     sub_mass = sub_err = None
     if pooled:
+        stderr = np.zeros(env.size)
         probs /= float(probs.sum())
         if subset is not None:
             sub_mass = float(probs[subset].sum())
     else:
-        if samples > 1:
-            variance = (env.probs**2 * total_sq[level_of] - samples * probs**2) / (samples - 1)
-            stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
+        variance = (env.probs**2 * total_sq[level_of] - samples * probs**2) / (samples - 1)
+        stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
         if subset is not None:
             arr = np.concatenate(subset_masses)
             sub_mass = float(arr.mean())
-            sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+            sub_err = float(arr.std(ddof=1) / math.sqrt(samples))
     return RLLaw(
         probs=probs, stderr=stderr, samples=samples, subset_mass=sub_mass, subset_stderr=sub_err
     )

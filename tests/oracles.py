@@ -18,12 +18,18 @@ path, so they live with the tests (and only they need scipy).
   term by term, the reference for the closed form near its peaks;
 - ``averaged_fejer_quadrature``: adaptive Simpson quadrature of the
   window-averaged Fejér kernel;
+- ``phase_gap_per_string`` and ``energy_gap_per_string``: the phase gap
+  and the energy gap scanned string by string over the non-optimal strings
+  of the scope, the reference for the level scans of
+  ``fejercert.instance.phase_gap`` and ``fejercert.rl.energy_gap``;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
   string by string, one Fejér kernel over all n**m strings per draw;
 - ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region;
 - ``window_fourier``, ``window_density`` and ``averaged_fejer``: the uniform
   dither window and the window-averaged Fejér weight in its Fourier form, a
   second evaluation path of the averaged kernel;
+- ``invariant_sector_generators``: the dense generators (A, B) of the
+  invariant sector, A the diagonal of orbit penalties;
 - ``sector_by_enumeration``: the invariant-sector orbits and generators
   found by enumerating all n**m strings and their relabel pairs, the
   reference for the combinatorial sector build;
@@ -57,20 +63,25 @@ from fejercert.feasibility import (
     SectorBasis,
     _relabel_pair_counts,
     invariant_sector_basis,
-    invariant_sector_generators,
+    sector_mixer,
 )
 from fejercert.fejer import fejer_kernel
 from fejercert.instance import (
+    PHASE_COLLISION_TOL,
+    GapScope,
+    PhaseModel,
     ProblemInstance,
     _to_integers,
     check_phase,
+    circular_distance,
     collision_penalty,
     format_string,
     index_string,
+    wrap_angle,
 )
 from fejercert.mixer import Envelope, check_block_phase
 from fejercert.oracle import block_unitary, check_norm
-from fejercert.rl import DitherWindow, RLLaw, energy_gap
+from fejercert.rl import DitherWindow, RLLaw
 
 LIE_CLOSURE_TOL = 1e-9
 LIE_MAX_DIM = 64
@@ -213,6 +224,53 @@ def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
     return float(fejer_kernel(p, grid).max())
 
 
+def phase_gap_per_string(
+    inst: ProblemInstance, gamma: float, scope: GapScope = GapScope.ALL_STRINGS
+) -> PhaseModel:
+    """The wrapped-phase model with the gap scanned over every non-optimal
+    string of the scope, one circular distance per string."""
+    check_phase(gamma, inst.energy)
+    theta = wrap_angle(gamma * inst.energy.astype(float))
+    e_star, omega_star = _optimum_per_string(inst)
+    theta_star = wrap_angle(gamma * float(e_star))
+
+    if scope is GapScope.ALL_STRINGS:
+        scope_idx = np.arange(inst.size)
+    else:
+        scope_idx = inst.feasible_indices()
+    in_omega = np.zeros(inst.size, dtype=bool)
+    in_omega[omega_star] = True
+    non_opt = scope_idx[~in_omega[scope_idx]]
+
+    if non_opt.size == 0:
+        return PhaseModel(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
+
+    dist = circular_distance(theta[non_opt], theta_star)
+    colliding = non_opt[dist < PHASE_COLLISION_TOL]
+    if colliding.size > 0:
+        return PhaseModel(theta, theta_star, 0.0, scope, omega_star, collided=True,
+                          colliding=tuple(int(i) for i in colliding))
+    return PhaseModel(theta, theta_star, float(dist.min()), scope, omega_star)
+
+
+def energy_gap_per_string(inst: ProblemInstance) -> float:
+    """Minimal |E(z) - E_star| over the non-optimal strings (inf if none),
+    from a mask over all n**m strings."""
+    e_star, omega = _optimum_per_string(inst)
+    mask = np.ones(inst.size, dtype=bool)
+    mask[omega] = False
+    if not mask.any():
+        return math.inf
+    return float(np.abs(inst.energy[mask] - e_star).min())
+
+
+def _optimum_per_string(inst: ProblemInstance) -> tuple:
+    """E* as the minimum feasible energy, and the feasible strings at E*."""
+    feasible = inst.feasible_indices()
+    e_star = int(inst.energy[feasible].min())
+    return e_star, feasible[inst.energy[feasible] == e_star]
+
+
 def rl_filtered_distribution_per_string(
     env: Envelope,
     inst: ProblemInstance,
@@ -226,13 +284,13 @@ def rl_filtered_distribution_per_string(
 ) -> RLLaw:
     """Monte Carlo average over dither draws u of the per-u filtered law,
     accumulated per string; the same draws as ``rl_filtered_distribution``."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < (1 if pooled else 2):
+        raise ValueError("need at least 2 samples, or 1 when pooled")
     if p < 0:
         raise ValueError("order must be nonnegative")
     if env.size != inst.size:
         raise ValueError("envelope does not match the instance")
-    gap = energy_gap(inst)
+    gap = energy_gap_per_string(inst)
     if gap == 0.0:
         raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
 
@@ -267,16 +325,13 @@ def rl_filtered_distribution_per_string(
             subset_mass=sub_mass,
             subset_stderr=None,
         )
-    if samples > 1:
-        variance = (total_sq - samples * mean**2) / (samples - 1)
-        stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
-    else:
-        stderr = np.zeros(env.size)
+    variance = (total_sq - samples * mean**2) / (samples - 1)
+    stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
     sub_mass = sub_err = None
     if subset_masses is not None:
         arr = np.asarray(subset_masses)
         sub_mass = float(arr.mean())
-        sub_err = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        sub_err = float(arr.std(ddof=1) / math.sqrt(samples))
     return RLLaw(
         probs=mean,
         stderr=stderr,
@@ -324,6 +379,14 @@ def averaged_fejer(p: int, gamma: float, delta_e: float, w: DitherWindow) -> flo
     )
 
 
+def invariant_sector_generators(n: int, m: int) -> tuple:
+    """Restrictions (A, B) of the collision penalty and the block mixer to
+    the invariant sector, in the normalized orbit basis, as dense matrices;
+    A is diagonal with the per-orbit penalty level."""
+    basis = invariant_sector_basis(n, m)
+    return np.diag(np.asarray(basis.penalties, dtype=float)), sector_mixer(basis)
+
+
 def sector_by_enumeration(n: int, m: int) -> tuple:
     """The orbit basis and the generators (A, B) of the invariant sector from
     all n**m strings: each string's sorted symbol counts name its orbit, the
@@ -342,11 +405,10 @@ def sector_by_enumeration(n: int, m: int) -> tuple:
         n=n,
         m=m,
         keys=tuple(tuple(int(v) for v in keys[i]) for i in order),
-        representatives=tuple(int(first[i]) for i in order),
         sizes=tuple(int(sizes[i]) for i in order),
     )
-    a = np.diag([float(collision_penalty(index_string(r, n, m), n))
-                 for r in basis.representatives])
+    a = np.diag([float(collision_penalty(index_string(int(first[i]), n, m), n))
+                 for i in order])
     src, dst, pairs = _relabel_pair_counts(rank[inverse.reshape(-1)], basis.dim, n, m)
     b = np.zeros((basis.dim, basis.dim))
     b[src, dst] = pairs

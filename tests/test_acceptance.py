@@ -198,13 +198,13 @@ def test_criterion_07_feasibility_machinery():
                 assert collision_penalty(descent_step(z), n) <= before - 2
     for n in (2, 3, 4, 5):
         inst = load_instance({"n": n, "m": n, "energy": [0] * n**n})
-        assert graph_connected(level_graph(level_sets(inst), inst.penalty))
+        assert graph_connected(level_graph(inst, level_sets(inst)))
 
     rng = np.random.default_rng(SEED + 7)
     for n in (2, 3):
         inst = load_instance({"n": n, "m": n, "energy": [0] * n**n})
         ls = level_sets(inst)
-        gamma = 0.9 * math.pi / ls.t_max
+        gamma = 0.9 * math.pi / ls.values[-1]
         sep = delta_feasible(gamma, ls)
         env = random_envelope(rng, inst.size)
         c_f = float(env.probs[inst.feasible_indices()].sum())

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fejercert import collision_penalty_table, feasibility, load_instance, oracle
+from fejercert import cli, collision_penalty_table, feasibility, load_instance, oracle
 from fejercert.cli import main
 from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
@@ -166,6 +167,31 @@ class TestCertify:
         assert doc["status"] == "uncertifiable"
         assert doc["bound_satisfied"] is False
         assert doc["q0_exact"] < doc["q0_bound"]
+
+    @pytest.mark.parametrize("relative_shortfall, satisfied", [(1e-12, True), (1e-6, False)])
+    def test_bound_slack_is_relative(self, relative_shortfall, satisfied, tmp_path,
+                                     monkeypatch):
+        # q0_exact falls short of q0_bound by far less than 1e-9 in absolute
+        # terms either way; only the relative shortfall decides
+        inst = write_instance(tmp_path / "i.json", {"n": 4, "m": 1, "energy": [0, 1, 2, 3]})
+        build = cli.build_certificate
+
+        def bound_above_exact(*args, **kwargs):
+            cert = build(*args, **kwargs)
+            bound = cert.q0_exact / (1.0 - relative_shortfall)
+            assert 0.0 < bound - cert.q0_exact < 1e-9
+            return dataclasses.replace(cert, q0_bound=bound)
+
+        monkeypatch.setattr(cli, "build_certificate", bound_above_exact)
+        envelope = tmp_path / "env.json"
+        envelope.write_text(json.dumps([1e-5, 0.4, 0.3, 0.29999]))
+        out = tmp_path / "cert.json"
+        code = run(["certify", "--instance", inst, "--gamma", "0.3", "-p", "1",
+                    "--envelope", str(envelope), "-o", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["q0_exact"] < doc["q0_bound"] < doc["q0_exact"] + 1e-9
+        assert doc["bound_satisfied"] is satisfied
+        assert (code, doc["status"]) == ((0, "certified") if satisfied else (3, "uncertifiable"))
 
     def test_envelope_and_betas_conflict(self, toy_instance, tmp_path):
         env_path = tmp_path / "env.json"
@@ -395,6 +421,26 @@ class TestFeasibilityRoute:
                           *args, "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("search", [True, False])
+    def test_one_sector_build_per_run(self, search, tmp_path, monkeypatch):
+        # the level stage and the search share one basis and one pair count
+        calls = {"basis": 0, "pairs": 0}
+
+        def counting(fn, key):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
+
+        pair_counts = feasibility.SectorBasis.pair_counts  # a cached_property
+        monkeypatch.setattr(feasibility, "invariant_sector_basis",
+                            counting(feasibility.invariant_sector_basis, "basis"))
+        monkeypatch.setattr(pair_counts, "func", counting(pair_counts.func, "pairs"))
+        argv = self.ARGV + ([] if search else ["--no-search"])
+        inst = write_instance(tmp_path / "i.json", self.square_doc(5))
+        assert run(argv + ["--instance", inst, "-o", str(tmp_path / "feas.json")]) == 0
+        assert calls == {"basis": 1, "pairs": 1}
+
     def test_other_user_penalty_uses_statevector(self, tmp_path, monkeypatch):
         doc = {**self.square_doc(3), "penalty": (2 * collision_penalty_table(3, 3)).tolist()}
         report = self.run_without(monkeypatch, [(feasibility, "invariant_sector_basis")],
@@ -503,6 +549,17 @@ class TestRLCommand:
         lines = law.read_text().strip().split("\n")
         assert lines[0] == "string,probability,stderr"
         assert len(lines) == 28
+
+    def test_single_draw_fails_closed(self, qap_instance, tmp_path, capsys):
+        # one unpooled draw has no standard error, which is not written as 0.0
+        out = tmp_path / "rl.json"
+        argv = ["rl", "--instance", qap_instance, "--gamma", "0.4", "-p", "4",
+                "--half-width", "0.8", "--samples", "1", "-o", str(out)]
+        assert run(argv) == 2
+        assert "--samples 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + ["--pooled"]) == 0
+        assert json.loads(out.read_text())["success_stderr"] is None
 
 
 class TestSimulateCommand:

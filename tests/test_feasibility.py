@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import random_envelope
-from oracles import lie_closure_dim, sector_by_enumeration, sector_feasibility_rowwise
+from oracles import (
+    invariant_sector_generators,
+    lie_closure_dim,
+    sector_by_enumeration,
+    sector_feasibility_rowwise,
+)
 from fejercert import CapExceededError, collision_penalty, feasibility, load_instance, oracle
 from fejercert.feasibility import (
     _sector_feasibility,
@@ -18,7 +23,6 @@ from fejercert.feasibility import (
     feasibility_bound,
     graph_connected,
     invariant_sector_basis,
-    invariant_sector_generators,
     level_graph,
     level_sets,
     overlap_feasibility_floor,
@@ -26,6 +30,7 @@ from fejercert.feasibility import (
     sector_level_graph,
 )
 from fejercert.fejer import fejer_kernel
+from fejercert.instance import Levels
 
 
 def assignment_instance(n, energies=None):
@@ -59,29 +64,26 @@ def orbit_key(z, n):
 class TestLevelSets:
     def test_two_by_two(self):
         inst = assignment_instance(2)
-        ls = level_sets(inst)
-        assert ls.histogram() == {0: 2, 2: 2}
-        assert ls.active == (0, 2)
+        assert level_sets(inst) == Levels((0, 2), (2, 2))
         assert inst.feasible_indices().tolist() == [1, 2]  # strings (1,0) and (0,1)
 
     def test_single_block(self):
-        ls = level_sets(load_instance({"n": 1, "m": 1, "energy": [0]}))
-        assert ls.histogram() == {0: 1}
+        assert level_sets(load_instance({"n": 1, "m": 1, "energy": [0]})) == Levels((0,), (1,))
 
     def test_three_by_three_feasible_count(self):
         ls = level_sets(assignment_instance(3))
-        assert ls.size_of(0) == math.factorial(3)
+        assert ls.values[0] == 0 and ls.counts[0] == math.factorial(3)
 
     def test_partition_covers_space(self):
         inst = assignment_instance(3)
         ls = level_sets(inst)
-        assert sum(ls.size_of(t) for t in ls.active) == inst.size
+        assert sum(ls.counts) == inst.size
 
 
 class TestLevelGraph:
     def test_two_by_two_edge(self):
         inst = assignment_instance(2)
-        g = level_graph(level_sets(inst), inst.penalty)
+        g = level_graph(inst, level_sets(inst))
         assert g.vertices == (0, 2)
         assert g.edges == ((0, 2),)
         # (1,0) and (0,1) each reach both of (0,0), (1,1) by one relabel:
@@ -91,15 +93,15 @@ class TestLevelGraph:
     def test_single_level_no_edges(self):
         inst = load_instance({"n": 2, "m": 3, "energy": [0] * 8})
         ls = level_sets(inst)
-        g = level_graph(ls, inst.penalty)
+        g = level_graph(inst, ls)
         assert g.vertices == (0,)
         assert g.edges == ()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_connected_for_assignment_penalty(self, n):
         inst = assignment_instance(n)
-        assert graph_connected(level_graph(level_sets(inst), inst.penalty))
-        assert graph_connected(sector_level_graph(n, n)[1])
+        assert graph_connected(level_graph(inst, level_sets(inst)))
+        assert graph_connected(sector_level_graph(invariant_sector_basis(n, n))[1])
 
     @pytest.mark.parametrize("n,m,user_penalty", [
         (2, 2, None), (3, 3, None), (4, 4, None), (2, 3, None), (3, 4, "random"),
@@ -112,7 +114,7 @@ class TestLevelGraph:
         elif user_penalty == "distinct":  # one level per string
             doc["penalty"] = list(range(n**m))
         inst = load_instance(doc)
-        g = level_graph(level_sets(inst), inst.penalty)
+        g = level_graph(inst, level_sets(inst))
         index = {z: i for i, z in enumerate(canonical_strings(n, m))}
         counts = brute_relabel_pairs(n, m, lambda z: int(inst.penalty[index[z]]))
         sizes = collections.Counter(int(t) for t in inst.penalty)
@@ -165,8 +167,8 @@ class TestDeltaFeasible:
 
     def test_anti_aliased_equals_gamma_tmin(self):
         ls = level_sets(assignment_instance(3))
-        t_min = min(t for t in ls.active if t > 0)
-        gamma = math.pi / ls.t_max
+        t_min = min(t for t in ls.values if t > 0)
+        gamma = math.pi / ls.values[-1]
         sep = delta_feasible(gamma, ls)
         assert sep.delta == gamma * t_min
         assert not sep.aliasing
@@ -222,7 +224,7 @@ class TestFeasibilityBound:
         for n in (2, 3):
             inst = assignment_instance(n)
             ls = level_sets(inst)
-            gamma = 0.9 * math.pi / ls.t_max
+            gamma = 0.9 * math.pi / ls.values[-1]
             sep = delta_feasible(gamma, ls)
             env = random_envelope(rng, inst.size)
             weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
@@ -297,7 +299,7 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pi_f_matches_statevector(self, n):
         inst = assignment_instance(n)
-        pi_f, t_max = _sector_feasibility(n, n)
+        pi_f, t_max = _sector_feasibility(invariant_sector_basis(n, n))
         assert t_max == inst.t_max()
         rng = np.random.default_rng(900 + n)
         for p in range(4):
@@ -313,10 +315,10 @@ class TestSectorAgreement:
     def test_levels_match_statevector(self, n):
         inst = assignment_instance(n)
         ls = level_sets(inst)
-        graph = level_graph(ls, inst.penalty)
-        sector_ls, sector_graph = sector_level_graph(n, n)
-        assert sector_ls.histogram() == ls.histogram()
-        assert sector_ls.active == ls.active
+        graph = level_graph(inst, ls)
+        sector_ls, sector_graph = sector_level_graph(invariant_sector_basis(n, n))
+        # sector and dense Levels agree exactly, counts as Python ints
+        assert sector_ls == ls
         assert sector_graph.vertices == graph.vertices
         assert sector_graph.edges == graph.edges
         assert sector_graph.couplings == graph.couplings
@@ -327,7 +329,7 @@ class TestSectorAgreement:
         ([0.3], [math.nan], "mixer angle nan"),
     ])
     def test_sector_keeps_statevector_checks(self, gammas, betas, named):
-        pi_f, _ = _sector_feasibility(3, 3)
+        pi_f, _ = _sector_feasibility(invariant_sector_basis(3, 3))
         with pytest.raises(ValueError, match=re.escape(named)):
             pi_f(np.array([gammas]), np.array([betas]))
 
@@ -335,7 +337,7 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_batched_matches_rowwise(self, n):
         # restart-like schedules: gamma in (0, pi/t_max], beta in (0, 2pi)
-        batched, t_max = _sector_feasibility(n, n)
+        batched, t_max = _sector_feasibility(invariant_sector_basis(n, n))
         rowwise = sector_feasibility_rowwise(n, n)
         rng = np.random.default_rng(700 + n)
         for p in range(4):
@@ -426,9 +428,9 @@ class TestAngleSearch:
         inst = assignment_instance(n)
         batched = feasibility_angle_search(inst, p, budget=budget, seed=11)
 
-        def rowwise_sector(n, m):
-            one = sector_feasibility_rowwise(n, m)
-            _, t_max = _sector_feasibility(n, m)
+        def rowwise_sector(basis):
+            one = sector_feasibility_rowwise(basis.n, basis.m)
+            _, t_max = _sector_feasibility(basis)
             return (lambda gammas, betas: np.array([one(g, b) for g, b in zip(gammas, betas)]),
                     t_max)
 

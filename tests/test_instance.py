@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assignment_energy_by_enumeration, enumerate_strings, string_index
+from oracles import (
+    assignment_energy_by_enumeration,
+    energy_gap_per_string,
+    enumerate_strings,
+    phase_gap_per_string,
+    string_index,
+)
 from fejercert import (
     CapExceededError,
     GapScope,
@@ -18,6 +24,8 @@ from fejercert import (
     phase_gap,
     wrap_angle,
 )
+from fejercert.instance import Levels
+from fejercert.rl import energy_gap
 
 
 class TestIndexing:
@@ -307,3 +315,57 @@ class TestPhaseGap:
         )
         with pytest.raises(ValueError, match="feasible"):
             phase_gap(inst, 0.3)
+
+
+GAP_SHAPES = [(n, m) for n in range(1, 9) for m in range(1, 13) if n**m <= 4096]
+
+
+@st.composite
+def gap_instances(draw):
+    """Dense instances of up to 4096 strings with few energy levels, some
+    infeasible strings and, when there are any, one of them at or below E*."""
+    n, m = draw(st.sampled_from(GAP_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1, 3, 40, 2**40]))
+    energy = rng.integers(-spread, spread + 1, size=n**m)
+    penalty = (rng.random(n**m) < draw(st.sampled_from([0.0, 0.3, 0.9]))).astype(int)
+    penalty[rng.integers(n**m)] = 0
+    infeasible = np.flatnonzero(penalty)
+    if infeasible.size:
+        e_star = energy[penalty == 0].min()
+        energy[rng.choice(infeasible)] = e_star - draw(st.integers(0, 2))
+    return load_instance({"n": n, "m": m, "energy": energy.tolist(),
+                          "penalty": penalty.tolist()})
+
+
+class TestLevelScans:
+    """The level scans of the phase gap and the energy gap against the
+    per-string scans they replace: the same gap, collisions and flags."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=gap_instances(), scope=st.sampled_from(list(GapScope)),
+           gamma=st.one_of(
+               st.floats(-4.0, 4.0, allow_nan=False),
+               # angles at which some energy offsets wrap onto the optimal phase
+               st.builds(lambda k, d: 2.0 * math.pi * k / d,
+                         st.integers(-3, 3), st.integers(1, 6))))
+    def test_match_per_string_scans(self, inst, scope, gamma):
+        pm = phase_gap(inst, gamma, scope)
+        ref = phase_gap_per_string(inst, gamma, scope)
+        assert (pm.delta, pm.collided, pm.colliding, pm.all_optimal) == (
+            ref.delta, ref.collided, ref.colliding, ref.all_optimal)
+        assert pm.theta_star == ref.theta_star
+        assert np.array_equal(pm.theta, ref.theta)
+        assert np.array_equal(pm.omega_star, ref.omega_star)
+        assert energy_gap(inst) == energy_gap_per_string(inst)
+
+    def test_levels_hold_python_ints(self):
+        inst = load_instance({"n": 2, "m": 2, "energy": [3, 1, 3, 2]})
+        assert inst.levels == Levels((1, 2, 3), (1, 1, 2))
+        assert inst.feasible_levels == Levels((1, 3), (1, 1))  # strings 1 and 2
+        assert inst.e_star() == 1
+        assert all(type(v) is int for v in inst.levels.values + inst.levels.counts)
+
+    def test_summed_adds_equal_values(self):
+        assert Levels.summed([2, 0, 2, 6], [3, 1, 4, 1]) == Levels((0, 2, 6), (1, 7, 1))
+        assert Levels.summed([5], [2**70]) == Levels((5,), (2**70,))

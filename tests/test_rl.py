@@ -199,12 +199,14 @@ class TestRLFilteredDistribution:
             checked += 1
 
     def test_single_sample_reproducible(self, rng):
+        # two draws, the fewest an unpooled average accepts
         inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
         env = uniform_envelope(2, 2)
         w = DitherWindow(0.5)
-        a = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=1, seed=123)
-        b = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=1, seed=123)
+        a = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=2, seed=123)
+        b = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=2, seed=123)
         assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.stderr, b.stderr)
 
     def test_zero_gap_rejected(self):
         # an infeasible string shares the optimal energy
@@ -259,6 +261,12 @@ class TestLevelAgreement:
                             DitherWindow(float(rng.uniform(0.1, 1.5))), p)
                     kwargs = dict(samples=samples, seed=int(rng.integers(1000)),
                                   pooled=pooled, subset=subset)
+                    if samples < 2 and not pooled:  # no standard error from one draw
+                        for average in (rl_filtered_distribution,
+                                        rl_filtered_distribution_per_string):
+                            with pytest.raises(ValueError, match="samples"):
+                                average(*args, **kwargs)
+                        continue
                     law = rl_filtered_distribution(*args, **kwargs)
                     ref = rl_filtered_distribution_per_string(*args, **kwargs)
                     assert np.max(np.abs(law.probs - ref.probs)) < 1e-12
