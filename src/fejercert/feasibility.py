@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,23 +242,31 @@ class SectorBasis:
     @cached_property
     def pair_counts(self) -> dict:
         """Counts of ordered single-block relabel pairs between orbits,
-        {(src, dst): count}.  Moving one of the c_i blocks on a symbol to
-        another symbol j takes each string of the orbit to the orbit of the
-        signature with c_i - 1 and c_j + 1."""
+        {(src, dst): count}.  Moving one of the a blocks on a symbol to a
+        symbol held by b blocks takes each string of the orbit to the orbit
+        of the signature with one a lowered to a - 1 and one b raised to
+        b + 1.  That depends only on (a, b), so each pair of distinct count
+        values is visited once, for its ma * (mb - [a == b]) symbol pairs of
+        a blocks each, where ma and mb count the symbols held a and b times."""
         position = {key: r for r, key in enumerate(self.keys)}
         counts = {}
         for src, (key, size) in enumerate(zip(self.keys, self.sizes)):
-            for i, c in enumerate(key):
-                if c == 0:
+            held = Counter(key)
+            for a, ma in held.items():
+                if a == 0:
                     continue
-                for j in range(len(key)):
-                    if j == i:
+                for b, mb in held.items():
+                    symbols = ma * (mb - (a == b))
+                    if symbols == 0:
                         continue
+                    # the key is descending, so equal counts are adjacent
+                    i = key.index(a)
+                    j = i + 1 if a == b else key.index(b)
                     moved = list(key)
                     moved[i] -= 1
                     moved[j] += 1
                     pair = (src, position[tuple(sorted(moved, reverse=True))])
-                    counts[pair] = counts.get(pair, 0) + c * size
+                    counts[pair] = counts.get(pair, 0) + symbols * a * size
         return counts
 
 
@@ -353,12 +361,41 @@ class AngleSearchResult:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # restart schedules evaluated together; bounds the batch's memory for any budget
 _RESTART_BATCH = 256
+# a restart mixer angle within this distance of a resonance in (2pi/n)Z is redrawn
+_RESONANCE_MARGIN = 1e-6
 
 
-def _statevector_feasibility(inst: ProblemInstance) -> tuple:
+class _Evaluator(NamedTuple):
+    """How the search evaluates schedules.  ``pi_f`` maps (K, p) arrays of
+    cost and mixer angles to the K feasibility probabilities.  ``line`` maps
+    a schedule x (p cost angles, then p mixer angles), a coordinate j and a
+    bracket end hi to pi_f as a function of angle j on [0, hi], the other
+    angles fixed.  ``t_max`` is the largest penalty level."""
+
+    pi_f: Callable
+    t_max: int
+    line: Callable
+
+
+def _rowwise_line(pi_f: Callable) -> Callable:
+    """The ``line`` of a batch evaluator: one row of ``pi_f`` per point."""
+
+    def line(x: np.ndarray, j: int, hi: float) -> Callable:
+        p = x.size // 2
+
+        def along(val: float) -> float:
+            y = x.copy()
+            y[j] = val
+            return pi_f(y[None, :p], y[None, p:])[0]
+
+        return along
+
+    return line
+
+
+def _statevector_feasibility(inst: ProblemInstance) -> _Evaluator:
     """The feasibility probabilities of a batch of schedules, one per row of
-    the (K, p) angle arrays, from one statevector run each, and the largest
-    penalty level."""
+    the (K, p) angle arrays, from one statevector run each."""
     feasible = inst.feasible_indices()
 
     def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -367,13 +404,13 @@ def _statevector_feasibility(inst: ProblemInstance) -> tuple:
             for g, b in zip(gammas, betas)
         ])
 
-    return pi_f, inst.t_max()
+    return _Evaluator(pi_f, inst.t_max(), _rowwise_line(pi_f))
 
 
-def _sector_feasibility(basis: SectorBasis) -> tuple:
-    """The feasibility probabilities of a batch of schedules under the
-    collision penalty, one per row of the (K, p) angle arrays, from the
-    invariant sector of ``basis``, and the largest penalty level.
+def _sector_feasibility(basis: SectorBasis) -> _Evaluator:
+    """The feasibility probabilities under the collision penalty from the
+    invariant sector of ``basis``: of a batch of schedules, and along one
+    angle of a schedule.
 
     The uniform start state has amplitude sqrt(|orbit| / n**m) on each
     normalized orbit vector; a layer multiplies every row by
@@ -381,6 +418,17 @@ def _sector_feasibility(basis: SectorBasis) -> tuple:
     of B, as one (K x dim) product.  The checks are those of
     ``oracle.simulate``: finite cost and block phases and a unit norm of
     every row.
+
+    Along angle j the state is S D(val) a, with a the state before the
+    operator D that carries the angle and S the product of the operators
+    after it.  Each factor is diagonal or V diag(.) V^T with V real
+    orthogonal, so complex symmetric, and the feasible amplitude is
+    r^T D(val) a with r = S^T e_f: the same factors applied to e_f in
+    reverse order.  So pi_F(val) = |sum_k c_k exp(-i val mu_k)|^2, with
+    c = r * a and mu the penalties for a cost angle, and c = (V^T r) *
+    (V^T a) and mu the eigenvalues of B for a mixer angle.  The phases of
+    the whole bracket are checked once, and the norms of a and r, which
+    bound the state's norm at every point as S and D are unitary.
     """
     n, m = basis.n, basis.m
     penalty = np.asarray(basis.penalties, dtype=float)
@@ -389,12 +437,17 @@ def _sector_feasibility(basis: SectorBasis) -> tuple:
     inverse = vectors.T.copy()  # B is real symmetric, so V is orthogonal
     start = np.sqrt(np.asarray(basis.sizes, dtype=float) / n**m).astype(complex)
     feasible = basis.penalties.index(0)  # the permutations, as m = n
+    unit = np.zeros(basis.dim, dtype=complex)
+    unit[feasible] = 1.0
 
-    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        # the largest |angle| bounds every phase of the batch; a NaN angle
-        # makes it NaN, which fails the check
+    def check(gammas: np.ndarray, betas: np.ndarray) -> None:
+        # the largest |angle| bounds every phase; a NaN angle makes it NaN,
+        # which fails the check
         check_phase(float(np.abs(gammas).max(initial=0.0)), penalty)
         check_block_phase(n, float(np.abs(betas).max(initial=0.0)))
+
+    def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        check(gammas, betas)
         psi = np.broadcast_to(start, (len(gammas), start.size))
         for layer in range(gammas.shape[1]):
             psi = np.exp(-1j * gammas[:, layer, None] * penalty) * psi
@@ -403,7 +456,56 @@ def _sector_feasibility(basis: SectorBasis) -> tuple:
         oracle.check_norm(psi)
         return np.abs(psi[:, feasible]) ** 2
 
-    return pi_f, max(basis.penalties)
+    def apply(psi: np.ndarray, mixer: bool, angle: float) -> np.ndarray:
+        if mixer:
+            return vectors @ (np.exp(-1j * angle * mixer_phases) * (inverse @ psi))
+        return np.exp(-1j * angle * penalty) * psi
+
+    def line(x: np.ndarray, j: int, hi: float) -> Callable:
+        p = x.size // 2
+        bracket = x.copy()
+        bracket[j] = hi  # every point of [0, hi] has its phases within these
+        check(bracket[:p], bracket[p:])
+        # the operators in circuit order: cost then mixer, layer by layer
+        ops = [(mixer, float(x[mixer * p + layer])) for layer in range(p) for mixer in (0, 1)]
+        k = 2 * j if j < p else 2 * (j - p) + 1
+        a, r = start, unit
+        for op in ops[:k]:
+            a = apply(a, *op)
+        for op in reversed(ops[k + 1:]):
+            r = apply(r, *op)
+        oracle.check_norm(a)
+        oracle.check_norm(r)
+        if ops[k][0]:
+            c, mu = (inverse @ r) * (inverse @ a), mixer_phases
+        else:
+            c, mu = r * a, penalty
+        return lambda val: abs(c @ np.exp(-1j * val * mu)) ** 2
+
+    return _Evaluator(pi_f, max(basis.penalties), line)
+
+
+def _restart_rows(rng: np.random.Generator, rows: int, upper: np.ndarray, n: int) -> np.ndarray:
+    """``rows`` restart schedules in one draw: p cost angles uniform on
+    (0, upper[0]) and p mixer angles uniform on (0, 2pi), each mixer angle
+    within _RESONANCE_MARGIN of a resonance drawn again in place until it
+    is not."""
+    period = 2.0 * math.pi / n
+
+    def resonant(betas: np.ndarray) -> np.ndarray:
+        # a guard band of twice the margin, decided exactly by resonance_distance
+        near = np.abs(betas - period * np.round(betas / period)) <= 2.0 * _RESONANCE_MARGIN
+        near[near] = [resonance_distance(n, beta) <= _RESONANCE_MARGIN
+                      for beta in betas[near].tolist()]
+        return near
+
+    x = rng.random((rows, upper.size)) * upper
+    betas = x[:, upper.size // 2:]  # a view, so redraws land in x
+    bad = resonant(betas)
+    while bad.any():
+        betas[bad] = rng.random(int(bad.sum())) * (2.0 * math.pi)
+        bad = resonant(betas)
+    return x
 
 
 def feasibility_angle_search(
@@ -421,13 +523,16 @@ def feasibility_angle_search(
     angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
     resonant values rejected.  The default collision penalty is simulated in
     the invariant sector, from ``basis`` when the caller has built it
-    already; any other penalty on the statevector.
+    already, and its refinement evaluates one angle in closed form; any
+    other penalty runs on the statevector.  A refined point that beats the
+    best is evaluated again by the batch evaluator, uncounted, so the
+    reported ``pi_f`` is always that evaluator's value at the reported angles.
     """
     _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
-    pi_f, t_max = (_sector_feasibility(basis or invariant_sector_basis(inst.n, inst.m))
-                   if inst.default_penalty else _statevector_feasibility(inst))
+    pi_f, t_max, line = (_sector_feasibility(basis or invariant_sector_basis(inst.n, inst.m))
+                         if inst.default_penalty else _statevector_feasibility(inst))
     evaluations = 0
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -441,35 +546,26 @@ def feasibility_angle_search(
 
     if p > 0 and t_max > 0:
         rng = np.random.default_rng(seed)
-        upper = [math.pi / t_max] * p + [2.0 * math.pi] * p
+        upper = np.array([math.pi / t_max] * p + [2.0 * math.pi] * p)
 
-        def draw_beta() -> float:
-            while True:
-                beta = rng.uniform(0.0, 2.0 * math.pi)
-                if resonance_distance(inst.n, beta) > 1e-6:
-                    return beta
-
-        # Random restarts, drawn one schedule at a time in stream order and
-        # evaluated in batches; strict > keeps the first maximum.
+        # Random restarts, evaluated in batches; strict > keeps the first maximum.
         while evaluations < budget // 2:
-            rows = min(_RESTART_BATCH, budget // 2 - evaluations)
-            x = np.array([np.concatenate([rng.uniform(0.0, upper[0], size=p),
-                                          [draw_beta() for _ in range(p)]])
-                          for _ in range(rows)])
+            x = _restart_rows(rng, min(_RESTART_BATCH, budget // 2 - evaluations), upper, inst.n)
             for row, value in zip(x, evaluate(x)):
                 if value > best:
                     best, best_x = value, row
 
         # Coordinate refinement: golden-section on each angle in turn.
-        for j, hi in enumerate(upper):
+        for j, hi in enumerate(upper.tolist()):
             if evaluations + 2 > budget:  # bracketing alone needs two evaluations
                 break
             lo = 0.0
+            along = line(best_x, j, hi)
 
             def coord_eval(val: float) -> float:
-                x = best_x.copy()
-                x[j] = val
-                return evaluate(x[None])[0]
+                nonlocal evaluations
+                evaluations += 1
+                return along(val)
 
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
@@ -485,8 +581,11 @@ def feasibility_angle_search(
                     f1 = coord_eval(x1)
             candidate, value = (x1, f1) if f1 >= f2 else (x2, f2)
             if value > best:
-                best, best_x = value, best_x.copy()
-                best_x[j] = candidate
+                x = best_x.copy()
+                x[j] = candidate
+                value = pi_f(x[None, :p], x[None, p:])[0]  # the batch evaluator's, uncounted
+                if value > best:
+                    best, best_x = value, x
 
     return AngleSearchResult(
         gammas=tuple(float(v) for v in best_x[:p]),

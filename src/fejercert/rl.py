@@ -97,11 +97,13 @@ class RLLaw:
 
     ``subset_mass``/``subset_stderr`` carry the per-draw mass statistics of
     the tracked subset (the per-draw masses are correlated across strings,
-    so the subset error cannot be derived from the per-string errors).
+    so the subset error cannot be derived from the per-string errors).  A
+    pooled law normalizes once, so it has no per-draw laws and both
+    ``stderr`` and ``subset_stderr`` are None.
     """
 
     probs: np.ndarray
-    stderr: np.ndarray
+    stderr: np.ndarray | None
     samples: int
     subset_mass: float | None = None
     subset_stderr: float | None = None
@@ -175,9 +177,8 @@ def rl_filtered_distribution(
             subset_masses.append(kernel[:, subset_levels] @ subset_env[subset_levels])
 
     probs = env.probs * (total / samples)[level_of]
-    sub_mass = sub_err = None
+    stderr = sub_mass = sub_err = None
     if pooled:
-        stderr = np.zeros(env.size)
         probs /= float(probs.sum())
         if subset is not None:
             sub_mass = float(probs[subset].sum())

@@ -133,7 +133,10 @@ def filtered_law_csv(
     )
 
 
-def rl_law_csv(probs: np.ndarray, stderr: np.ndarray, n: int, m: int) -> str:
+def rl_law_csv(probs: np.ndarray, stderr: np.ndarray | None, n: int, m: int) -> str:
+    """The averaged law; a pooled law (``stderr`` None) has no stderr column."""
+    if stderr is None:
+        return _labelled_csv(("string", "probability"), n, m, probs)
     return _labelled_csv(("string", "probability", "stderr"), n, m, probs, stderr)
 
 

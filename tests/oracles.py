@@ -33,9 +33,12 @@ path, so they live with the tests (and only they need scipy).
 - ``sector_by_enumeration``: the invariant-sector orbits and generators
   found by enumerating all n**m strings and their relabel pairs, the
   reference for the combinatorial sector build;
+- ``sector_pair_counts_by_index``: the orbit relabel pair counts summed
+  over every ordered pair of symbol indices, the reference for the
+  count-value form of ``SectorBasis.pair_counts``;
 - ``sector_feasibility_rowwise``: the invariant-sector feasibility
   probability of one schedule at a time, the reference for the batched
-  restart evaluator;
+  restart evaluator and the one-angle closed form of the refinement;
 - ``lie_closure_dim``: numeric dimension of the Lie algebra generated by the
   invariant-sector generators, a probe and never a proof;
 - ``envelope_csv_rowwise``, ``filtered_law_csv_rowwise``,
@@ -320,7 +323,7 @@ def rl_filtered_distribution_per_string(
         sub_mass = float(probs[subset].sum()) if subset is not None else None
         return RLLaw(
             probs=probs,
-            stderr=np.zeros(env.size),
+            stderr=None,
             samples=samples,
             subset_mass=sub_mass,
             subset_stderr=None,
@@ -414,6 +417,28 @@ def sector_by_enumeration(n: int, m: int) -> tuple:
     b[src, dst] = pairs
     weights = np.asarray(basis.sizes, dtype=float)
     return basis, a, b / np.sqrt(np.outer(weights, weights))
+
+
+def sector_pair_counts_by_index(basis: SectorBasis) -> dict:
+    """The relabel pair counts between orbits, {(src, dst): count}, one
+    ordered pair (i, j) of symbol indices at a time: moving one of the c_i
+    blocks on symbol i to symbol j takes the orbit's c_i * size moves to the
+    orbit of the signature with c_i - 1 and c_j + 1."""
+    position = {key: r for r, key in enumerate(basis.keys)}
+    counts = {}
+    for src, (key, size) in enumerate(zip(basis.keys, basis.sizes)):
+        for i, c in enumerate(key):
+            if c == 0:
+                continue
+            for j in range(len(key)):
+                if j == i:
+                    continue
+                moved = list(key)
+                moved[i] -= 1
+                moved[j] += 1
+                pair = (src, position[tuple(sorted(moved, reverse=True))])
+                counts[pair] = counts.get(pair, 0) + c * size
+    return counts
 
 
 def sector_feasibility_rowwise(n: int, m: int) -> Callable:
@@ -538,7 +563,10 @@ def filtered_law_csv_rowwise(
     return csv_table(("string", "phase", "fejer_weight", "probability"), rows)
 
 
-def rl_law_csv_rowwise(probs: np.ndarray, stderr: np.ndarray, n: int, m: int) -> str:
+def rl_law_csv_rowwise(probs: np.ndarray, stderr: np.ndarray | None, n: int, m: int) -> str:
+    if stderr is None:  # a pooled law
+        rows = ((format_string(index_string(i, n, m)), float(probs[i])) for i in range(probs.size))
+        return csv_table(("string", "probability"), rows)
     rows = (
         (format_string(index_string(i, n, m)), float(probs[i]), float(stderr[i]))
         for i in range(probs.size)

@@ -561,6 +561,18 @@ class TestRLCommand:
         assert run(argv + ["--pooled"]) == 0
         assert json.loads(out.read_text())["success_stderr"] is None
 
+    def test_pooled_law_has_no_stderr_column(self, qap_instance, tmp_path):
+        # the pooled law has no standard error, in the document or the CSV
+        out, law = tmp_path / "rl.json", tmp_path / "law.csv"
+        assert run(["rl", "--instance", qap_instance, "--gamma", "0.4", "-p", "4",
+                    "--half-width", "0.8", "--samples", "20", "--pooled",
+                    "-o", str(out), "--law-output", str(law)]) == 0
+        assert json.loads(out.read_text())["success_stderr"] is None
+        lines = law.read_text().strip().split("\n")
+        assert lines[0] == "string,probability"
+        assert len(lines) == 28 and all(line.count(",") == 1 for line in lines)
+        assert sum(float(line.split(",")[1]) for line in lines[1:]) == pytest.approx(1.0)
+
 
 class TestSimulateCommand:
     def test_document_fields(self, qap_instance, tmp_path):

@@ -12,11 +12,16 @@ from oracles import (
     lie_closure_dim,
     sector_by_enumeration,
     sector_feasibility_rowwise,
+    sector_pair_counts_by_index,
 )
 from fejercert import CapExceededError, collision_penalty, feasibility, load_instance, oracle
 from fejercert.feasibility import (
+    _Evaluator,
+    _restart_rows,
+    _rowwise_line,
     _sector_feasibility,
     LevelGraph,
+    SectorBasis,
     delta_feasible,
     descent_step,
     feasibility_angle_search,
@@ -31,6 +36,7 @@ from fejercert.feasibility import (
 )
 from fejercert.fejer import fejer_kernel
 from fejercert.instance import Levels
+from fejercert.mixer import resonance_distance
 
 
 def assignment_instance(n, energies=None):
@@ -299,7 +305,7 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pi_f_matches_statevector(self, n):
         inst = assignment_instance(n)
-        pi_f, t_max = _sector_feasibility(invariant_sector_basis(n, n))
+        pi_f, t_max, _ = _sector_feasibility(invariant_sector_basis(n, n))
         assert t_max == inst.t_max()
         rng = np.random.default_rng(900 + n)
         for p in range(4):
@@ -329,15 +335,71 @@ class TestSectorAgreement:
         ([0.3], [math.nan], "mixer angle nan"),
     ])
     def test_sector_keeps_statevector_checks(self, gammas, betas, named):
-        pi_f, _ = _sector_feasibility(invariant_sector_basis(3, 3))
+        pi_f, _, line = _sector_feasibility(invariant_sector_basis(3, 3))
         with pytest.raises(ValueError, match=re.escape(named)):
             pi_f(np.array([gammas]), np.array([betas]))
+        # the line path checks the fixed angles and the bracket end alike
+        bad = np.array(gammas + betas)
+        k = 0 if gammas != [0.3] else 1  # the coordinate of the bad angle
+        for x, j, hi in ((bad, 1 - k, 0.5), (np.array([0.3, 0.3]), k, float(bad[k]))):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                line(x, j, hi)
+
+    def test_sector_line_checks_norms(self, monkeypatch):
+        # orbit sizes that do not sum to n**m give a start state of norm sqrt(2)
+        basis = invariant_sector_basis(3, 3)
+        broken = SectorBasis(3, 3, basis.keys, tuple(2 * s for s in basis.sizes))
+        pi_f, _, line = _sector_feasibility(broken)
+        x = np.array([0.2, 0.4, 0.6, 0.8])
+        with pytest.raises(ValueError, match="state norm"):
+            pi_f(x[None, :2], x[None, 2:])
+        for j in range(4):
+            with pytest.raises(ValueError, match="state norm"):
+                line(x, j, 1.0)
+        # every line checks both of its states, a and r
+        checked = []
+        check_norm = oracle.check_norm
+        monkeypatch.setattr(oracle, "check_norm", lambda v: checked.append(v.ndim) or check_norm(v))
+        line = _sector_feasibility(basis).line
+        for j in range(4):
+            line(x, j, 1.0)
+        assert checked == [1, 1] * 4
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_line_matches_layered_and_rowwise(self, n):
+        # every coordinate of p = 1..3 schedules, at points across the bracket
+        pi_f, t_max, line = _sector_feasibility(invariant_sector_basis(n, n))
+        rowwise = sector_feasibility_rowwise(n, n)
+        inst = assignment_instance(n) if n <= 5 else None
+        rng = np.random.default_rng(1100 + n)
+        for p in range(1, 4):
+            upper = [math.pi / t_max] * p + [2.0 * math.pi] * p
+            for _ in range(3):
+                x = rng.uniform(0.0, upper)
+                for j, hi in enumerate(upper):
+                    along = line(x, j, hi)
+                    for val in (0.0, hi, *rng.uniform(0.0, hi, size=4)):
+                        y = x.copy()
+                        y[j] = val
+                        value = along(val)
+                        assert abs(value - pi_f(y[None, :p], y[None, p:])[0]) <= 1e-12
+                        assert abs(value - rowwise(y[:p], y[p:])) <= 1e-12
+                        if inst is not None:
+                            state = oracle.simulate(inst, y[:p], y[p:], cost_table=inst.penalty)
+                            expected = oracle.projector_mass(state, inst.feasible_indices())
+                            assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n,m", [(n, n) for n in range(2, 17)]
+                             + [(2, 5), (3, 7), (5, 3), (7, 4), (9, 2), (4, 12)])
+    def test_pair_counts_match_per_index(self, n, m):
+        basis = invariant_sector_basis(n, m)
+        assert basis.pair_counts == sector_pair_counts_by_index(basis)
 
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_batched_matches_rowwise(self, n):
         # restart-like schedules: gamma in (0, pi/t_max], beta in (0, 2pi)
-        batched, t_max = _sector_feasibility(invariant_sector_basis(n, n))
+        batched, t_max, _ = _sector_feasibility(invariant_sector_basis(n, n))
         rowwise = sector_feasibility_rowwise(n, n)
         rng = np.random.default_rng(700 + n)
         for p in range(4):
@@ -429,13 +491,88 @@ class TestAngleSearch:
         batched = feasibility_angle_search(inst, p, budget=budget, seed=11)
 
         def rowwise_sector(basis):
+            # one schedule at a time, and a refinement on the same evaluator
             one = sector_feasibility_rowwise(basis.n, basis.m)
-            _, t_max = _sector_feasibility(basis)
-            return (lambda gammas, betas: np.array([one(g, b) for g, b in zip(gammas, betas)]),
-                    t_max)
+            pi_f = lambda gammas, betas: np.array([one(g, b) for g, b in zip(gammas, betas)])
+            return _Evaluator(pi_f, _sector_feasibility(basis).t_max, _rowwise_line(pi_f))
 
         monkeypatch.setattr(feasibility, "_sector_feasibility", rowwise_sector)
         reference = feasibility_angle_search(inst, p, budget=budget, seed=11)
         assert (batched.gammas, batched.betas, batched.evaluations) == (
             reference.gammas, reference.betas, reference.evaluations)
         assert abs(batched.pi_f - reference.pi_f) <= 1e-12
+
+
+def zero_cost_instance(n):
+    """An n x n assignment instance without n**n tables; the sector search
+    reads no cost."""
+    return load_instance({"n": n, "m": n, "generator": {"kind": "assignment",
+                                                        "cost": [[0] * n] * n}})
+
+
+def _layered_search(monkeypatch, *args):
+    """The search with its refinement on the batch evaluator, one row per
+    golden-section point, as the statevector path runs it."""
+    sector = feasibility._sector_feasibility
+
+    def layered(basis):
+        evaluator = sector(basis)
+        return evaluator._replace(line=_rowwise_line(evaluator.pi_f))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_sector_feasibility", layered)
+        return feasibility_angle_search(*args)
+
+
+class TestLineRefinement:
+    """The closed-form refinement steers the search; the reported pi_f is
+    the batch evaluator's value at the reported angles."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reported_pi_f_is_layered_value(self, n, monkeypatch):
+        inst = zero_cost_instance(n)
+        pi_f = _sector_feasibility(invariant_sector_basis(n, n)).pi_f
+        for p in range(1, 4):
+            for seed in range(4):
+                for budget in (50, 200):
+                    result = feasibility_angle_search(inst, p, budget, seed)
+                    g, b = np.array([result.gammas]), np.array([result.betas])
+                    assert result.pi_f == float(pi_f(g, b)[0])
+                    layered = _layered_search(monkeypatch, inst, p, budget, seed)
+                    assert result.evaluations == layered.evaluations
+                    assert abs(result.pi_f - layered.pi_f) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_benchmark_searches_match_layered_search(self, n, monkeypatch):
+        # the benchmark's searches: order 2, budget 200, seed 7
+        inst = zero_cost_instance(n)
+        assert feasibility_angle_search(inst, 2, 200, 7) == _layered_search(
+            monkeypatch, inst, 2, 200, 7)
+
+
+class TestRestartRows:
+    """The one-call restart draw: rejected mixer angles are drawn again in
+    place, and every other angle is the plain draw's."""
+
+    @pytest.mark.parametrize("margin", [1e-6, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_redraws_only_resonant_angles(self, n, margin, monkeypatch):
+        monkeypatch.setattr(feasibility, "_RESONANCE_MARGIN", margin)
+        redrawn = 0
+        for p in (1, 2, 3):
+            upper = np.array([math.pi / 6] * p + [2.0 * math.pi] * p)
+            for seed, rows in itertools.product(range(5), (1, 7, 256)):
+                x = _restart_rows(np.random.default_rng(seed), rows, upper, n)
+                plain = np.random.default_rng(seed).random((rows, 2 * p)) * upper
+                assert all(resonance_distance(n, beta) > margin for beta in x[:, p:].ravel())
+                assert ((0.0 <= x) & (x < upper)).all()
+                kept = np.array([[j < p or resonance_distance(n, v) > margin
+                                  for j, v in enumerate(row)] for row in plain])
+                assert np.array_equal(x[kept], plain[kept])
+                # the redrawn angles are 2pi times the stream's doubles after the batch
+                stream = np.random.default_rng(seed).random(rows * 2 * p * 20)[rows * 2 * p:]
+                assert set(x[~kept].tolist()) <= set((stream * (2.0 * math.pi)).tolist())
+                redrawn += int((~kept).sum())
+        # a margin of 0.3 rejects some mixer angles, and these seeds draw none
+        # within 1e-6 of a resonance, so there the rows are the plain draw
+        assert (redrawn > 0) == (margin == 0.3)

@@ -270,9 +270,10 @@ class TestLevelAgreement:
                     law = rl_filtered_distribution(*args, **kwargs)
                     ref = rl_filtered_distribution_per_string(*args, **kwargs)
                     assert np.max(np.abs(law.probs - ref.probs)) < 1e-12
-                    assert np.max(np.abs(law.stderr**2 - ref.stderr**2)) < 1e-12
                     assert abs(law.subset_mass - ref.subset_mass) < 1e-12
-                    if pooled:
+                    if pooled:  # no per-draw laws, so no standard errors
+                        assert law.stderr is None and ref.stderr is None
                         assert law.subset_stderr is None and ref.subset_stderr is None
                     else:
+                        assert np.max(np.abs(law.stderr**2 - ref.stderr**2)) < 1e-12
                         assert abs(law.subset_stderr - ref.subset_stderr) < 1e-12

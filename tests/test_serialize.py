@@ -70,6 +70,14 @@ def test_csv_writers_byte_identical_to_rowwise(writer, n, m):
     assert fast(*columns, n, m) == reference(*columns, n, m)
 
 
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_pooled_rl_law_has_no_stderr_column(n, m):
+    (probs,) = _columns(np.random.default_rng(3000 * n + m), n**m, 1)
+    text = rl_law_csv(probs, None, n, m)
+    assert text == rl_law_csv_rowwise(probs, None, n, m)
+    assert text.split("\n", 1)[0] == "string,probability"
+
+
 def test_curves_csv_byte_identical_to_rowwise():
     rng = np.random.default_rng(7)
     rows = [(np.float64(d), np.int64(p), 0.1, c)
