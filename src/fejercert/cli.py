@@ -322,14 +322,8 @@ def _cmd_envelope(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
-    basis = None
-    if inst.default_penalty:  # the orbit sector reads neither n**m table
-        feas.sector_dimension(inst.n, inst.m, inst.cap)
-        basis = feas.invariant_sector_basis(inst.n, inst.m)  # shared with the search
-        ls, graph = feas.sector_level_graph(basis)
-    else:
-        ls = feas.level_sets(inst)
-        graph = feas.level_graph(inst, ls)
+    ls = feas.level_sets(inst)
+    graph = feas.level_graph(inst, ls)
     sep = feas.delta_feasible(args.gamma, ls)
     # exact int/int division: n**m reaches 2**64 at 16x16
     c_f = ls.counts[0] / inst.size if ls.values[0] == 0 else 0.0
@@ -344,7 +338,7 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     search = None
     if not args.no_search:
         search = dataclasses.asdict(
-            feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed, basis)
+            feas.feasibility_angle_search(inst, args.search_order, args.budget, args.seed)
         )
 
     document = {

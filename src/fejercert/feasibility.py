@@ -1,5 +1,5 @@
 """Penalty level-set analysis, descent and connectivity checks, feasibility
-bounds, invariant-sector construction, and the numerical angle search.
+bounds, the invariant-sector mixer, and the numerical angle search.
 
 The feasibility stage reuses the filter machinery with penalty-only phases:
 the target phase is 0 (the feasible level), the gap delta_F is the minimal
@@ -8,16 +8,15 @@ bound applies verbatim with the feasible envelope mass.
 
 Under the default m = n collision penalty the level stage and the angle
 search run in the sector invariant under block permutations and symbol
-relabelings, one dimension per partition of m into at most n parts; a
-penalty table given by the user is handled over all n**m strings.
+relabelings that the instance holds (``ProblemInstance.sector``), one
+dimension per partition of m into at most n parts; any other penalty is
+handled over all n**m strings.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,9 +24,9 @@ import numpy as np
 from . import oracle
 from .instance import (
     PHASE_COLLISION_TOL,
-    CapExceededError,
     Levels,
     ProblemInstance,
+    SectorBasis,
     check_phase,
     circular_distance,
     collision_penalty,
@@ -44,67 +43,52 @@ from .planner import ratio_bounds, ratio_parameter
 @dataclass(frozen=True)
 class LevelGraph:
     """Undirected graph on active penalty levels; an edge means nonzero mixer
-    coupling between the uniform level-set vectors."""
+    coupling between the uniform level-set vectors.  With the complete-graph
+    block mixer every relabel pair couples with unit weight, so that is the
+    case exactly when some single-block relabel joins the two levels."""
 
     vertices: tuple
     edges: tuple
-    couplings: dict
 
 
 def level_sets(inst: ProblemInstance) -> Levels:
     """The penalty levels t and their sizes |L_t|, over all n**m strings."""
-    return Levels.of(inst.penalty)
+    return inst.penalty_levels
 
 
-def _relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
-    """Counts of ordered single-block-relabel pairs between the k classes of
-    [n]^m given by ``labels`` (one class index per string), as arrays
-    (src, dst, count) over the class pairs that occur, sorted by (src, dst).
+def _relabel_pairs(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
+    """The ordered single-block-relabel pairs between the k classes of [n]^m
+    given by ``labels`` (one class index per string) that occur, as arrays
+    (src, dst) sorted by (src, dst).
 
     Each (block, symbol) pass is reduced to its distinct pairs before the
     merge, so memory stays proportional to n**m plus the pairs that occur,
     whatever k is."""
     idx = np.arange(n**m)
-    codes, counts = [], []
+    codes = []
     for b in range(m):
         sym = (idx // n**b) % n
         for v in range(n):
             src = idx[sym != v]
             dst = src + (v - sym[src]) * n**b
-            c, cnt = np.unique(labels[src] * k + labels[dst], return_counts=True)
-            codes.append(c)
-            counts.append(cnt)
-    pairs, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-    total = np.bincount(inverse.reshape(-1), weights=np.concatenate(counts)).astype(np.int64)
-    src, dst = np.divmod(pairs, k)
-    return src, dst, total
+            codes.append(np.unique(labels[src] * k + labels[dst]))
+    return np.divmod(np.unique(np.concatenate(codes)), k)
 
 
 def level_graph(inst: ProblemInstance, ls: Levels) -> LevelGraph:
-    """Build the level-transition graph of the penalty levels ``ls`` of an
-    instance by single-block relabel pair counting over all n**m strings."""
-    rank = np.searchsorted(ls.values, inst.penalty)
-    src, dst, counts = _relabel_pair_counts(rank, len(ls.values), inst.n, inst.m)
-    upper = src < dst
-    return _graph(ls, zip(src[upper].tolist(), dst[upper].tolist(), counts[upper].tolist()))
-
-
-def _graph(ls: Levels, pairs) -> LevelGraph:
-    """The level graph from the relabel pair counts (i, j, count) between
-    level ranks i < j, given in (i, j) order.
-
-    With the complete-graph block mixer every relabel pair couples with unit
-    weight, so a nonzero pair count is equivalent to a nonzero matrix element
-    between the normalized level vectors; the stored coupling is the count
-    divided by sqrt(|L_t| |L_t'|).
-    """
-    edges = []
-    couplings = {}
-    for i, j, count in pairs:
-        t1, t2 = ls.values[i], ls.values[j]
-        edges.append((t1, t2))
-        couplings[(t1, t2)] = count / math.sqrt(ls.counts[i] * ls.counts[j])
-    return LevelGraph(vertices=ls.values, edges=tuple(edges), couplings=couplings)
+    """The level-transition graph of the penalty levels ``ls`` of an
+    instance: from the orbit pairs of its sector, each orbit at its penalty
+    level, or by single-block relabels over all n**m strings."""
+    if inst.sector is not None:
+        rank = {t: r for r, t in enumerate(ls.values)}
+        ranks = [rank[t] for t in inst.sector.penalties]
+        pairs = sorted({(ranks[src], ranks[dst]) for src, dst in inst.sector.pair_counts})
+    else:
+        src, dst = _relabel_pairs(np.searchsorted(ls.values, inst.penalty),
+                                  len(ls.values), inst.n, inst.m)
+        pairs = zip(src.tolist(), dst.tolist())
+    edges = tuple((ls.values[i], ls.values[j]) for i, j in pairs if i < j)
+    return LevelGraph(vertices=ls.values, edges=edges)
 
 
 def graph_connected(g: LevelGraph) -> bool:
@@ -215,111 +199,6 @@ def overlap_feasibility_floor(epsilon: float) -> float:
 # Invariant symmetry sector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Orbits of block permutations times global symbol relabelings on [n]^m.
-
-    Each orbit is identified by its sorted symbol-count signature, a
-    partition of m into at most n parts padded with zeros to length n; the
-    normalized orbit-sum vectors form a basis of the fixed-point sector.
-    Orbits are ordered by their first string in canonical order.
-    """
-
-    n: int
-    m: int
-    keys: tuple
-    sizes: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    @property
-    def penalties(self) -> tuple:
-        """The collision penalty sum_k (N_k - 1)^2 of each orbit."""
-        return tuple(sum((c - 1) ** 2 for c in key) for key in self.keys)
-
-    @cached_property
-    def pair_counts(self) -> dict:
-        """Counts of ordered single-block relabel pairs between orbits,
-        {(src, dst): count}.  Moving one of the a blocks on a symbol to a
-        symbol held by b blocks takes each string of the orbit to the orbit
-        of the signature with one a lowered to a - 1 and one b raised to
-        b + 1.  That depends only on (a, b), so each pair of distinct count
-        values is visited once, for its ma * (mb - [a == b]) symbol pairs of
-        a blocks each, where ma and mb count the symbols held a and b times."""
-        position = {key: r for r, key in enumerate(self.keys)}
-        counts = {}
-        for src, (key, size) in enumerate(zip(self.keys, self.sizes)):
-            held = Counter(key)
-            for a, ma in held.items():
-                if a == 0:
-                    continue
-                for b, mb in held.items():
-                    symbols = ma * (mb - (a == b))
-                    if symbols == 0:
-                        continue
-                    # the key is descending, so equal counts are adjacent
-                    i = key.index(a)
-                    j = i + 1 if a == b else key.index(b)
-                    moved = list(key)
-                    moved[i] -= 1
-                    moved[j] += 1
-                    pair = (src, position[tuple(sorted(moved, reverse=True))])
-                    counts[pair] = counts.get(pair, 0) + symbols * a * size
-        return counts
-
-
-def _partitions(m: int, parts: int, largest: int):
-    """Partitions of m into at most ``parts`` parts of at most ``largest``,
-    each in descending order, in descending lexicographic order."""
-    if m == 0:
-        yield ()
-    elif parts > 0:
-        for first in range(min(m, largest), 0, -1):
-            for rest in _partitions(m - first, parts - 1, first):
-                yield (first,) + rest
-
-
-def sector_dimension(n: int, m: int, cap: int) -> int:
-    """The number of partitions of m into at most n parts, the dimension of
-    the invariant sector, or CapExceededError once it exceeds cap; at most
-    cap + 1 partitions are generated."""
-    dim = 0
-    for _ in _partitions(m, n, m):
-        dim += 1
-        if dim > cap:
-            raise CapExceededError(
-                f"sector dimension (partitions of m = {m} into at most n = {n} parts) "
-                f"exceeds enumeration cap {cap}")
-    return dim
-
-
-def invariant_sector_basis(n: int, m: int) -> SectorBasis:
-    """The group orbits of [n]^m, built from the partitions of m without
-    enumerating the strings.
-
-    The orbit of signature (c_0, ..., c_{n-1}) holds m!/prod c_k! block
-    arrangements of each of n!/prod_j mult_j! symbol assignments, where
-    mult_j counts the symbols that occur j times.  Its first string puts
-    c_0 copies of symbol 0 in the highest blocks, then c_1 copies of
-    symbol 1, and so on; so the partitions, in descending lexicographic
-    order, come in the order of their first strings.
-    """
-    keys, sizes = [], []
-    for part in _partitions(m, n, m):
-        key = part + (0,) * (n - len(part))
-        arrangements = math.factorial(m)
-        for c in key:
-            arrangements //= math.factorial(c)
-        assignments = math.factorial(n)
-        for mult in Counter(key).values():
-            assignments //= math.factorial(mult)
-        keys.append(key)
-        sizes.append(arrangements * assignments)
-    return SectorBasis(n, m, tuple(keys), tuple(sizes))
-
-
 def sector_mixer(basis: SectorBasis) -> np.ndarray:
     """The block mixer restricted to the invariant sector, in the normalized
     orbit basis: the relabel pair counts between orbits over sqrt of their sizes."""
@@ -328,21 +207,6 @@ def sector_mixer(basis: SectorBasis) -> np.ndarray:
         b[pair] = count
     sizes = np.asarray(basis.sizes, dtype=float)
     return b / np.sqrt(np.outer(sizes, sizes))
-
-
-def sector_level_graph(basis: SectorBasis) -> tuple:
-    """The levels and the level graph of the collision penalty, as
-    ``level_sets`` and ``level_graph`` give them, from the orbit sector:
-    the orbit sizes and orbit pair counts are summed by penalty level, so
-    no work grows with n**m."""
-    penalties = basis.penalties
-    ls = Levels.summed(penalties, basis.sizes)
-    rank = {t: r for r, t in enumerate(ls.values)}
-    pairs = {}
-    for (src, dst), count in basis.pair_counts.items():
-        pair = (rank[penalties[src]], rank[penalties[dst]])
-        pairs[pair] = pairs.get(pair, 0) + count
-    return ls, _graph(ls, ((i, j, c) for (i, j), c in sorted(pairs.items()) if i < j))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +234,9 @@ class _Evaluator(NamedTuple):
     cost and mixer angles to the K feasibility probabilities.  ``line`` maps
     a schedule x (p cost angles, then p mixer angles), a coordinate j and a
     bracket end hi to pi_f as a function of angle j on [0, hi], the other
-    angles fixed.  ``t_max`` is the largest penalty level."""
+    angles fixed."""
 
     pi_f: Callable
-    t_max: int
     line: Callable
 
 
@@ -404,7 +267,7 @@ def _statevector_feasibility(inst: ProblemInstance) -> _Evaluator:
             for g, b in zip(gammas, betas)
         ])
 
-    return _Evaluator(pi_f, inst.t_max(), _rowwise_line(pi_f))
+    return _Evaluator(pi_f, _rowwise_line(pi_f))
 
 
 def _sector_feasibility(basis: SectorBasis) -> _Evaluator:
@@ -482,7 +345,7 @@ def _sector_feasibility(basis: SectorBasis) -> _Evaluator:
             c, mu = r * a, penalty
         return lambda val: abs(c @ np.exp(-1j * val * mu)) ** 2
 
-    return _Evaluator(pi_f, max(basis.penalties), line)
+    return _Evaluator(pi_f, line)
 
 
 def _restart_rows(rng: np.random.Generator, rows: int, upper: np.ndarray, n: int) -> np.ndarray:
@@ -513,7 +376,6 @@ def feasibility_angle_search(
     p: int,
     budget: int,
     seed: int,
-    basis: SectorBasis | None = None,
 ) -> AngleSearchResult:
     """Seeded random-restart plus coordinate golden-section search maximizing
     the feasibility probability of the penalty-phase circuit.
@@ -521,18 +383,18 @@ def feasibility_angle_search(
     The zero-angle baseline (whose feasibility mass is |L_0|/n^m) is always
     evaluated first, so the reported optimum is never below it.  Restart
     angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
-    resonant values rejected.  The default collision penalty is simulated in
-    the invariant sector, from ``basis`` when the caller has built it
-    already, and its refinement evaluates one angle in closed form; any
-    other penalty runs on the statevector.  A refined point that beats the
-    best is evaluated again by the batch evaluator, uncounted, so the
-    reported ``pi_f`` is always that evaluator's value at the reported angles.
+    resonant values rejected.  An instance with a sector is simulated there,
+    and its refinement evaluates one angle in closed form; any other runs
+    on the statevector.  A refined point that beats the best is evaluated
+    again by the batch evaluator, uncounted, so the reported ``pi_f`` is
+    always that evaluator's value at the reported angles.
     """
     _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
-    pi_f, t_max, line = (_sector_feasibility(basis or invariant_sector_basis(inst.n, inst.m))
-                         if inst.default_penalty else _statevector_feasibility(inst))
+    pi_f, line = (_statevector_feasibility(inst) if inst.sector is None
+                  else _sector_feasibility(inst.sector))
+    t_max = inst.t_max()
     evaluations = 0
 
     def evaluate(x: np.ndarray) -> np.ndarray:

@@ -121,11 +121,7 @@ def success_probability(law: FilteredLaw, omega_star) -> float:
 def success_lower_bound(p: int, c_beta: float, delta: float) -> float:
     """Dimension-free success bound
     (p+1)C / ((p+1)C + M_p(delta)(1-C)) with the analytic M_p."""
-    _check_c(c_beta)
-    _check_delta(delta)
-    m_p = offpeak_bound(p, delta)
-    num = (p + 1) * c_beta
-    return num / (num + m_p * (1.0 - c_beta))
+    return (p + 1) * c_beta / denominator_bound(p, c_beta, delta)
 
 
 def denominator_bound(p: int, c_beta: float, delta: float) -> float:

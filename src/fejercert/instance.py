@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -134,6 +135,106 @@ class Levels:
 
 
 @dataclass(frozen=True)
+class SectorBasis:
+    """Orbits of block permutations times global symbol relabelings on [n]^m.
+
+    Each orbit is identified by its sorted symbol-count signature, a
+    partition of m into at most n parts padded with zeros to length n; the
+    normalized orbit-sum vectors form a basis of the fixed-point sector.
+    Orbits are ordered by their first string in canonical order.
+    """
+
+    n: int
+    m: int
+    keys: tuple
+    sizes: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.keys)
+
+    @cached_property
+    def penalties(self) -> tuple:
+        """The collision penalty sum_k (N_k - 1)^2 of each orbit."""
+        return tuple(sum((c - 1) ** 2 for c in key) for key in self.keys)
+
+    @cached_property
+    def pair_counts(self) -> dict:
+        """Counts of ordered single-block relabel pairs between orbits,
+        {(src, dst): count}.  Moving one of the a blocks on a symbol to a
+        symbol held by b blocks takes each string of the orbit to the orbit
+        of the signature with one a lowered to a - 1 and one b raised to
+        b + 1.  That depends only on (a, b), so each pair of distinct count
+        values is visited once, for its ma * (mb - [a == b]) symbol pairs of
+        a blocks each, where ma and mb count the symbols held a and b times."""
+        position = {key: r for r, key in enumerate(self.keys)}
+        counts = {}
+        for src, (key, size) in enumerate(zip(self.keys, self.sizes)):
+            held = Counter(key)
+            for a, ma in held.items():
+                if a == 0:
+                    continue
+                for b, mb in held.items():
+                    symbols = ma * (mb - (a == b))
+                    if symbols == 0:
+                        continue
+                    # the key is descending, so equal counts are adjacent
+                    i = key.index(a)
+                    j = i + 1 if a == b else key.index(b)
+                    moved = list(key)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    pair = (src, position[tuple(sorted(moved, reverse=True))])
+                    counts[pair] = counts.get(pair, 0) + symbols * a * size
+        return counts
+
+
+def _partitions(m: int, parts: int, largest: int):
+    """Partitions of m into at most ``parts`` parts of at most ``largest``,
+    each in descending order, in descending lexicographic order."""
+    if m == 0:
+        yield ()
+    elif parts > 0:
+        for first in range(min(m, largest), 0, -1):
+            for rest in _partitions(m - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def invariant_sector_basis(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SectorBasis:
+    """The group orbits of [n]^m, built from the partitions of m without
+    enumerating the strings, or CapExceededError once more than ``cap``
+    partitions appear; at most cap + 1 are generated, and none is padded
+    before the count is known.
+
+    The orbit of signature (c_0, ..., c_{n-1}) holds m!/prod c_k! block
+    arrangements of each of n!/prod_j mult_j! symbol assignments, where
+    mult_j counts the symbols that occur j times.  Its first string puts
+    c_0 copies of symbol 0 in the highest blocks, then c_1 copies of
+    symbol 1, and so on; so the partitions, in descending lexicographic
+    order, come in the order of their first strings.
+    """
+    parts = []
+    for part in _partitions(m, n, m):
+        if len(parts) == cap:
+            raise CapExceededError(
+                f"sector dimension (partitions of m = {m} into at most n = {n} parts) "
+                f"exceeds enumeration cap {cap}")
+        parts.append(part)
+    keys, sizes = [], []
+    for part in parts:
+        key = part + (0,) * (n - len(part))
+        arrangements = math.factorial(m)
+        for c in key:
+            arrangements //= math.factorial(c)
+        assignments = math.factorial(n)
+        for mult in Counter(key).values():
+            assignments //= math.factorial(mult)
+        keys.append(key)
+        sizes.append(arrangements * assignments)
+    return SectorBasis(n, m, tuple(keys), tuple(sizes))
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """Lattice-normalized instance over [n]^m, holding what the document gave.
 
@@ -148,7 +249,9 @@ class ProblemInstance:
 
     The n**m tables ``energy`` and ``penalty`` are built on first read,
     after n**m is checked against ``cap``; the physical energy is
-    ``lattice_scale * E(z)``.
+    ``lattice_scale * E(z)``.  Under the default collision penalty,
+    ``sector`` holds its orbits, their number checked against ``cap``, and
+    ``penalty_levels`` sums them, so the penalty spectrum needs no table.
     """
 
     n: int
@@ -164,8 +267,7 @@ class ProblemInstance:
 
     @property
     def default_penalty(self) -> bool:
-        """Whether the penalty is the loader's m = n collision table, under
-        which the feasibility stage works in the orbit sector."""
+        """Whether the penalty is the loader's m = n collision table."""
         return self.given_penalty is None and self.m == self.n
 
     def checked_size(self) -> int:
@@ -207,6 +309,20 @@ class ProblemInstance:
         return feasible
 
     @cached_property
+    def sector(self) -> SectorBasis | None:
+        """The orbit basis of the default collision penalty, built under the
+        cap on its dimension, or None for any other penalty."""
+        return invariant_sector_basis(self.n, self.m, self.cap) if self.default_penalty else None
+
+    @cached_property
+    def penalty_levels(self) -> Levels:
+        """The penalty levels of all n**m strings: summed over the orbits of
+        the sector when there is one, so no n**m table is formed."""
+        if self.sector is not None:
+            return Levels.summed(self.sector.penalties, self.sector.sizes)
+        return Levels.of(self.penalty)
+
+    @cached_property
     def levels(self) -> Levels:
         """The energy levels of all n**m strings."""
         return Levels.of(self.energy)
@@ -239,7 +355,8 @@ class ProblemInstance:
                      if value != e_star or count > optima)
 
     def t_max(self) -> int:
-        return int(self.penalty.max(initial=0))
+        """The largest penalty level."""
+        return self.penalty_levels.values[-1]
 
 
 def _float_array(value, what: str) -> np.ndarray:

@@ -30,6 +30,9 @@ path, so they live with the tests (and only they need scipy).
   second evaluation path of the averaged kernel;
 - ``invariant_sector_generators``: the dense generators (A, B) of the
   invariant sector, A the diagonal of orbit penalties;
+- ``relabel_pair_counts``: the count of every ordered single-block relabel
+  pair between classes of strings, over all n**m strings, the reference
+  for the orbit pair counts of the sector summed by level;
 - ``sector_by_enumeration``: the invariant-sector orbits and generators
   found by enumerating all n**m strings and their relabel pairs, the
   reference for the combinatorial sector build;
@@ -62,24 +65,21 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from fejercert.feasibility import (
-    SectorBasis,
-    _relabel_pair_counts,
-    invariant_sector_basis,
-    sector_mixer,
-)
+from fejercert.feasibility import sector_mixer
 from fejercert.fejer import fejer_kernel
 from fejercert.instance import (
     PHASE_COLLISION_TOL,
     GapScope,
     PhaseModel,
     ProblemInstance,
+    SectorBasis,
     _to_integers,
     check_phase,
     circular_distance,
     collision_penalty,
     format_string,
     index_string,
+    invariant_sector_basis,
     wrap_angle,
 )
 from fejercert.mixer import Envelope, check_block_phase
@@ -390,6 +390,26 @@ def invariant_sector_generators(n: int, m: int) -> tuple:
     return np.diag(np.asarray(basis.penalties, dtype=float)), sector_mixer(basis)
 
 
+def relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
+    """Counts of ordered single-block-relabel pairs between the k classes of
+    [n]^m given by ``labels`` (one class index per string), as arrays
+    (src, dst, count) over the class pairs that occur, sorted by (src, dst)."""
+    idx = np.arange(n**m)
+    codes, counts = [], []
+    for b in range(m):
+        sym = (idx // n**b) % n
+        for v in range(n):
+            src = idx[sym != v]
+            dst = src + (v - sym[src]) * n**b
+            c, cnt = np.unique(labels[src] * k + labels[dst], return_counts=True)
+            codes.append(c)
+            counts.append(cnt)
+    pairs, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    total = np.bincount(inverse.reshape(-1), weights=np.concatenate(counts)).astype(np.int64)
+    src, dst = np.divmod(pairs, k)
+    return src, dst, total
+
+
 def sector_by_enumeration(n: int, m: int) -> tuple:
     """The orbit basis and the generators (A, B) of the invariant sector from
     all n**m strings: each string's sorted symbol counts name its orbit, the
@@ -412,7 +432,7 @@ def sector_by_enumeration(n: int, m: int) -> tuple:
     )
     a = np.diag([float(collision_penalty(index_string(int(first[i]), n, m), n))
                  for i in order])
-    src, dst, pairs = _relabel_pair_counts(rank[inverse.reshape(-1)], basis.dim, n, m)
+    src, dst, pairs = relabel_pair_counts(rank[inverse.reshape(-1)], basis.dim, n, m)
     b = np.zeros((basis.dim, basis.dim))
     b[src, dst] = pairs
     weights = np.asarray(basis.sizes, dtype=float)

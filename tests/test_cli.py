@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fejercert import cli, collision_penalty_table, feasibility, load_instance, oracle
+from fejercert import cli, collision_penalty_table, feasibility, instance, load_instance, oracle
 from fejercert.cli import main
 from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
@@ -380,11 +380,11 @@ class TestFeasibilityRoute:
         cost = [[(3 * i + 5 * j) % 7 for j in range(n)] for i in range(n)]
         return {"n": n, "m": n, "generator": {"kind": "assignment", "cost": cost}}
 
-    def run_without(self, monkeypatch, names, instance, out):
+    def run_without(self, monkeypatch, names, path, out):
         with monkeypatch.context() as patch:
             for module, name in names:
                 patch.setattr(module, name, _unexpected)
-            assert run(self.ARGV + ["--instance", instance, "-o", str(out)]) == 0
+            assert run(self.ARGV + ["--instance", path, "-o", str(out)]) == 0
         return json.loads(out.read_text())
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -393,9 +393,12 @@ class TestFeasibilityRoute:
         default = write_instance(tmp_path / "default.json", doc)
         explicit = write_instance(tmp_path / "explicit.json",
                                   {**doc, "penalty": collision_penalty_table(n, n).tolist()})
-        sector = self.run_without(monkeypatch, [(oracle, "simulate"), (feasibility, "level_sets")],
+        # the sector run forms no n**m table and runs no statevector
+        sector = self.run_without(monkeypatch, [(oracle, "simulate"),
+                                                (instance, "collision_penalty_table"),
+                                                (feasibility, "_relabel_pairs")],
                                   default, tmp_path / "sector.json")
-        statevector = self.run_without(monkeypatch, [(feasibility, "invariant_sector_basis")],
+        statevector = self.run_without(monkeypatch, [(instance, "invariant_sector_basis")],
                                        explicit, tmp_path / "statevector.json")
         sector_pi_f = sector["search"].pop("pi_f")
         statevector_pi_f = statevector["search"].pop("pi_f")
@@ -432,9 +435,9 @@ class TestFeasibilityRoute:
                 return fn(*args)
             return counted
 
-        pair_counts = feasibility.SectorBasis.pair_counts  # a cached_property
-        monkeypatch.setattr(feasibility, "invariant_sector_basis",
-                            counting(feasibility.invariant_sector_basis, "basis"))
+        pair_counts = instance.SectorBasis.pair_counts  # a cached_property
+        monkeypatch.setattr(instance, "invariant_sector_basis",
+                            counting(instance.invariant_sector_basis, "basis"))
         monkeypatch.setattr(pair_counts, "func", counting(pair_counts.func, "pairs"))
         argv = self.ARGV + ([] if search else ["--no-search"])
         inst = write_instance(tmp_path / "i.json", self.square_doc(5))
@@ -443,7 +446,7 @@ class TestFeasibilityRoute:
 
     def test_other_user_penalty_uses_statevector(self, tmp_path, monkeypatch):
         doc = {**self.square_doc(3), "penalty": (2 * collision_penalty_table(3, 3)).tolist()}
-        report = self.run_without(monkeypatch, [(feasibility, "invariant_sector_basis")],
+        report = self.run_without(monkeypatch, [(instance, "invariant_sector_basis")],
                                   write_instance(tmp_path / "user.json", doc),
                                   tmp_path / "feas.json")
         assert report["levels"] == {"0": 6, "4": 18, "12": 3}

@@ -10,32 +10,36 @@ from conftest import random_envelope
 from oracles import (
     invariant_sector_generators,
     lie_closure_dim,
+    relabel_pair_counts,
     sector_by_enumeration,
     sector_feasibility_rowwise,
     sector_pair_counts_by_index,
 )
-from fejercert import CapExceededError, collision_penalty, feasibility, load_instance, oracle
+from fejercert import (
+    CapExceededError,
+    collision_penalty,
+    collision_penalty_table,
+    feasibility,
+    load_instance,
+    oracle,
+)
 from fejercert.feasibility import (
     _Evaluator,
     _restart_rows,
     _rowwise_line,
     _sector_feasibility,
     LevelGraph,
-    SectorBasis,
     delta_feasible,
     descent_step,
     feasibility_angle_search,
     feasibility_bound,
     graph_connected,
-    invariant_sector_basis,
     level_graph,
     level_sets,
     overlap_feasibility_floor,
-    sector_dimension,
-    sector_level_graph,
 )
 from fejercert.fejer import fejer_kernel
-from fejercert.instance import Levels
+from fejercert.instance import Levels, SectorBasis, invariant_sector_basis
 from fejercert.mixer import resonance_distance
 
 
@@ -43,6 +47,23 @@ def assignment_instance(n, energies=None):
     size = n**n
     energy = energies if energies is not None else [0] * size
     return load_instance({"n": n, "m": n, "energy": energy}, cap=max(size, 4096))
+
+
+def explicit_penalty_instance(n):
+    """The n x n instance with the collision table given in the document, so
+    that its feasibility stage runs over all n**n strings."""
+    doc = {"n": n, "m": n, "energy": [0] * n**n,
+           "penalty": collision_penalty_table(n, n).tolist()}
+    return load_instance(doc, cap=max(n**n, 4096))
+
+
+def level_pair_counts(inst, ls):
+    """The relabel pair counts between the penalty levels ``ls`` of an
+    instance, {(t, t'): count}, by the counting oracle over all n**m strings."""
+    rank = np.searchsorted(ls.values, inst.penalty)
+    src, dst, counts = relabel_pair_counts(rank, len(ls.values), inst.n, inst.m)
+    return {(ls.values[i], ls.values[j]): c
+            for i, j, c in zip(src.tolist(), dst.tolist(), counts.tolist())}
 
 
 def canonical_strings(n, m):
@@ -88,13 +109,16 @@ class TestLevelSets:
 
 class TestLevelGraph:
     def test_two_by_two_edge(self):
-        inst = assignment_instance(2)
-        g = level_graph(inst, level_sets(inst))
-        assert g.vertices == (0, 2)
-        assert g.edges == ((0, 2),)
-        # (1,0) and (0,1) each reach both of (0,0), (1,1) by one relabel:
-        # 4 directed pairs, level sizes 2 and 2
-        assert g.couplings[(0, 2)] == pytest.approx(4 / math.sqrt(4))
+        # the default penalty on the sector route, the same table given in
+        # the document over all strings
+        for inst in (assignment_instance(2), explicit_penalty_instance(2)):
+            ls = level_sets(inst)
+            g = level_graph(inst, ls)
+            assert g.vertices == (0, 2)
+            assert g.edges == ((0, 2),)
+            # (1,0) and (0,1) each reach both of (0,0), (1,1) by one relabel:
+            # 4 directed pairs each way
+            assert level_pair_counts(inst, ls) == {(0, 2): 4, (2, 0): 4}
 
     def test_single_level_no_edges(self):
         inst = load_instance({"n": 2, "m": 3, "energy": [0] * 8})
@@ -105,9 +129,8 @@ class TestLevelGraph:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_connected_for_assignment_penalty(self, n):
-        inst = assignment_instance(n)
-        assert graph_connected(level_graph(inst, level_sets(inst)))
-        assert graph_connected(sector_level_graph(invariant_sector_basis(n, n))[1])
+        for inst in (assignment_instance(n), explicit_penalty_instance(n)):
+            assert graph_connected(level_graph(inst, level_sets(inst)))
 
     @pytest.mark.parametrize("n,m,user_penalty", [
         (2, 2, None), (3, 3, None), (4, 4, None), (2, 3, None), (3, 4, "random"),
@@ -120,23 +143,22 @@ class TestLevelGraph:
         elif user_penalty == "distinct":  # one level per string
             doc["penalty"] = list(range(n**m))
         inst = load_instance(doc)
-        g = level_graph(inst, level_sets(inst))
+        ls = level_sets(inst)
+        g = level_graph(inst, ls)
         index = {z: i for i, z in enumerate(canonical_strings(n, m))}
         counts = brute_relabel_pairs(n, m, lambda z: int(inst.penalty[index[z]]))
         sizes = collections.Counter(int(t) for t in inst.penalty)
         edges = tuple(sorted(k for k, c in counts.items() if k[0] < k[1] and c > 0))
         assert g.vertices == tuple(sorted(sizes))
         assert g.edges == edges
-        assert g.couplings == {
-            (t1, t2): counts[(t1, t2)] / math.sqrt(sizes[t1] * sizes[t2]) for t1, t2 in edges
-        }
+        assert level_pair_counts(inst, ls) == counts
 
     def test_isolated_vertex_fixture(self):
-        g = LevelGraph(vertices=(0, 2, 7), edges=((0, 2),), couplings={(0, 2): 1.0})
+        g = LevelGraph(vertices=(0, 2, 7), edges=((0, 2),))
         assert not graph_connected(g)
 
     def test_single_vertex_connected(self):
-        assert graph_connected(LevelGraph(vertices=(0,), edges=(), couplings={}))
+        assert graph_connected(LevelGraph(vertices=(0,), edges=()))
 
 
 class TestDescent:
@@ -305,8 +327,8 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pi_f_matches_statevector(self, n):
         inst = assignment_instance(n)
-        pi_f, t_max, _ = _sector_feasibility(invariant_sector_basis(n, n))
-        assert t_max == inst.t_max()
+        pi_f, _ = _sector_feasibility(inst.sector)
+        assert inst.t_max() == int(inst.penalty.max())
         rng = np.random.default_rng(900 + n)
         for p in range(4):
             schedules = [(rng.uniform(-math.pi, math.pi, size=p),
@@ -319,15 +341,22 @@ class TestSectorAgreement:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_levels_match_statevector(self, n):
-        inst = assignment_instance(n)
+        inst = explicit_penalty_instance(n)
         ls = level_sets(inst)
         graph = level_graph(inst, ls)
-        sector_ls, sector_graph = sector_level_graph(invariant_sector_basis(n, n))
+        sector_inst = assignment_instance(n)
+        sector_ls = level_sets(sector_inst)
+        sector_graph = level_graph(sector_inst, sector_ls)
         # sector and dense Levels agree exactly, counts as Python ints
-        assert sector_ls == ls
+        assert sector_ls == ls == Levels.of(inst.penalty)
         assert sector_graph.vertices == graph.vertices
         assert sector_graph.edges == graph.edges
-        assert sector_graph.couplings == graph.couplings
+        # the orbit pair counts summed by level are the string pair counts
+        basis = sector_inst.sector
+        summed = collections.Counter()
+        for (src, dst), count in basis.pair_counts.items():
+            summed[basis.penalties[src], basis.penalties[dst]] += count
+        assert dict(summed) == level_pair_counts(inst, ls)
 
     @pytest.mark.parametrize("gammas, betas, named", [
         ([1e308], [0.3], "cost angle 1e+308"),
@@ -335,7 +364,7 @@ class TestSectorAgreement:
         ([0.3], [math.nan], "mixer angle nan"),
     ])
     def test_sector_keeps_statevector_checks(self, gammas, betas, named):
-        pi_f, _, line = _sector_feasibility(invariant_sector_basis(3, 3))
+        pi_f, line = _sector_feasibility(invariant_sector_basis(3, 3))
         with pytest.raises(ValueError, match=re.escape(named)):
             pi_f(np.array([gammas]), np.array([betas]))
         # the line path checks the fixed angles and the bracket end alike
@@ -349,7 +378,7 @@ class TestSectorAgreement:
         # orbit sizes that do not sum to n**m give a start state of norm sqrt(2)
         basis = invariant_sector_basis(3, 3)
         broken = SectorBasis(3, 3, basis.keys, tuple(2 * s for s in basis.sizes))
-        pi_f, _, line = _sector_feasibility(broken)
+        pi_f, line = _sector_feasibility(broken)
         x = np.array([0.2, 0.4, 0.6, 0.8])
         with pytest.raises(ValueError, match="state norm"):
             pi_f(x[None, :2], x[None, 2:])
@@ -368,7 +397,9 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_line_matches_layered_and_rowwise(self, n):
         # every coordinate of p = 1..3 schedules, at points across the bracket
-        pi_f, t_max, line = _sector_feasibility(invariant_sector_basis(n, n))
+        basis = invariant_sector_basis(n, n)
+        pi_f, line = _sector_feasibility(basis)
+        t_max = max(basis.penalties)
         rowwise = sector_feasibility_rowwise(n, n)
         inst = assignment_instance(n) if n <= 5 else None
         rng = np.random.default_rng(1100 + n)
@@ -399,7 +430,9 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_batched_matches_rowwise(self, n):
         # restart-like schedules: gamma in (0, pi/t_max], beta in (0, 2pi)
-        batched, t_max, _ = _sector_feasibility(invariant_sector_basis(n, n))
+        basis = invariant_sector_basis(n, n)
+        batched, _ = _sector_feasibility(basis)
+        t_max = max(basis.penalties)
         rowwise = sector_feasibility_rowwise(n, n)
         rng = np.random.default_rng(700 + n)
         for p in range(4):
@@ -413,14 +446,15 @@ class TestSectorAgreement:
     @pytest.mark.parametrize("n,m,dim", [(1, 1, 1), (3, 3, 3), (2, 5, 3), (5, 5, 7), (6, 6, 11),
                                          (12, 12, 77), (16, 16, 231)])
     def test_sector_dimension_counts_partitions(self, n, m, dim):
-        assert sector_dimension(n, m, cap=dim) == dim == invariant_sector_basis(n, m).dim
+        assert invariant_sector_basis(n, m, cap=dim).dim == dim
         with pytest.raises(CapExceededError, match="sector dimension"):
-            sector_dimension(n, m, cap=dim - 1)
+            invariant_sector_basis(n, m, cap=dim - 1)
 
     def test_sector_dimension_past_cap_without_enumeration(self):
-        # p(3000000) has about 1900 digits; the count stops at cap + 1
+        # p(3000000) has about 1900 digits; the count stops at cap + 1,
+        # before any key is padded to length 3000000
         with pytest.raises(CapExceededError, match="exceeds enumeration cap 4096"):
-            sector_dimension(3000000, 3000000, cap=4096)
+            invariant_sector_basis(3000000, 3000000, cap=4096)
 
 
 class TestLieClosure:
@@ -484,6 +518,11 @@ class TestAngleSearch:
         result = feasibility_angle_search(inst, 2, budget=200, seed=3)
         assert result.pi_f > 6 / 27
 
+    def test_sector_search_honours_cap(self):
+        # 20x20 has 627 orbits, the partitions of 20
+        with pytest.raises(CapExceededError, match="sector dimension"):
+            feasibility_angle_search(zero_cost_instance(20, cap=100), 1, budget=10, seed=0)
+
     @pytest.mark.parametrize("n,p,budget", [(3, 2, 200), (4, 3, 120), (5, 1, 600)])
     def test_batched_restarts_match_rowwise_search(self, n, p, budget, monkeypatch):
         # same draws, same first maximum: only pi_f may move, by rounding
@@ -494,7 +533,7 @@ class TestAngleSearch:
             # one schedule at a time, and a refinement on the same evaluator
             one = sector_feasibility_rowwise(basis.n, basis.m)
             pi_f = lambda gammas, betas: np.array([one(g, b) for g, b in zip(gammas, betas)])
-            return _Evaluator(pi_f, _sector_feasibility(basis).t_max, _rowwise_line(pi_f))
+            return _Evaluator(pi_f, _rowwise_line(pi_f))
 
         monkeypatch.setattr(feasibility, "_sector_feasibility", rowwise_sector)
         reference = feasibility_angle_search(inst, p, budget=budget, seed=11)
@@ -503,11 +542,11 @@ class TestAngleSearch:
         assert abs(batched.pi_f - reference.pi_f) <= 1e-12
 
 
-def zero_cost_instance(n):
+def zero_cost_instance(n, cap=4096):
     """An n x n assignment instance without n**n tables; the sector search
     reads no cost."""
     return load_instance({"n": n, "m": n, "generator": {"kind": "assignment",
-                                                        "cost": [[0] * n] * n}})
+                                                        "cost": [[0] * n] * n}}, cap=cap)
 
 
 def _layered_search(monkeypatch, *args):

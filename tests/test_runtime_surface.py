@@ -11,7 +11,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fejercert"
 UNCALLED_ALLOWED = {
     # paper closed forms
     "averaged_block_kernel",
-    "denominator_bound",
     "descent_step",
     "fejer_coefficients",
     "gamma_safe",
