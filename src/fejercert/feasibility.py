@@ -84,7 +84,7 @@ def level_graph(inst: ProblemInstance, ls: Levels) -> LevelGraph:
         ranks = [rank[t] for t in inst.sector.penalties]
         pairs = sorted({(ranks[src], ranks[dst]) for src, dst in inst.sector.pair_counts})
     else:
-        src, dst = _relabel_pairs(np.searchsorted(ls.values, inst.penalty),
+        src, dst = _relabel_pairs(ls.index(inst.penalty).of_string,
                                   len(ls.values), inst.n, inst.m)
         pairs = zip(src.tolist(), dst.tolist())
     edges = tuple((ls.values[i], ls.values[j]) for i, j in pairs if i < j)
@@ -260,10 +260,11 @@ def _statevector_feasibility(inst: ProblemInstance) -> _Evaluator:
     """The feasibility probabilities of a batch of schedules, one per row of
     the (K, p) angle arrays, from one statevector run each."""
     feasible = inst.feasible_indices()
+    penalty = inst.penalty_levels.index(inst.penalty)
 
     def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         return np.array([
-            oracle.projector_mass(oracle.simulate(inst, g, b, cost_table=inst.penalty), feasible)
+            oracle.projector_mass(oracle.simulate(inst, g, b, cost_table=penalty), feasible)
             for g, b in zip(gammas, betas)
         ])
 

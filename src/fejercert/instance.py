@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +132,19 @@ class Levels:
         for value, weight in zip(values, weights):
             total[value] = total.get(value, 0) + weight
         return cls(*zip(*sorted(total.items())))
+
+    def index(self, table: np.ndarray) -> LevelIndex:
+        """``table``, whose levels these are, by level."""
+        values = np.array(self.values)
+        return LevelIndex(values, np.searchsorted(values, table))
+
+
+class LevelIndex(NamedTuple):
+    """A table over strings by level: the ascending level values, and the
+    position of each string's value among them."""
+
+    values: np.ndarray
+    of_string: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import DEFAULT_ENUMERATION_CAP, ProblemInstance, capped_size, check_phase
+from .instance import (
+    DEFAULT_ENUMERATION_CAP,
+    LevelIndex,
+    Levels,
+    ProblemInstance,
+    capped_size,
+    check_phase,
+)
 from .mixer import check_block_phase
 
 NORM_TOL = 1e-10
@@ -68,11 +75,17 @@ def initial_state(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Encoded
     return EncodedState(n=n, m=m, amplitudes=np.full(size, n ** (-m / 2.0), dtype=complex))
 
 
-def apply_cost(state: EncodedState, energies: np.ndarray, gamma: float) -> EncodedState:
-    """Diagonal phase update: amplitude(z) *= exp(-i gamma E(z))."""
-    if energies.shape != state.amplitudes.shape:
-        raise ValueError("energy table does not match the state")
-    amps = state.amplitudes * np.exp(-1j * gamma * energies.astype(float))
+def apply_cost(state: EncodedState, cost: LevelIndex, gamma: float) -> EncodedState:
+    """Diagonal phase update: amplitude(z) *= exp(-i gamma E(z)).
+
+    The phase depends on z only through its level, so exp is evaluated once
+    per level and gathered to the strings through the level index.
+    """
+    if cost.of_string.shape != state.amplitudes.shape:
+        raise ValueError("cost table does not match the state")
+    phases = np.exp(-1j * gamma * cost.values.astype(float))[cost.of_string]
+    # phases first: the operand order of a complex product fixes its last bit
+    amps = np.multiply(phases, state.amplitudes, out=phases)
     return EncodedState(n=state.n, m=state.m, amplitudes=amps)
 
 
@@ -93,15 +106,18 @@ def apply_mixer(state: EncodedState, beta: float) -> EncodedState:
     """Apply the block-local mixer unitary to every block by axis contraction.
 
     Uses the rank-one structure: along each block axis the update is
-    phase * (v + coupling * column_sum), O(n^m) work per block.
+    phase * (v + coupling * column_sum), O(n^m) work per block, made in
+    place on one copy of the state.
     """
     n, m = state.n, state.m
     phase, coupling = _block_coefficients(n, beta)
-    v = state.amplitudes.reshape((n,) * m, order="F")
+    amps = state.amplitudes.copy()
+    v = amps.reshape((n,) * m, order="F")  # a view: block 0 varies fastest
     for axis in range(m):
         sums = v.sum(axis=axis, keepdims=True)
-        v = phase * (v + coupling * sums)
-    amps = np.ascontiguousarray(v.reshape(-1, order="F"))
+        np.multiply(coupling, sums, out=sums)
+        np.add(v, sums, out=v)
+        np.multiply(phase, v, out=v)
     return EncodedState(n=n, m=m, amplitudes=amps)
 
 
@@ -109,23 +125,30 @@ def simulate(
     inst: ProblemInstance,
     gammas: Sequence[float],
     betas: Sequence[float],
-    cost_table: np.ndarray | None = None,
+    cost_table: np.ndarray | LevelIndex | None = None,
 ) -> EncodedState:
     """Alternate cost and mixer layers from the uniform initial state.
 
     ``cost_table`` defaults to the instance energies; pass the penalty table
-    to drive the feasibility stage.  The state is capped like the instance's
-    tables.  Every cost phase gamma * E(z) must be finite; the schedule is
-    checked once, before the first layer.
+    to drive the feasibility stage, or its LevelIndex to reuse one across
+    runs.  The level index is built once per call.  The state is capped like
+    the instance's tables.  Every cost phase gamma * E(z) must be finite;
+    the schedule is checked once on the level values, before the first layer.
     """
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
-    energies = inst.energy if cost_table is None else np.asarray(cost_table)
+    if cost_table is None:
+        cost = inst.levels.index(inst.energy)
+    elif isinstance(cost_table, LevelIndex):
+        cost = cost_table
+    else:
+        table = np.asarray(cost_table)
+        cost = Levels.of(table).index(table)
     for gamma in gammas:
-        check_phase(gamma, energies)
+        check_phase(gamma, cost.values)
     state = initial_state(inst.n, inst.m, cap=inst.cap)
     for gamma, beta in zip(gammas, betas):
-        state = apply_cost(state, energies, gamma)
+        state = apply_cost(state, cost, gamma)
         state = apply_mixer(state, beta)
     return state
 
@@ -134,7 +157,9 @@ def projector_mass(state: EncodedState, indices: np.ndarray) -> float:
     """Probability mass of the state on a set of basis strings."""
     if indices.size == 0:
         return 0.0
-    return float((np.abs(state.amplitudes[indices]) ** 2).sum())
+    mass = float((np.abs(state.amplitudes[indices]) ** 2).sum())
+    # rounding can carry the mass of a unit-norm state past 1; a NaN is kept
+    return 1.0 if 1.0 < mass < math.inf else mass
 
 
 class ShotReport(NamedTuple):

@@ -141,8 +141,7 @@ def rl_filtered_distribution(
     if e_star in inst.nonoptimal_levels(GapScope.ALL_STRINGS):
         raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
 
-    levels = np.array(inst.levels.values, dtype=np.int64)
-    level_of = np.searchsorted(levels, inst.energy)
+    levels, level_of = inst.levels.index(inst.energy)
     offsets = (levels - e_star).astype(float)
     # every draw's cost angle lies within |gamma| + half_width of zero
     check_phase(abs(gamma) + w.half_width, offsets, "cost angle plus dither half-width")

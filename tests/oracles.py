@@ -53,7 +53,17 @@ path, so they live with the tests (and only they need scipy).
   the direct products of ``fejercert.mixer.apply_block_kernel``;
 - ``json_safe_generic``: the JSON conversion through the generic type chain
   alone, the reference for the exact-type early returns of
-  ``fejercert.serialize.json_safe``.
+  ``fejercert.serialize.json_safe``;
+- ``apply_cost_per_string``, ``apply_mixer_allocating`` and
+  ``simulate_reference``: the statevector layers with one exp per string
+  and fresh arrays for every step of the mixer, the bit-for-bit reference
+  for the per-level phases and the in-place mixer of
+  ``fejercert.oracle``.  Each product is written out with its operands
+  in the runtime's order: where a complex product uses fused multiply-adds,
+  swapping its operands can change the last bit, and an operator
+  expression such as ``amps * np.exp(...)`` leaves the order to numpy's
+  temporary elision, which swaps the operands from 16384 strings (256 KiB)
+  on.
 """
 
 from __future__ import annotations
@@ -83,7 +93,13 @@ from fejercert.instance import (
     wrap_angle,
 )
 from fejercert.mixer import Envelope, check_block_phase
-from fejercert.oracle import block_unitary, check_norm
+from fejercert.oracle import (
+    EncodedState,
+    _block_coefficients,
+    block_unitary,
+    check_norm,
+    initial_state,
+)
 from fejercert.rl import DitherWindow, RLLaw
 
 LIE_CLOSURE_TOL = 1e-9
@@ -625,3 +641,31 @@ def apply_block_kernel_tensordot(mat: np.ndarray, probs: np.ndarray, m: int) -> 
     for axis in range(m):
         v = np.moveaxis(np.tensordot(mat, v, axes=([1], [axis])), 0, axis)
     return np.ascontiguousarray(v.reshape(-1, order="F"))
+
+
+def apply_cost_per_string(state: EncodedState, table: np.ndarray, gamma: float) -> EncodedState:
+    phases = np.exp(-1j * gamma * table.astype(float))
+    amps = np.multiply(phases, state.amplitudes)
+    return EncodedState(n=state.n, m=state.m, amplitudes=amps)
+
+
+def apply_mixer_allocating(state: EncodedState, beta: float) -> EncodedState:
+    n, m = state.n, state.m
+    phase, coupling = _block_coefficients(n, beta)
+    v = state.amplitudes.reshape((n,) * m, order="F")
+    for axis in range(m):
+        sums = v.sum(axis=axis, keepdims=True)
+        v = np.multiply(phase, np.add(v, np.multiply(coupling, sums)))
+    amps = np.ascontiguousarray(v.reshape(-1, order="F"))
+    return EncodedState(n=n, m=m, amplitudes=amps)
+
+
+def simulate_reference(
+    inst: ProblemInstance, gammas: Sequence[float], betas: Sequence[float],
+    cost_table: np.ndarray | None = None,
+) -> EncodedState:
+    table = inst.energy if cost_table is None else cost_table
+    state = initial_state(inst.n, inst.m, cap=inst.cap)
+    for gamma, beta in zip(gammas, betas):
+        state = apply_mixer_allocating(apply_cost_per_string(state, table, gamma), beta)
+    return state

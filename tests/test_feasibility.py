@@ -28,6 +28,7 @@ from fejercert.feasibility import (
     _restart_rows,
     _rowwise_line,
     _sector_feasibility,
+    _statevector_feasibility,
     LevelGraph,
     delta_feasible,
     descent_step,
@@ -587,6 +588,25 @@ class TestLineRefinement:
         inst = zero_cost_instance(n)
         assert feasibility_angle_search(inst, 2, 200, 7) == _layered_search(
             monkeypatch, inst, 2, 200, 7)
+
+
+class TestStatevectorEvaluator:
+    def test_one_level_index_per_evaluator(self, monkeypatch):
+        inst = explicit_penalty_instance(3)
+        calls = []
+        index = Levels.index
+        monkeypatch.setattr(Levels, "index", lambda ls, table: calls.append(1) or index(ls, table))
+        evaluator = _statevector_feasibility(inst)
+        rng = np.random.default_rng(5)
+        gammas, betas = rng.uniform(0.0, 1.0, size=(6, 2)), rng.uniform(0.0, 2.0, size=(6, 2))
+        values = evaluator.pi_f(gammas, betas)
+        along = evaluator.line(np.concatenate([gammas[0], betas[0]]), 1, 2.0)
+        along(0.7)
+        assert len(calls) == 1
+        monkeypatch.setattr(Levels, "index", index)
+        for g, b, value in zip(gammas, betas, values):
+            state = oracle.simulate(inst, g, b, cost_table=inst.penalty)
+            assert value == oracle.projector_mass(state, inst.feasible_indices())
 
 
 class TestRestartRows:

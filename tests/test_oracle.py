@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,16 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from conftest import random_envelope, random_instance
-from oracles import block_unitary_expm, dephased_reference, dirichlet_filter_oracle
+from oracles import (
+    apply_cost_per_string,
+    apply_mixer_allocating,
+    block_unitary_expm,
+    dephased_reference,
+    dirichlet_filter_oracle,
+    simulate_reference,
+)
 from fejercert import (
+    collision_penalty_table,
     external_envelope,
     filtered_distribution,
     load_instance,
@@ -18,7 +27,7 @@ from fejercert import (
     single_block_kernel,
     uniform_envelope,
 )
-from fejercert.instance import CapExceededError, index_string
+from fejercert.instance import CapExceededError, Levels, index_string
 from fejercert.oracle import (
     EncodedState,
     apply_cost,
@@ -50,25 +59,69 @@ class TestInitialState:
             initial_state(4, 8, cap=4096)
 
 
+def _by_level(table):
+    table = np.asarray(table)
+    return Levels.of(table).index(table)
+
+
+def _seeded_instance(n, m):
+    rng = np.random.default_rng([601, n, m])
+    cost = rng.integers(0, 10, size=(m, n)).tolist()
+    return load_instance({"n": n, "m": m, "generator": {"kind": "assignment", "cost": cost}},
+                         cap=46656)
+
+
+SCHEDULE = ([0.3, 0.6, 0.9, 1.2], [0.5, 0.5, 0.4, 0.3])
+
+
 class TestApplyCost:
     def test_zero_angle_identity(self):
         state = initial_state(2, 2)
-        energies = np.array([0, 1, 2, 3])
-        out = apply_cost(state, energies, 0.0)
+        out = apply_cost(state, _by_level([0, 1, 2, 3]), 0.0)
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_probabilities_unchanged(self, rng):
         state = initial_state(2, 2)
-        energies = rng.integers(0, 9, size=4)
-        out = apply_cost(state, energies, 1.234)
+        out = apply_cost(state, _by_level(rng.integers(0, 9, size=4)), 1.234)
         assert out.probabilities() == pytest.approx(state.probabilities())
 
     def test_group_property(self):
         state = initial_state(2, 1)
-        energies = np.array([0, 3])
-        once = apply_cost(apply_cost(state, energies, 0.4), energies, 0.8)
-        combined = apply_cost(state, energies, 1.2)
+        cost = _by_level([0, 3])
+        once = apply_cost(apply_cost(state, cost, 0.4), cost, 0.8)
+        combined = apply_cost(state, cost, 1.2)
         assert once.amplitudes == pytest.approx(combined.amplitudes, abs=1e-14)
+
+    def test_table_must_match_the_state(self):
+        with pytest.raises(ValueError, match="does not match the state"):
+            apply_cost(initial_state(2, 2), _by_level([0, 1, 2]), 0.3)
+
+    def test_matches_one_exp_per_string_bit_for_bit(self, rng):
+        state = simulate(_seeded_instance(8, 4), [0.2], [0.7])
+        table = rng.integers(-50, 50, size=state.amplitudes.size)
+        for gamma in (0.0, 0.37, -2.9, 1e3):
+            out = apply_cost(state, _by_level(table), gamma)
+            reference = apply_cost_per_string(state, table, gamma)
+            assert out.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+
+class TestLayersLeaveTheirInput:
+    """Each layer returns a new state and never writes into its input's
+    amplitudes: a read-only input would make any such write raise."""
+
+    @pytest.mark.parametrize("layer", ["cost", "mixer"])
+    def test_input_array_untouched(self, layer):
+        inst = _seeded_instance(4, 5)
+        state = simulate(inst, [0.4], [0.8])
+        before = state.amplitudes.copy()
+        state.amplitudes.flags.writeable = False
+        if layer == "cost":
+            out = apply_cost(state, inst.levels.index(inst.energy), 0.9)
+        else:
+            out = apply_mixer(state, 1.1)
+        assert out.amplitudes is not state.amplitudes
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert state.amplitudes.tobytes() == before.tobytes()
 
 
 class TestApplyMixer:
@@ -133,6 +186,80 @@ class TestSimulate:
         state = simulate(inst, [0.4], [0.9], cost_table=inst.penalty)
         feasible = inst.feasible_indices()
         assert 0.0 <= projector_mass(state, feasible) <= 1.0
+
+    def test_level_index_reused_across_runs(self, rng):
+        inst = random_instance(rng, n=3, m=3)
+        cost = inst.penalty_levels.index(inst.penalty)
+        for _ in range(3):
+            gammas, betas = rng.uniform(0, 2, size=2), rng.uniform(0, 3, size=2)
+            reused = simulate(inst, gammas, betas, cost_table=cost)
+            fresh = simulate(inst, gammas, betas, cost_table=inst.penalty)
+            assert reused.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+
+    def test_non_finite_phase_rejected_before_any_layer(self):
+        inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
+        with pytest.raises(ValueError, match="non-finite phase"):
+            simulate(inst, [0.1, math.inf], [0.2, 0.3])
+
+    @pytest.mark.parametrize("cost", ["energy", "penalty"])
+    @pytest.mark.parametrize("shape", [(8, 4), (4, 7), (6, 6)], ids=["8^4", "4^7", "6^6"])
+    def test_matches_reference_bit_for_bit(self, shape, cost):
+        # 4^7 is exactly 16384 strings, where numpy's temporary elision
+        # starts to swap the operands of an operator product
+        inst = _seeded_instance(*shape)
+        table = None if cost == "energy" else collision_penalty_table(*shape)
+        state = simulate(inst, *SCHEDULE, cost_table=table)
+        reference = simulate_reference(inst, *SCHEDULE, cost_table=table)
+        assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    def test_mixer_matches_allocating_reference_bit_for_bit(self, rng):
+        for n, m in [(2, 5), (3, 4), (8, 3), (16, 2), (5, 1)]:
+            amps = rng.normal(size=n**m) + 1j * rng.normal(size=n**m)
+            state = EncodedState(n=n, m=m, amplitudes=amps / np.linalg.norm(amps))
+            for beta in (0.0, 0.5, -1.7):
+                out = apply_mixer(state, beta)
+                reference = apply_mixer_allocating(state, beta)
+                assert out.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    def test_peak_memory_within_three_states(self):
+        # the tables of the instance are built first: they outlive the run
+        inst = _seeded_instance(6, 6)
+        inst.energy, inst.levels
+        tracemalloc.start()
+        try:
+            simulate(inst, *SCHEDULE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * inst.size * np.dtype(complex).itemsize
+
+
+class TestProjectorMass:
+    @pytest.mark.parametrize("n, m", [(8, 4), (16, 2), (5, 3), (2, 6), (4, 3)])
+    def test_all_feasible_mass_never_exceeds_one(self, n, m):
+        # rounding carries the summed mass of most of these states past 1
+        past_one = 0
+        for seed in range(10):
+            rng = np.random.default_rng([seed, n, m])
+            energy = rng.integers(0, 40, size=n**m).tolist()
+            inst = load_instance({"n": n, "m": m, "energy": energy})
+            state = simulate(inst, *SCHEDULE)
+            feasible = inst.feasible_indices()
+            assert feasible.size == inst.size
+            past_one += float((np.abs(state.amplitudes) ** 2).sum()) > 1.0
+            mass = projector_mass(state, feasible)
+            assert mass <= 1.0
+            assert mass == pytest.approx(1.0, abs=1e-12)
+        assert past_one > 0
+
+    def test_empty_subset(self):
+        assert projector_mass(initial_state(2, 2), np.array([], dtype=np.int64)) == 0.0
+
+    def test_nan_mass_is_kept(self):
+        # a NaN state cannot be built, so bypass the norm check
+        state = initial_state(2, 1)
+        object.__setattr__(state, "amplitudes", np.array([math.nan, 0.5], dtype=complex))
+        assert math.isnan(projector_mass(state, np.array([0, 1])))
 
 
 class TestDephasedReference:
