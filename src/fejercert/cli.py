@@ -242,7 +242,10 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         source = "reference_uniform"
 
     pm = phase_gap(inst, args.gamma, scope)
-    c_beta = envelope_mass(env, pm.omega_star)
+    # the uniform envelope's mass on Omega* is |Omega*| / n**m, divided
+    # exactly: a float sum of |Omega*| entries 1 / n**m can miss it
+    c_beta = (envelope_mass(env, pm.omega_star) if args.envelope is not None
+              else pm.omega_star.size / inst.size)
 
     law = filtered_distribution(env, pm, args.order)
     q0_exact = success_probability(law, pm.omega_star)
@@ -367,7 +370,7 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     env = uniform_envelope(inst.n, inst.m)
     omega = inst.optimal_indices()
     gap = rl.energy_gap(inst)
-    c_beta = envelope_mass(env, omega)
+    c_beta = omega.size / inst.size  # the uniform envelope's mass, exact as in certify
     mbar = rl.averaged_offpeak_bound(args.order, args.half_width, gap)
     bound = rl.rl_success_bound(args.order, c_beta, mbar.exact)
     law = rl.rl_filtered_distribution(

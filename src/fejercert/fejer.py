@@ -101,10 +101,11 @@ class FilteredLaw:
 
 def filtered_distribution(env: Envelope, pm: PhaseModel, p: int) -> FilteredLaw:
     """The factorized reference law: probs(z) proportional to
-    W(z) * F_p(theta(z) - theta_star)."""
-    if env.size != pm.theta.size:
+    W(z) * F_p(theta(z) - theta_star).  The weight depends on z only through
+    its energy level, so F_p is evaluated once per level and gathered."""
+    if env.size != pm.level_of.size:
         raise ValueError("envelope and phase model sizes differ")
-    kernel = fejer_kernel(p, pm.offsets())
+    kernel = fejer_kernel(p, pm.offsets())[pm.level_of]
     weights = env.probs * kernel
     denominator = float(weights.sum())
     # a positive condition, so that a NaN denominator fails it

@@ -7,6 +7,7 @@ use a single canonical order: row-major with block 0 varying fastest, i.e.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -106,6 +107,14 @@ def collision_penalty_table(n: int, m: int) -> np.ndarray:
     return (2 * pairs + (n - m)).reshape(-1, order="F")
 
 
+def permutation_indices(n: int) -> np.ndarray:
+    """Canonical indices of the n! permutations of [0, n) among the strings
+    of [n]^n, ascending: the zeros of the m = n collision penalty."""
+    symbols = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(symbols, dtype=np.int64, count=n * math.factorial(n)).reshape(-1, n)
+    return np.sort(perms @ n ** np.arange(n, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -134,8 +143,15 @@ class Levels:
         return cls(*zip(*sorted(total.items())))
 
     def index(self, table: np.ndarray) -> LevelIndex:
-        """``table``, whose levels these are, by level."""
+        """``table``, whose levels these are, by level.  An integer table whose
+        level span is below its size is read through a rank table over the
+        span in one gather; any other table by binary search."""
         values = np.array(self.values)
+        span = self.values[-1] - self.values[0] if self.values else 0
+        if table.dtype.kind == "i" and span < table.size:
+            rank = np.zeros(span + 1, dtype=np.intp)
+            rank[values - self.values[0]] = np.arange(values.size)
+            return LevelIndex(values, rank[table - self.values[0]])
         return LevelIndex(values, np.searchsorted(values, table))
 
 
@@ -317,7 +333,13 @@ class ProblemInstance:
 
     @cached_property
     def _feasible(self) -> np.ndarray:
-        feasible = np.flatnonzero(self.penalty == 0)
+        if self.given_penalty is not None:
+            feasible = np.flatnonzero(self.given_penalty == 0)
+        elif self.default_penalty:
+            self.checked_size()
+            feasible = permutation_indices(self.n)
+        else:
+            feasible = np.arange(self.checked_size())
         feasible.flags.writeable = False
         return feasible
 
@@ -344,6 +366,8 @@ class ProblemInstance:
     def feasible_levels(self) -> Levels:
         """The energy levels of the feasible set; the first is E*, and its
         count is |Omega*|."""
+        if self.given_penalty is None and not self.default_penalty:
+            return self.levels  # every string is feasible
         return Levels.of(self.energy[self.feasible_indices()])
 
     def e_star(self) -> int:
@@ -559,15 +583,17 @@ def circular_distance(a, b):
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Wrapped phases theta(z) = gamma*E(z) mod 2pi, the optimal phase, and
-    the phase gap delta within the chosen scope.
+    """Wrapped phases theta = gamma*E mod 2pi, one per energy level, with
+    each string's level; the optimal phase, and the phase gap delta within
+    the chosen scope.
 
     ``delta`` is 0.0 with ``collided`` set when some non-optimal phase sits
     within tolerance of the optimal phase; it is pi with ``all_optimal`` set
     when the scope contains no non-optimal string.
     """
 
-    theta: np.ndarray
+    level_theta: np.ndarray
+    level_of: np.ndarray
     theta_star: float
     delta: float
     gap_scope: GapScope
@@ -576,9 +602,15 @@ class PhaseModel:
     colliding: tuple = ()
     all_optimal: bool = False
 
+    @property
+    def theta(self) -> np.ndarray:
+        """The wrapped phase of each string, gathered from its level."""
+        return self.level_theta[self.level_of]
+
     def offsets(self) -> np.ndarray:
-        """Phase offsets theta(z) - theta_star (argument of the filter)."""
-        return self.theta - self.theta_star
+        """Phase offsets theta - theta_star of each level (the argument of
+        the filter)."""
+        return self.level_theta - self.theta_star
 
 
 def phase_gap(
@@ -588,27 +620,31 @@ def phase_gap(
 ) -> PhaseModel:
     """Compute the wrapped-phase model and the phase gap for an instance.
 
-    The gap is the minimum circular distance from non-optimal phases to the
-    optimal phase, taken over all strings or over the feasible set only, level
-    by level: a phase depends on a string only through its energy.  Phase
-    collisions are flagged, not raised.
+    A phase depends on a string only through its energy, so phases are
+    wrapped once per level, and the gap is the minimum circular distance
+    from the phases of the levels that hold a non-optimal string of the
+    scope (all strings, or the feasible set only) to the optimal phase.
+    Phase collisions are flagged, not raised.
     """
-    check_phase(gamma, inst.energy)
-    theta = wrap_angle(gamma * inst.energy.astype(float))
+    levels = inst.levels.index(inst.energy)
+    check_phase(gamma, levels.values)
+    level_theta = wrap_angle(gamma * levels.values.astype(float))
     omega_star = inst.optimal_indices()
     theta_star = wrap_angle(gamma * float(inst.e_star()))
+    phases = (level_theta, levels.of_string, theta_star)
 
-    levels = np.array(inst.nonoptimal_levels(scope), dtype=np.int64)
-    if levels.size == 0:
-        return PhaseModel(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
+    nonoptimal = np.array(inst.nonoptimal_levels(scope), dtype=np.int64)
+    if nonoptimal.size == 0:
+        return PhaseModel(*phases, math.pi, scope, omega_star, all_optimal=True)
 
-    dist = circular_distance(wrap_angle(gamma * levels.astype(float)), theta_star)
-    colliding = levels[dist < PHASE_COLLISION_TOL]
+    dist = circular_distance(wrap_angle(gamma * nonoptimal.astype(float)), theta_star)
+    colliding = nonoptimal[dist < PHASE_COLLISION_TOL]
     if colliding.size > 0:
         # the non-optimal strings of the scope on the colliding levels
-        in_scope = True if scope is GapScope.ALL_STRINGS else inst.penalty == 0
-        hit = np.isin(inst.energy, colliding) & in_scope
-        hit[omega_star] = False
-        return PhaseModel(theta, theta_star, 0.0, scope, omega_star, collided=True,
-                          colliding=tuple(np.flatnonzero(hit).tolist()))
-    return PhaseModel(theta, theta_star, float(dist.min()), scope, omega_star)
+        strings = (np.arange(inst.size) if scope is GapScope.ALL_STRINGS
+                   else inst.feasible_indices())
+        hit = strings[np.isin(inst.energy[strings], colliding)]
+        hit = np.setdiff1d(hit, omega_star, assume_unique=True)
+        return PhaseModel(*phases, 0.0, scope, omega_star, collided=True,
+                          colliding=tuple(hit.tolist()))
+    return PhaseModel(*phases, float(dist.min()), scope, omega_star)

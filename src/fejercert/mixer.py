@@ -159,13 +159,20 @@ def apply_block_kernel(kernel: TransitionKernel, env: Envelope, m: int) -> Envel
 
 
 def mixer_envelope(inst: ProblemInstance, v0: Envelope, betas: Sequence[float]) -> Envelope:
-    """Propagate an initial diagonal through one kernel per layer angle."""
+    """Propagate an initial diagonal through one kernel per layer angle.
+
+    Every kernel is doubly stochastic, so a diagonal whose entries are all
+    equal is a fixed point: it is returned unchanged, once every angle has
+    passed the kernel's checks.
+    """
     if v0.size != inst.size:
         raise ValueError("initial envelope does not match the instance")
+    uniform = bool(np.all(v0.probs == v0.probs[0]))
     env = v0
     for beta in betas:
         kernel = single_block_kernel(inst.n, beta)
-        env = apply_block_kernel(kernel, env, inst.m)
+        if not uniform:
+            env = apply_block_kernel(kernel, env, inst.m)
     return env
 
 

@@ -38,6 +38,8 @@ class DitherWindow:
 
 # Up to this order the exact averaged bound sums its p terms.
 _SUMMED_MAX_ORDER = 1024
+# The least number of kernel values a block of dither draws may hold.
+_BLOCK_VALUES = 4096
 
 
 class AveragedOffpeakBound(NamedTuple):
@@ -157,8 +159,9 @@ def rl_filtered_distribution(
     total = np.zeros(offsets.size)
     total_sq = np.zeros(offsets.size)
     subset_masses = []
-    # a block of draws x levels holds at most n**m kernel values
-    block = max(1, inst.size // offsets.size)
+    # a block of draws x levels holds at most max(n**m, _BLOCK_VALUES) kernel
+    # values, so memory stays O(n**m) while small instances take few blocks
+    block = max(1, max(inst.size, _BLOCK_VALUES) // offsets.size)
     for start in range(0, samples, block):
         kernel = fejer_kernel(p, (gamma + draws[start : start + block, None]) * offsets)
         masses = kernel @ level_env

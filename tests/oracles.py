@@ -20,8 +20,10 @@ path, so they live with the tests (and only they need scipy).
   window-averaged Fejér kernel;
 - ``phase_gap_per_string`` and ``energy_gap_per_string``: the phase gap
   and the energy gap scanned string by string over the non-optimal strings
-  of the scope, the reference for the level scans of
-  ``fejercert.instance.phase_gap`` and ``fejercert.rl.energy_gap``;
+  of the scope, with one wrapped phase per string and the feasible set read
+  from the penalty table, the reference for the level scans and per-level
+  phases of ``fejercert.instance.phase_gap``, for the permutation feasible
+  set, and for ``fejercert.rl.energy_gap``;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
   string by string, one Fejér kernel over all n**m strings per draw;
 - ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region;
@@ -256,20 +258,22 @@ def phase_gap_per_string(
     if scope is GapScope.ALL_STRINGS:
         scope_idx = np.arange(inst.size)
     else:
-        scope_idx = inst.feasible_indices()
+        scope_idx = np.flatnonzero(inst.penalty == 0)
     in_omega = np.zeros(inst.size, dtype=bool)
     in_omega[omega_star] = True
     non_opt = scope_idx[~in_omega[scope_idx]]
 
+    # every string is its own level
+    phases = (theta, np.arange(inst.size), theta_star)
     if non_opt.size == 0:
-        return PhaseModel(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
+        return PhaseModel(*phases, math.pi, scope, omega_star, all_optimal=True)
 
     dist = circular_distance(theta[non_opt], theta_star)
     colliding = non_opt[dist < PHASE_COLLISION_TOL]
     if colliding.size > 0:
-        return PhaseModel(theta, theta_star, 0.0, scope, omega_star, collided=True,
+        return PhaseModel(*phases, 0.0, scope, omega_star, collided=True,
                           colliding=tuple(int(i) for i in colliding))
-    return PhaseModel(theta, theta_star, float(dist.min()), scope, omega_star)
+    return PhaseModel(*phases, float(dist.min()), scope, omega_star)
 
 
 def energy_gap_per_string(inst: ProblemInstance) -> float:
@@ -284,8 +288,9 @@ def energy_gap_per_string(inst: ProblemInstance) -> float:
 
 
 def _optimum_per_string(inst: ProblemInstance) -> tuple:
-    """E* as the minimum feasible energy, and the feasible strings at E*."""
-    feasible = inst.feasible_indices()
+    """E* as the minimum feasible energy, and the feasible strings at E*,
+    read from the penalty table."""
+    feasible = np.flatnonzero(inst.penalty == 0)
     e_star = int(inst.energy[feasible].min())
     return e_star, feasible[inst.energy[feasible] == e_star]
 

@@ -20,6 +20,7 @@ from fejercert import cli, collision_penalty_table, feasibility, instance, load_
 from fejercert.cli import main
 from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
+from oracles import phase_gap_per_string
 
 
 def write_instance(path, doc):
@@ -200,6 +201,46 @@ class TestCertify:
                     "--betas", "0.4", "--envelope", str(env_path),
                     "-o", str(tmp_path / "x.json")])
         assert code == 2
+
+
+class TestCertifyWithoutPenaltyTable:
+    """Under the default m = n collision penalty the feasible set is the
+    permutations, so no certify run builds the n**m penalty table."""
+
+    # off-diagonal costs are positive, so the identity is the one optimum
+    DOC = {"n": 4, "m": 4, "generator": {"kind": "assignment", "cost": [
+        [0, 1, 2, 3], [2, 0, 1, 3], [3, 2, 0, 1], [1, 3, 2, 0]]}}
+
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    @pytest.mark.parametrize("gamma, status", [(0.37, "certified"),
+                                               (2 * math.pi / 3, "uncertifiable")])
+    def test_no_penalty_table(self, scope, gamma, status, tmp_path, monkeypatch):
+        path = write_instance(tmp_path / "square.json", self.DOC)
+        out = tmp_path / "cert.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(instance, "collision_penalty_table", _unexpected)
+            code = run(["certify", "--instance", path, "--gamma", repr(gamma), "-p", "3",
+                        "--scope", scope, "-o", str(out)])
+        doc = json.loads(out.read_text())
+        assert (code, doc["status"]) == ((0, status) if status == "certified" else (3, status))
+        ref = phase_gap_per_string(load_instance(self.DOC), gamma,
+                                   instance.GapScope.ALL_STRINGS if scope == "all"
+                                   else instance.GapScope.FEASIBLE_ONLY)
+        listing = [format_string(index_string(i, 4, 4)) for i in ref.colliding] or None
+        assert doc["collisions"] == listing
+        assert (listing is None) == (status == "certified")
+
+    def test_c_beta_is_exact_ratio(self, tmp_path):
+        """C_beta of the uniform envelope is |Omega*| / n**m, where a float
+        sum of its entries would miss in the last digit."""
+        path = write_instance(tmp_path / "flat.json",
+                              {"n": 6, "m": 2, "energy": [0] * 6 + [1] * 30})
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--instance", path, "--gamma", "0.37", "-p", "3",
+                    "--betas", "0.4,0.9,1.3", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["c_beta"] == 6 / 36
+        assert doc["c_beta"] != float(np.full(6, 1 / 36).sum())
 
 
 class TestPlanAndCurves:

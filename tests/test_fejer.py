@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import simpson
 
 from conftest import random_envelope, random_instance
-from oracles import dirichlet_kernel_sum, offpeak_grid_max
+from oracles import dirichlet_kernel_sum, offpeak_grid_max, phase_gap_per_string
+from fejercert import fejer
 from fejercert import (
+    GapScope,
     denominator_bound,
     envelope_mass,
     external_envelope,
@@ -168,6 +170,49 @@ class TestFilteredDistribution:
         law = filtered_distribution(env, pm, 3)
         weights = env.probs * fejer_kernel(3, pm.theta - pm.theta_star)
         assert law.denominator == pytest.approx(float(weights.sum()))
+
+
+def _shape_instance(n, m, seed):
+    """A seeded instance: 8^4 with a dense energy table, the rest with an
+    assignment cost matrix, as in the benchmark."""
+    rng = np.random.default_rng([seed, n, m])
+    if (n, m) == (8, 4):
+        doc = {"n": n, "m": m, "energy": rng.integers(0, 40, size=n**m).tolist()}
+    else:
+        doc = {"n": n, "m": m,
+               "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (m, n)).tolist()}}
+    return load_instance(doc, cap=46656)
+
+
+class TestPhasesPerLevel:
+    """Phases and Fejér weights computed once per energy level and gathered
+    equal the per-string evaluation bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(8, 4), (4, 7), (6, 6), (36, 3)])
+    @pytest.mark.parametrize("scope", list(GapScope))
+    def test_match_per_string(self, n, m, scope, rng):
+        inst = _shape_instance(n, m, 601)
+        env = random_envelope(rng, inst.size)
+        for gamma in (0.37, 2.9):
+            pm = phase_gap(inst, gamma, scope)
+            ref = phase_gap_per_string(inst, gamma, scope)
+            assert pm.theta.tobytes() == ref.theta.tobytes()
+            assert pm.theta_star == ref.theta_star
+            for p in (0, 1, 3, 17):
+                law = filtered_distribution(env, pm, p)
+                kernel = fejer_kernel(p, ref.theta - ref.theta_star)
+                assert law.kernel.tobytes() == kernel.tobytes()
+                weights = env.probs * kernel
+                assert law.probs.tobytes() == (weights / float(weights.sum())).tobytes()
+
+    def test_kernel_runs_once_per_level(self, monkeypatch):
+        inst = _shape_instance(6, 6, 601)
+        pm = phase_gap(inst, 0.37)
+        points = []
+        monkeypatch.setattr(fejer, "fejer_kernel",
+                            lambda p, theta: points.append(np.size(theta)) or fejer_kernel(p, theta))
+        filtered_distribution(uniform_envelope(6, 6), pm, 3)
+        assert points == [len(inst.levels.values)]
 
 
 class TestSuccessProbability:

@@ -24,7 +24,8 @@ from fejercert import (
     phase_gap,
     wrap_angle,
 )
-from fejercert.instance import Levels
+from fejercert import instance as instance_module
+from fejercert.instance import Levels, permutation_indices
 from fejercert.rl import energy_gap
 
 
@@ -94,10 +95,22 @@ class TestLoadInstance:
         assert list(inst.optimal_indices()) == [1]
 
     def test_feasible_set_computed_once(self, monkeypatch):
-        inst = load_instance({"n": 3, "m": 3, "energy": list(range(27))})
+        """The default m = n penalty enumerates the permutations once."""
+        self.check_feasible_once(monkeypatch, {"n": 3, "m": 3, "energy": list(range(27))})
+
+    def test_given_feasible_set_computed_once(self, monkeypatch):
+        """A given penalty scans its table once."""
+        self.check_feasible_once(monkeypatch, {"n": 3, "m": 3, "energy": list(range(27)),
+                                               "penalty": [i % 2 for i in range(27)]})
+
+    @staticmethod
+    def check_feasible_once(monkeypatch, document):
+        inst = load_instance(document)
         scans = []
-        flatnonzero = np.flatnonzero
+        flatnonzero, permutations = np.flatnonzero, instance_module.permutation_indices
         monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flatnonzero(a))
+        monkeypatch.setattr(instance_module, "permutation_indices",
+                            lambda n: scans.append(1) or permutations(n))
         feasible = inst.feasible_indices()
         assert inst.optimal_indices().tolist() == [min(feasible.tolist())]
         assert inst.e_star() == min(feasible.tolist())
@@ -112,6 +125,10 @@ class TestLoadInstance:
         for method in (inst.e_star, inst.optimal_indices):
             with pytest.raises(ValueError, match="feasible set is empty"):
                 method()
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("built a table the route does without")
 
 
 def _assignment(cost, **extra):
@@ -226,6 +243,35 @@ class TestPenalty:
         table = collision_penalty_table(3, 3).tolist()
         assert not load_instance({**square, "penalty": table}).default_penalty
         assert not load_instance({"n": 2, "m": 3, "energy": [0] * 8}).default_penalty
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_permutations_are_the_collision_zeros(self, n):
+        expected = np.flatnonzero(collision_penalty_table(n, n) == 0)
+        got = permutation_indices(n)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_default_square_feasible_set_without_table(self, monkeypatch):
+        doc = _assignment([[(3 * i + 5 * j) % 7 for j in range(5)] for i in range(5)])
+        expected = np.flatnonzero(collision_penalty_table(5, 5) == 0)
+        inst = load_instance(doc)
+        monkeypatch.setattr(instance_module, "collision_penalty_table", _unexpected)
+        assert np.array_equal(inst.feasible_indices(), expected)
+        assert inst.feasible_levels == Levels.of(inst.energy[expected])
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 1), (16, 2), (1, 4)])
+    def test_default_non_square_feasible_set_is_every_string(self, n, m, monkeypatch):
+        inst = load_instance({"n": n, "m": m, "energy": [(7 * i) % 5 for i in range(n**m)]})
+        monkeypatch.setattr(instance_module, "collision_penalty_table", _unexpected)
+        monkeypatch.setattr(np, "flatnonzero", _unexpected)
+        assert np.array_equal(inst.feasible_indices(), np.arange(n**m))
+        assert inst.feasible_levels is inst.levels
+
+    def test_permutations_enumerated_under_the_cap(self, monkeypatch):
+        inst = load_instance(_assignment([[0] * 8] * 8))
+        monkeypatch.setattr(instance_module, "permutation_indices", _unexpected)
+        with pytest.raises(CapExceededError, match="exceeds enumeration cap 4096"):
+            inst.feasible_indices()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_zero_iff_permutation_exhaustive(self, n):
@@ -365,6 +411,42 @@ class TestLevelScans:
         assert inst.feasible_levels == Levels((1, 3), (1, 1))  # strings 1 and 2
         assert inst.e_star() == 1
         assert all(type(v) is int for v in inst.levels.values + inst.levels.counts)
+
+    @pytest.mark.parametrize("table", [
+        [3, 1, 3, 2, 1, 1],            # span 2, below the size
+        [-5, 7, -5, 0, 7, 2],          # negative, span 12, above the size
+        [-40, -38, -39, -40, -38],     # negative, span below the size
+        [4, 4, 4],                     # a single level
+        [0, 2**61, 5, -2**61],         # a span far above the size
+        [9, 1],                        # span 8 at size 2
+        [0, 1],                        # span 1 at size 2
+    ])
+    def test_index_matches_binary_search(self, table):
+        table = np.array(table, dtype=np.int64)
+        levels = Levels.of(table)
+        values = np.array(levels.values)
+        expected = np.searchsorted(values, table)
+        index = levels.index(table)
+        assert np.array_equal(index.values, values)
+        assert index.of_string.dtype == expected.dtype
+        assert np.array_equal(index.of_string, expected)
+
+    @pytest.mark.parametrize("spread, rank_route", [(3, True), (40, True), (2**40, False)])
+    def test_index_route_follows_span(self, spread, rank_route, monkeypatch):
+        table = np.random.default_rng(spread).integers(-spread, spread + 1, size=500)
+        levels = Levels.of(table)
+        expected = np.searchsorted(np.array(levels.values), table)
+        searches = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args: searches.append(1) or searchsorted(*args))
+        assert np.array_equal(levels.index(table).of_string, expected)
+        assert searches == ([] if rank_route else [1])
+
+    def test_index_of_float_table_searches(self):
+        table = np.array([0.5, -1.0, 0.5, 2.0])
+        levels = Levels.of(table)
+        assert levels.index(table).of_string.tolist() == [1, 0, 1, 2]
 
     def test_summed_adds_equal_values(self):
         assert Levels.summed([2, 0, 2, 6], [3, 1, 4, 1]) == Levels((0, 2, 6), (1, 7, 1))

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from conftest import random_envelope
 from oracles import apply_block_kernel_tensordot, block_unitary_expm
+from fejercert import mixer
 from fejercert import (
     apply_block_kernel,
     averaged_block_kernel,
@@ -20,6 +21,10 @@ from fejercert import (
     single_block_kernel,
     uniform_envelope,
 )
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("the uniform fixed point ran a kernel")
 
 
 class TestSingleBlockKernel:
@@ -168,6 +173,38 @@ class TestMixerEnvelope:
         inst = load_instance({"n": 3, "m": 2, "energy": [0] * 9})
         env = mixer_envelope(inst, uniform_envelope(3, 2), rng.uniform(0.1, 3, size=4))
         assert np.allclose(env.probs, 1 / 9, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (4, 4), (6, 6), (36, 3)])
+    def test_uniform_returned_unchanged(self, n, m, monkeypatch):
+        """A uniform start is returned as it is; the kernels it skips leave it
+        within their own rounding, also next to a resonance: each layer sums
+        n terms along each of the m block axes (1.1e-14 relative at 36^3)."""
+        inst = load_instance({"n": n, "m": m, "generator": {
+            "kind": "assignment", "cost": [[0] * n] * m}}, cap=46656)
+        period = 2 * math.pi / n
+        betas = [0.4, period + 2e-12, period - 1e-13, 2.9, 0.5 * period + 1e-9]
+        v0 = uniform_envelope(n, m)
+        expected = v0
+        for beta in betas:
+            expected = apply_block_kernel(single_block_kernel(n, beta), expected, m)
+        monkeypatch.setattr(mixer, "apply_block_kernel", _unexpected)
+        env = mixer_envelope(inst, v0, betas)
+        assert env is v0
+        rounding = len(betas) * m * n * np.finfo(float).eps
+        np.testing.assert_allclose(env.probs, expected.probs, rtol=rounding, atol=0)
+
+    def test_non_uniform_runs_every_kernel(self, rng, monkeypatch):
+        inst = load_instance({"n": 3, "m": 3, "energy": [0] * 27})
+        v0, betas = random_envelope(rng, 27), [0.4, 0.9, 1.3]
+        expected = v0
+        for beta in betas:
+            expected = apply_block_kernel(single_block_kernel(3, beta), expected, 3)
+        calls = []
+        monkeypatch.setattr(mixer, "apply_block_kernel",
+                            lambda *args: calls.append(1) or apply_block_kernel(*args))
+        env = mixer_envelope(inst, v0, betas)
+        assert len(calls) == len(betas)
+        assert np.array_equal(env.probs, expected.probs)
 
     def test_empty_schedule_returns_v0(self, rng):
         inst = load_instance({"n": 2, "m": 2, "energy": [0] * 4})
