@@ -39,6 +39,7 @@ from .mixer import (
     envelope_mass,
     external_envelope,
     mixer_envelope,
+    single_block_kernel,
     uniform_envelope,
 )
 from .planner import Certificate, build_certificate, cmin_curve
@@ -233,22 +234,25 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         if args.betas:
             raise ValueError("--envelope and --betas are mutually exclusive")
         env = _load_diagonal(args.envelope, inst.size)
+        index = inst.levels.index(inst.energy)
+        level_mass = np.bincount(index.of_string, weights=env.probs)
+        c_beta = envelope_mass(env, inst.optimal_indices())
         source = "external"
     else:
         betas = _adjacency_betas(args, inst.n)
         if betas and len(betas) != args.order:
             raise ValueError("need exactly one beta per layer")
-        env = mixer_envelope(inst, uniform_envelope(inst.n, inst.m), betas)
+        for beta in betas:  # the uniform envelope is a fixed point: only check each angle
+            single_block_kernel(inst.n, beta)
+        # exact count / n**m shares, which a float sum of entries 1 / n**m can miss
+        level_mass = inst.levels.shares()
+        c_beta = inst.feasible_levels.counts[0] / inst.size
+        env = index = None
         source = "reference_uniform"
 
     pm = phase_gap(inst, args.gamma, scope)
-    # the uniform envelope's mass on Omega* is |Omega*| / n**m, divided
-    # exactly: a float sum of |Omega*| entries 1 / n**m can miss it
-    c_beta = (envelope_mass(env, pm.omega_star) if args.envelope is not None
-              else pm.omega_star.size / inst.size)
-
-    law = filtered_distribution(env, pm, args.order)
-    q0_exact = success_probability(law, pm.omega_star)
+    law = filtered_distribution(level_mass, pm.offsets(), args.order)
+    q0_exact = success_probability(args.order, c_beta, law.denominator)
 
     if pm.collided:
         status = "uncertifiable"
@@ -279,8 +283,11 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     )
     outputs = [(args.output, serialize.dumps_json(document))]
     if args.law_output is not None:
+        if index is None:
+            env, index = uniform_envelope(inst.n, inst.m), inst.levels.index(inst.energy)
+        weight, probs = law.per_string(env, index.of_string)
         outputs.append((args.law_output, serialize.filtered_law_csv(
-            law.probs, pm.theta, law.kernel, inst.n, inst.m)))
+            probs, pm.level_theta[index.of_string], weight, inst.n, inst.m)))
     return (EXIT_UNCERTIFIABLE if status == "uncertifiable" else EXIT_OK), outputs
 
 
@@ -367,15 +374,14 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     window = rl.DitherWindow(half_width=args.half_width)
-    env = uniform_envelope(inst.n, inst.m)
-    omega = inst.optimal_indices()
+    rl.optimal_level(inst)  # names a zero energy gap before the bound reads it
     gap = rl.energy_gap(inst)
-    c_beta = omega.size / inst.size  # the uniform envelope's mass, exact as in certify
+    c_beta = inst.feasible_levels.counts[0] / inst.size  # the uniform envelope's, as in certify
     mbar = rl.averaged_offpeak_bound(args.order, args.half_width, gap)
     bound = rl.rl_success_bound(args.order, c_beta, mbar.exact)
     law = rl.rl_filtered_distribution(
-        env, inst, args.gamma, window, args.order,
-        samples=args.samples, seed=args.seed, pooled=args.pooled, subset=omega,
+        inst.levels.shares(), inst, args.gamma, window, args.order,
+        samples=args.samples, seed=args.seed, pooled=args.pooled,
     )
     document = {
         "command": "rl",
@@ -389,16 +395,16 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         "mbar_exact": mbar.exact,
         "mbar_log": mbar.log_form,
         "bound": bound,
-        # subset and total masses are summed in different orders, so the
-        # ratio can exceed 1 by an ulp
-        "success_mass": min(1.0, max(0.0, law.subset_mass)),
-        "success_stderr": law.subset_stderr,
+        # a level's mass and its normalizer are rounded apart, so the ratio
+        # can exceed 1 by an ulp
+        "success_mass": min(1.0, max(0.0, law.success_mass)),
+        "success_stderr": law.success_stderr,
     }
     outputs = [(args.output, serialize.dumps_json(document))]
     if args.law_output is not None:
-        outputs.append(
-            (args.law_output, serialize.rl_law_csv(law.probs, law.stderr, inst.n, inst.m))
-        )
+        probs, stderr = law.per_string(uniform_envelope(inst.n, inst.m),
+                                       inst.levels.index(inst.energy).of_string)
+        outputs.append((args.law_output, serialize.rl_law_csv(probs, stderr, inst.n, inst.m)))
     return EXIT_OK, outputs
 
 

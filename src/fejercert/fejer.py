@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import TWO_PI, PhaseModel, wrap_angle
-from .mixer import Envelope, _subset_indices
+from .instance import TWO_PI, wrap_angle
+from .mixer import Envelope
 
 # Below this |sin(theta/2)| the ratio form is catastrophically cancelled and
 # the sinc form on the offset reduced mod 2pi is used instead (exactly p+1 at
@@ -91,32 +91,36 @@ def _check_delta(delta: float) -> None:
 
 @dataclass(frozen=True)
 class FilteredLaw:
-    """Normalized filtered distribution, the per-string Fejér weight
-    F_p(theta(z) - theta_star), and the pre-normalization mass."""
+    """The reference law W(z) F_p(theta(z) - theta*) / D by energy level: the
+    Fejér weight of each level and the denominator D, with a leading draw
+    axis when the offsets have one."""
 
-    probs: np.ndarray
     kernel: np.ndarray
-    denominator: float
+    denominator: float | np.ndarray
+
+    def per_string(self, env: Envelope, level_of: np.ndarray) -> tuple:
+        """Each string's Fejér weight and probability, gathered through its level."""
+        kernel = self.kernel[level_of]
+        return kernel, env.probs * kernel / self.denominator
 
 
-def filtered_distribution(env: Envelope, pm: PhaseModel, p: int) -> FilteredLaw:
-    """The factorized reference law: probs(z) proportional to
-    W(z) * F_p(theta(z) - theta_star).  The weight depends on z only through
-    its energy level, so F_p is evaluated once per level and gathered."""
-    if env.size != pm.level_of.size:
-        raise ValueError("envelope and phase model sizes differ")
-    kernel = fejer_kernel(p, pm.offsets())[pm.level_of]
-    weights = env.probs * kernel
-    denominator = float(weights.sum())
+def filtered_distribution(level_mass: np.ndarray, offsets: np.ndarray, p: int) -> FilteredLaw:
+    """The reference law from each energy level's envelope mass and phase
+    offset theta - theta*; ``offsets`` may carry a leading draw axis, for
+    one law per draw."""
+    kernel = fejer_kernel(p, offsets)
+    denominator = kernel @ level_mass
     # a positive condition, so that a NaN denominator fails it
-    if not 0.0 < denominator < math.inf:
-        raise ValueError(f"filter denominator {denominator} is zero or not finite")
-    return FilteredLaw(probs=weights / denominator, kernel=kernel, denominator=denominator)
+    bad = np.extract(~((0.0 < denominator) & (denominator < math.inf)), denominator)
+    if bad.size:
+        raise ValueError(f"filter denominator {bad[0]} is zero or not finite")
+    return FilteredLaw(kernel, denominator if np.ndim(denominator) else float(denominator))
 
 
-def success_probability(law: FilteredLaw, omega_star) -> float:
-    """Mass of the filtered law on the optimal set."""
-    return float(law.probs[_subset_indices(law.probs.size, omega_star)].sum())
+def success_probability(p: int, c_beta: float, denominator: float) -> float:
+    """Mass of the filtered law on the optimal set, (p+1) C_beta / D: every
+    optimal string sits at phase offset 0, where F_p is exactly p+1."""
+    return (p + 1) * c_beta / denominator
 
 
 def success_lower_bound(p: int, c_beta: float, delta: float) -> float:

@@ -142,6 +142,12 @@ class Levels:
             total[value] = total.get(value, 0) + weight
         return cls(*zip(*sorted(total.items())))
 
+    def shares(self) -> np.ndarray:
+        """Each level's share of the strings, its count over the total,
+        divided exactly: the level masses of the uniform envelope."""
+        total = sum(self.counts)
+        return np.array([count / total for count in self.counts])
+
     def index(self, table: np.ndarray) -> LevelIndex:
         """``table``, whose levels these are, by level.  An integer table whose
         level span is below its size is read through a rank table over the
@@ -378,6 +384,8 @@ class ProblemInstance:
 
     def optimal_indices(self) -> np.ndarray:
         """Indices of optimal feasible strings (the set of optima)."""
+        if self.feasible_levels is self.levels:  # every string is feasible
+            return np.flatnonzero(self.energy == self.e_star())
         feas = self.feasible_indices()
         return feas[self.energy[feas] == self.e_star()]
 
@@ -583,29 +591,23 @@ def circular_distance(a, b):
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Wrapped phases theta = gamma*E mod 2pi, one per energy level, with
-    each string's level; the optimal phase, and the phase gap delta within
-    the chosen scope.
+    """Wrapped phases theta = gamma*E mod 2pi, one per energy level of
+    ``inst.levels``; the optimal phase, and the phase gap delta within the
+    chosen scope.
 
     ``delta`` is 0.0 with ``collided`` set when some non-optimal phase sits
-    within tolerance of the optimal phase; it is pi with ``all_optimal`` set
-    when the scope contains no non-optimal string.
+    within tolerance of the optimal phase, and ``colliding`` lists the
+    non-optimal strings of the scope there; it is pi with ``all_optimal``
+    set when the scope contains no non-optimal string.
     """
 
     level_theta: np.ndarray
-    level_of: np.ndarray
     theta_star: float
     delta: float
     gap_scope: GapScope
-    omega_star: np.ndarray
     collided: bool = False
     colliding: tuple = ()
     all_optimal: bool = False
-
-    @property
-    def theta(self) -> np.ndarray:
-        """The wrapped phase of each string, gathered from its level."""
-        return self.level_theta[self.level_of]
 
     def offsets(self) -> np.ndarray:
         """Phase offsets theta - theta_star of each level (the argument of
@@ -624,18 +626,17 @@ def phase_gap(
     wrapped once per level, and the gap is the minimum circular distance
     from the phases of the levels that hold a non-optimal string of the
     scope (all strings, or the feasible set only) to the optimal phase.
-    Phase collisions are flagged, not raised.
+    Phase collisions are flagged, not raised; only then are strings read,
+    to list the colliding ones.
     """
-    levels = inst.levels.index(inst.energy)
-    check_phase(gamma, levels.values)
-    level_theta = wrap_angle(gamma * levels.values.astype(float))
-    omega_star = inst.optimal_indices()
+    values = np.array(inst.levels.values)
+    check_phase(gamma, values)
+    level_theta = wrap_angle(gamma * values.astype(float))
     theta_star = wrap_angle(gamma * float(inst.e_star()))
-    phases = (level_theta, levels.of_string, theta_star)
 
     nonoptimal = np.array(inst.nonoptimal_levels(scope), dtype=np.int64)
     if nonoptimal.size == 0:
-        return PhaseModel(*phases, math.pi, scope, omega_star, all_optimal=True)
+        return PhaseModel(level_theta, theta_star, math.pi, scope, all_optimal=True)
 
     dist = circular_distance(wrap_angle(gamma * nonoptimal.astype(float)), theta_star)
     colliding = nonoptimal[dist < PHASE_COLLISION_TOL]
@@ -644,7 +645,7 @@ def phase_gap(
         strings = (np.arange(inst.size) if scope is GapScope.ALL_STRINGS
                    else inst.feasible_indices())
         hit = strings[np.isin(inst.energy[strings], colliding)]
-        hit = np.setdiff1d(hit, omega_star, assume_unique=True)
-        return PhaseModel(*phases, 0.0, scope, omega_star, collided=True,
+        hit = np.setdiff1d(hit, inst.optimal_indices(), assume_unique=True)
+        return PhaseModel(level_theta, theta_star, 0.0, scope, collided=True,
                           colliding=tuple(hit.tolist()))
-    return PhaseModel(*phases, float(dist.min()), scope, omega_star)
+    return PhaseModel(level_theta, theta_star, float(dist.min()), scope)

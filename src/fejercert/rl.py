@@ -9,13 +9,14 @@ is uniform on [-Gamma, Gamma].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fejer import _check_c, _check_order, fejer_kernel
+from .fejer import _check_c, _check_order, filtered_distribution
 from .instance import GapScope, ProblemInstance, check_phase
 from .mixer import Envelope
 
@@ -38,7 +39,7 @@ class DitherWindow:
 
 # Up to this order the exact averaged bound sums its p terms.
 _SUMMED_MAX_ORDER = 1024
-# The least number of kernel values a block of dither draws may hold.
+# Kernel values a block of dither draws holds (one draw, when there are more levels).
 _BLOCK_VALUES = 4096
 
 
@@ -93,26 +94,45 @@ def energy_gap(inst: ProblemInstance) -> float:
     return float(min(abs(level - e_star) for level in levels)) if levels else math.inf
 
 
+def optimal_level(inst: ProblemInstance) -> int:
+    """The position of E* among the energy levels.  The law's mass there is
+    the success mass, so Omega* must fill the level: a string outside it at
+    E* is a zero energy gap, and raises ValueError."""
+    e_star, levels = inst.e_star(), inst.levels
+    star = bisect.bisect_left(levels.values, e_star)
+    if levels.counts[star] > inst.feasible_levels.counts[0]:
+        raise ValueError(f"zero energy gap: a string outside the optimal set Omega* "
+                         f"shares the optimal energy E* = {e_star}")
+    return star
+
+
 @dataclass(frozen=True)
 class RLLaw:
-    """Monte Carlo estimate of the dither-averaged measurement law.
+    """The dither-averaged law by energy level: each level's mean over draws
+    of F/M, its Fejér weight over the draw's denominator (of F when pooled),
+    and the sum of its squares; the law's mass on the optimal level, and the
+    standard error of the per-draw masses.  A pooled law normalizes once, so
+    it has neither sums of squares nor standard errors (None)."""
 
-    ``subset_mass``/``subset_stderr`` carry the per-draw mass statistics of
-    the tracked subset (the per-draw masses are correlated across strings,
-    so the subset error cannot be derived from the per-string errors).  A
-    pooled law normalizes once, so it has no per-draw laws and both
-    ``stderr`` and ``subset_stderr`` are None.
-    """
-
-    probs: np.ndarray
-    stderr: np.ndarray | None
+    level_mean: np.ndarray
+    level_sum_sq: np.ndarray | None
     samples: int
-    subset_mass: float | None = None
-    subset_stderr: float | None = None
+    success_mass: float
+    success_stderr: float | None
+
+    def per_string(self, env: Envelope, level_of: np.ndarray) -> tuple:
+        """Each string's probability, gathered through its level, and its
+        standard error (None when pooled)."""
+        probs = env.probs * self.level_mean[level_of]
+        if self.level_sum_sq is None:
+            return probs / float(probs.sum()), None
+        samples = self.samples
+        variance = (env.probs**2 * self.level_sum_sq[level_of] - samples * probs**2) / (samples - 1)
+        return probs, np.sqrt(np.maximum(variance, 0.0) / samples)
 
 
 def rl_filtered_distribution(
-    env: Envelope,
+    level_mass: np.ndarray,
     inst: ProblemInstance,
     gamma: float,
     w: DitherWindow,
@@ -120,78 +140,44 @@ def rl_filtered_distribution(
     samples: int,
     seed: int,
     pooled: bool = False,
-    subset: np.ndarray | None = None,
 ) -> RLLaw:
-    """Monte Carlo average over dither draws u of the per-u filtered law.
+    """Monte Carlo average over dither draws u of the per-u filtered law,
+    for an envelope with mass ``level_mass`` on each of ``inst.levels``.
 
     Matching the averaged-bound semantics, each draw produces a normalized
     law and the laws are averaged; ``pooled`` instead averages unnormalized
     weights and normalizes once (no bound is asserted for that mode).
-    Deterministic under the seed.
-
-    The Fejér weight F_p((gamma+u)(E(z)-E*)) depends on z only through its
-    energy level, so each draw evaluates the kernel once per level: the cost
-    is O(samples * levels + n**m).
+    Deterministic under the seed.  F_p((gamma+u)(E(z)-E*)) depends on z only
+    through its level, so the cost is O(samples * levels).
     """
     if samples < (1 if pooled else 2):
         raise ValueError(f"--samples {samples}: need at least 2 draws, or 1 when pooled; "
                          "one draw has no standard error")
     _check_order(p)
-    if env.size != inst.size:
-        raise ValueError("envelope does not match the instance")
-    e_star = inst.e_star()
-    if e_star in inst.nonoptimal_levels(GapScope.ALL_STRINGS):
-        raise ValueError("zero energy gap: a non-optimal string shares the optimal energy")
-
-    levels, level_of = inst.levels.index(inst.energy)
-    offsets = (levels - e_star).astype(float)
+    star = optimal_level(inst)
+    offsets = (np.array(inst.levels.values) - inst.e_star()).astype(float)
     # every draw's cost angle lies within |gamma| + half_width of zero
     check_phase(abs(gamma) + w.half_width, offsets, "cost angle plus dither half-width")
-    level_env = np.bincount(level_of, weights=env.probs)
-    if subset is not None:
-        # the subset's envelope mass on each level, and the levels that hold some
-        subset_env = np.bincount(level_of[subset], weights=env.probs[subset])
-        subset_levels = np.flatnonzero(subset_env)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-w.half_width, w.half_width, size=samples)
 
-    # per-level sums over draws of F/M (of F when pooled) and of its square
-    total = np.zeros(offsets.size)
-    total_sq = np.zeros(offsets.size)
-    subset_masses = []
-    # a block of draws x levels holds at most max(n**m, _BLOCK_VALUES) kernel
-    # values, so memory stays O(n**m) while small instances take few blocks
-    block = max(1, max(inst.size, _BLOCK_VALUES) // offsets.size)
+    # per-level sums over draws of F/M (of F when pooled) and of its square,
+    # and each draw's mass on the optimal level
+    total, total_sq = np.zeros((2, offsets.size))
+    success = []
+    block = max(1, _BLOCK_VALUES // offsets.size)
     for start in range(0, samples, block):
-        kernel = fejer_kernel(p, (gamma + draws[start : start + block, None]) * offsets)
-        masses = kernel @ level_env
-        # a positive condition, so that a NaN mass fails it
-        finite = (0.0 < masses) & (masses < math.inf)
-        if not finite.all():
-            raise ValueError(
-                f"filter denominator {masses[~finite][0]} at a dither draw is zero or not finite"
-            )
-        if not pooled:
-            kernel /= masses[:, None]
+        law = filtered_distribution(
+            level_mass, (gamma + draws[start : start + block, None]) * offsets, p)
+        kernel = law.kernel if pooled else law.kernel / law.denominator[:, None]
         total += kernel.sum(axis=0)
         total_sq += (kernel**2).sum(axis=0)
-        if subset is not None and not pooled:
-            subset_masses.append(kernel[:, subset_levels] @ subset_env[subset_levels])
+        success.append(kernel[:, star] * level_mass[star])
 
-    probs = env.probs * (total / samples)[level_of]
-    stderr = sub_mass = sub_err = None
+    mean = total / samples
     if pooled:
-        probs /= float(probs.sum())
-        if subset is not None:
-            sub_mass = float(probs[subset].sum())
-    else:
-        variance = (env.probs**2 * total_sq[level_of] - samples * probs**2) / (samples - 1)
-        stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
-        if subset is not None:
-            arr = np.concatenate(subset_masses)
-            sub_mass = float(arr.mean())
-            sub_err = float(arr.std(ddof=1) / math.sqrt(samples))
-    return RLLaw(
-        probs=probs, stderr=stderr, samples=samples, subset_mass=sub_mass, subset_stderr=sub_err
-    )
-
+        return RLLaw(mean, None, samples, float(mean[star] * level_mass[star] / (mean @ level_mass)),
+                     None)
+    masses = np.concatenate(success)
+    return RLLaw(mean, total_sq, samples, float(masses.mean()),
+                 float(masses.std(ddof=1) / math.sqrt(samples)))

@@ -25,6 +25,16 @@ def random_instance(rng, n=None, m=None, emax=8, cap=4096):
     )
 
 
+def shape_document(n, m, seed=601):
+    """A seeded instance document shaped as the benchmark's: 8^4 with a dense
+    energy table, the rest with an assignment cost matrix (costs 0..9)."""
+    rng = np.random.default_rng([seed, n, m])
+    if (n, m) == (8, 4):
+        return {"n": n, "m": m, "energy": rng.integers(0, 40, size=n**m).tolist()}
+    return {"n": n, "m": m,
+            "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (m, n)).tolist()}}
+
+
 def random_envelope(rng, size):
     """Strictly positive random distribution (Dirichlet weights)."""
     return external_envelope(rng.dirichlet(np.ones(size)))
@@ -33,3 +43,11 @@ def random_envelope(rng, size):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def level_mass(env, inst):
+    """An envelope's mass on each energy level of ``inst.levels``, summed
+    through the level index as ``certify --envelope`` sums it, and each
+    string's level."""
+    index = inst.levels.index(inst.energy)
+    return np.bincount(index.of_string, weights=env.probs), index.of_string

@@ -24,8 +24,15 @@ path, so they live with the tests (and only they need scipy).
   from the penalty table, the reference for the level scans and per-level
   phases of ``fejercert.instance.phase_gap``, for the permutation feasible
   set, and for ``fejercert.rl.energy_gap``;
+- ``filtered_distribution_per_string`` and
+  ``success_probability_per_string``: the filtered law with one Fejér
+  weight per string and its mass on Omega* summed string by string, the
+  reference for the level law of ``fejercert.fejer.filtered_distribution``
+  and the closed form (p+1) C_beta / D of ``success_probability``;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
-  string by string, one Fejér kernel over all n**m strings per draw;
+  string by string, one Fejér kernel over all n**m strings per draw, with
+  the mass on any subset, the reference for the level law of
+  ``fejercert.rl.rl_filtered_distribution``;
 - ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region;
 - ``window_fourier``, ``window_density`` and ``averaged_fejer``: the uniform
   dither window and the window-averaged Fejér weight in its Fourier form, a
@@ -82,7 +89,6 @@ from fejercert.fejer import fejer_kernel
 from fejercert.instance import (
     PHASE_COLLISION_TOL,
     GapScope,
-    PhaseModel,
     ProblemInstance,
     SectorBasis,
     _to_integers,
@@ -102,7 +108,7 @@ from fejercert.oracle import (
     check_norm,
     initial_state,
 )
-from fejercert.rl import DitherWindow, RLLaw
+from fejercert.rl import DitherWindow
 
 LIE_CLOSURE_TOL = 1e-9
 LIE_MAX_DIM = 64
@@ -245,9 +251,25 @@ def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
     return float(fejer_kernel(p, grid).max())
 
 
+@dataclass(frozen=True)
+class PerStringPhases:
+    """The wrapped-phase model with one phase per string: the fields of
+    ``fejercert.instance.PhaseModel`` with ``theta`` in place of its level
+    phases, and the optimal strings ``omega_star``."""
+
+    theta: np.ndarray
+    theta_star: float
+    delta: float
+    gap_scope: GapScope
+    omega_star: np.ndarray
+    collided: bool = False
+    colliding: tuple = ()
+    all_optimal: bool = False
+
+
 def phase_gap_per_string(
     inst: ProblemInstance, gamma: float, scope: GapScope = GapScope.ALL_STRINGS
-) -> PhaseModel:
+) -> PerStringPhases:
     """The wrapped-phase model with the gap scanned over every non-optimal
     string of the scope, one circular distance per string."""
     check_phase(gamma, inst.energy)
@@ -263,17 +285,42 @@ def phase_gap_per_string(
     in_omega[omega_star] = True
     non_opt = scope_idx[~in_omega[scope_idx]]
 
-    # every string is its own level
-    phases = (theta, np.arange(inst.size), theta_star)
     if non_opt.size == 0:
-        return PhaseModel(*phases, math.pi, scope, omega_star, all_optimal=True)
+        return PerStringPhases(theta, theta_star, math.pi, scope, omega_star, all_optimal=True)
 
     dist = circular_distance(theta[non_opt], theta_star)
     colliding = non_opt[dist < PHASE_COLLISION_TOL]
     if colliding.size > 0:
-        return PhaseModel(*phases, 0.0, scope, omega_star, collided=True,
-                          colliding=tuple(int(i) for i in colliding))
-    return PhaseModel(*phases, float(dist.min()), scope, omega_star)
+        return PerStringPhases(theta, theta_star, 0.0, scope, omega_star, collided=True,
+                               colliding=tuple(int(i) for i in colliding))
+    return PerStringPhases(theta, theta_star, float(dist.min()), scope, omega_star)
+
+
+@dataclass(frozen=True)
+class PerStringLaw:
+    """The filtered law string by string: probabilities, Fejér weights and
+    the filter denominator."""
+
+    probs: np.ndarray
+    kernel: np.ndarray
+    denominator: float
+
+
+def filtered_distribution_per_string(env: Envelope, pm: PerStringPhases, p: int) -> PerStringLaw:
+    """probs(z) = W(z) F_p(theta(z) - theta*) / D, one Fejér weight per
+    string, D summed over all n**m strings."""
+    kernel = fejer_kernel(p, pm.theta - pm.theta_star)
+    weights = env.probs * kernel
+    denominator = float(weights.sum())
+    # a positive condition, so that a NaN denominator fails it
+    if not 0.0 < denominator < math.inf:
+        raise ValueError(f"filter denominator {denominator} is zero or not finite")
+    return PerStringLaw(weights / denominator, kernel, denominator)
+
+
+def success_probability_per_string(probs: np.ndarray, subset: np.ndarray) -> float:
+    """Mass of a per-string law on a set of strings, summed string by string."""
+    return float(probs[subset].sum())
 
 
 def energy_gap_per_string(inst: ProblemInstance) -> float:
@@ -295,6 +342,18 @@ def _optimum_per_string(inst: ProblemInstance) -> tuple:
     return e_star, feasible[inst.energy[feasible] == e_star]
 
 
+@dataclass(frozen=True)
+class PerStringRLLaw:
+    """The dither-averaged law string by string, with its standard errors
+    (None when pooled) and the mass on a tracked subset."""
+
+    probs: np.ndarray
+    stderr: np.ndarray | None
+    samples: int
+    subset_mass: float | None = None
+    subset_stderr: float | None = None
+
+
 def rl_filtered_distribution_per_string(
     env: Envelope,
     inst: ProblemInstance,
@@ -305,9 +364,11 @@ def rl_filtered_distribution_per_string(
     seed: int,
     pooled: bool = False,
     subset: np.ndarray | None = None,
-) -> RLLaw:
+) -> PerStringRLLaw:
     """Monte Carlo average over dither draws u of the per-u filtered law,
-    accumulated per string; the same draws as ``rl_filtered_distribution``."""
+    accumulated per string; the same draws as ``rl_filtered_distribution``.
+    The mass on ``subset`` is averaged over the per-draw laws, with its
+    standard error from the per-draw masses."""
     if samples < (1 if pooled else 2):
         raise ValueError("need at least 2 samples, or 1 when pooled")
     if p < 0:
@@ -342,7 +403,7 @@ def rl_filtered_distribution_per_string(
         norm = float(mean.sum())
         probs = mean / norm
         sub_mass = float(probs[subset].sum()) if subset is not None else None
-        return RLLaw(
+        return PerStringRLLaw(
             probs=probs,
             stderr=None,
             samples=samples,
@@ -356,7 +417,7 @@ def rl_filtered_distribution_per_string(
         arr = np.asarray(subset_masses)
         sub_mass = float(arr.mean())
         sub_err = float(arr.std(ddof=1) / math.sqrt(samples))
-    return RLLaw(
+    return PerStringRLLaw(
         probs=mean,
         stderr=stderr,
         samples=samples,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from conftest import random_envelope, random_instance
+from conftest import level_mass, random_envelope, random_instance
 from oracles import (
     averaged_fejer,
     averaged_fejer_quadrature,
@@ -122,9 +122,11 @@ def test_criterion_03_factorization_equality():
         gamma = float(rng.uniform(0.05, 2.5))
         env = random_envelope(rng, inst.size)
         p = int(rng.integers(0, 7))
-        law = filtered_distribution(env, phase_gap(inst, gamma), p)
+        mass, level_of = level_mass(env, inst)
+        law = filtered_distribution(mass, phase_gap(inst, gamma).offsets(), p)
+        _, probs = law.per_string(env, level_of)
         reference = dirichlet_filter_oracle(env, inst, gamma, p)
-        assert np.max(np.abs(law.probs - reference)) < 1e-10
+        assert np.max(np.abs(probs - reference)) < 1e-10
         done += 1
     _report(3, "filtered law equals the operator-level filter oracle on 100 instances")
 
@@ -139,10 +141,11 @@ def test_criterion_04_dimension_free_success_bound():
         if pm.collided or pm.all_optimal:
             continue
         env = random_envelope(rng, inst.size)
-        c_beta = envelope_mass(env, pm.omega_star)
+        c_beta = envelope_mass(env, inst.optimal_indices())
+        mass, _ = level_mass(env, inst)
         for p in range(0, 7):
-            law = filtered_distribution(env, pm, p)
-            q0 = success_probability(law, pm.omega_star)
+            law = filtered_distribution(mass, pm.offsets(), p)
+            q0 = success_probability(p, c_beta, law.denominator)
             assert q0 >= success_lower_bound(p, c_beta, pm.delta) - 1e-12
             x = ratio_parameter(p, pm.delta, c_beta)
             bounds = ratio_bounds(x, c_beta)
@@ -177,13 +180,15 @@ def test_criterion_06_shot_regimes():
     # most eps + 3 sqrt(eps/1000) of 1000 seeded repetitions
     eps = 0.1
     inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
-    pm = phase_gap(inst, 0.4)
-    law = filtered_distribution(uniform_envelope(2, 2), pm, 2)
-    q0 = success_probability(law, pm.omega_star)
+    env, omega = uniform_envelope(2, 2), inst.optimal_indices()
+    mass, level_of = level_mass(env, inst)
+    law = filtered_distribution(mass, phase_gap(inst, 0.4).offsets(), 2)
+    _, probs = law.per_string(env, level_of)
+    q0 = success_probability(2, envelope_mass(env, omega), law.denominator)
     shots = math.ceil(math.log(1 / eps) / q0)
     misses = 0
     for rep in range(1000):
-        result = sample_shots(law.probs, shots, seed=SEED + rep, subset=pm.omega_star)
+        result = sample_shots(probs, shots, seed=SEED + rep, subset=omega)
         if result.frequency == 0.0:
             misses += 1
     assert misses / 1000 <= eps + 3 * math.sqrt(eps / 1000)
@@ -256,12 +261,12 @@ def test_criterion_08_rl_averaging():
         p = int(rng.integers(1, 5))
         hw = float(rng.uniform(0.3, 1.2))
         law = rl_filtered_distribution(
-            env, inst, float(rng.uniform(0.1, 1.0)), DitherWindow(hw), p,
-            samples=160, seed=SEED + checked, subset=omega,
+            level_mass(env, inst)[0], inst, float(rng.uniform(0.1, 1.0)), DitherWindow(hw), p,
+            samples=160, seed=SEED + checked,
         )
         mbar = averaged_offpeak_bound(p, hw, gap).exact
         bound = rl_success_bound(p, float(env.probs[omega].sum()), mbar)
-        assert law.subset_mass >= bound - 3 * law.subset_stderr - 1e-12
+        assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
         checked += 1
     _report(8, "Fourier/quadrature agreement, off-peak bounds, checkpoint 2, MC bound hold")
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from fejercert import cli, collision_penalty_table, feasibility, instance, load_
 from fejercert.cli import main
 from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
+from conftest import shape_document
 from oracles import phase_gap_per_string
 
 
@@ -241,6 +243,65 @@ class TestCertifyWithoutPenaltyTable:
         doc = json.loads(out.read_text())
         assert doc["c_beta"] == 6 / 36
         assert doc["c_beta"] != float(np.full(6, 1 / 36).sum())
+
+
+def _traced_peak(action) -> int:
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLevelLawWithoutLevelIndex:
+    """certify with the uniform envelope and rl without --law-output read
+    the energy levels alone: neither builds the per-string level index, and
+    their peak memory stays at the floor that loading the instance and
+    building its levels takes."""
+
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    @pytest.mark.parametrize("gamma, status", [(0.37, "certified"),
+                                               (2 * math.pi / 3, "uncertifiable")])
+    def test_certify(self, scope, gamma, status, tmp_path, monkeypatch):
+        path = write_instance(tmp_path / "square.json", TestCertifyWithoutPenaltyTable.DOC)
+        out = tmp_path / "cert.json"
+        monkeypatch.setattr(instance.Levels, "index", _unexpected)
+        code = run(["certify", "--instance", path, "--gamma", repr(gamma), "-p", "3",
+                    "--betas", "0.4,0.9,1.3", "--scope", scope, "-o", str(out)])
+        assert (code, json.loads(out.read_text())["status"]) == (
+            (0, status) if status == "certified" else (3, status))
+
+    def test_rl(self, tmp_path, monkeypatch):
+        path = write_instance(tmp_path / "square.json", TestCertifyWithoutPenaltyTable.DOC)
+        out, law = tmp_path / "rl.json", tmp_path / "law.csv"
+        argv = ["rl", "--instance", path, "--gamma", "0.37", "-p", "3", "--half-width", "0.2",
+                "-o", str(out)]
+        index, calls = instance.Levels.index, []
+        monkeypatch.setattr(instance.Levels, "index",
+                            lambda *args: calls.append(1) or index(*args))
+        assert run(argv) == 0
+        assert calls == []
+        assert run(argv + ["--law-output", str(law)]) == 0
+        assert calls == [1]
+
+    @pytest.mark.parametrize("argv, n, m", [
+        (["certify", "--gamma", "0.37", "-p", "3", "--betas", "0.4,0.9,1.3",
+          "--scope", "feasible"], 6, 6),
+        (["rl", "--gamma", "0.37", "-p", "3", "--half-width", "0.2", "--samples", "200",
+          "--seed", "7"], 36, 3),
+    ], ids=["certify.6^6", "rl.36^3"])
+    def test_peak_at_floor(self, argv, n, m, tmp_path):
+        path = write_instance(tmp_path / "inst.json", shape_document(n, m))
+        argv = argv[:1] + ["--instance", path, "--cap", str(n**m),
+                           "-o", str(tmp_path / "out.json")] + argv[1:]
+
+        def floor():
+            inst = instance.load_instance_file(path, cap=n**m)
+            inst.levels, inst.feasible_levels
+
+        assert run(argv) == 0  # imports and caches warm
+        assert _traced_peak(lambda: run(argv)) <= 1.1 * _traced_peak(floor)
 
 
 class TestPlanAndCurves:
@@ -616,6 +677,18 @@ class TestRLCommand:
         assert lines[0] == "string,probability"
         assert len(lines) == 28 and all(line.count(",") == 1 for line in lines)
         assert sum(float(line.split(",")[1]) for line in lines[1:]) == pytest.approx(1.0)
+
+
+    def test_zero_gap_names_the_cause(self, tmp_path, capsys):
+        # the infeasible string 0-0 sits at E* = 0, beside the optimum 0-1
+        path = write_instance(tmp_path / "shared.json", {"n": 2, "m": 2, "energy": [0, 5, 0, 7]})
+        out = tmp_path / "rl.json"
+        assert run(["rl", "--instance", path, "--gamma", "0.4", "-p", "3",
+                    "--half-width", "0.2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "zero energy gap" in err and "E* = 0" in err
+        assert "a string outside the optimal set Omega*" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

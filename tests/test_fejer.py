@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import random_envelope, random_instance
-from oracles import dirichlet_kernel_sum, offpeak_grid_max, phase_gap_per_string
+from conftest import level_mass, random_envelope, random_instance, shape_document
+from oracles import (
+    dirichlet_kernel_sum,
+    filtered_distribution_per_string,
+    offpeak_grid_max,
+    phase_gap_per_string,
+    success_probability_per_string,
+)
 from fejercert import fejer
 from fejercert import (
     GapScope,
     denominator_bound,
     envelope_mass,
-    external_envelope,
     fejer_coefficients,
     fejer_kernel,
     filtered_distribution,
@@ -145,73 +150,93 @@ class TestFilteredDistribution:
     def test_order_zero_is_flat(self, rng):
         inst = random_instance(rng)
         env = random_envelope(rng, inst.size)
-        pm = phase_gap(inst, 0.2)
-        law = filtered_distribution(env, pm, 0)
-        assert np.allclose(law.probs, env.probs, atol=1e-14)
+        mass, level_of = level_mass(env, inst)
+        law = filtered_distribution(mass, phase_gap(inst, 0.2).offsets(), 0)
+        assert np.allclose(law.per_string(env, level_of)[1], env.probs, atol=1e-14)
         assert law.denominator == pytest.approx(1.0)
 
     def test_two_string_suppression(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
         pm = phase_gap(inst, math.pi)
-        law = filtered_distribution(uniform_envelope(2, 1), pm, 1)
-        assert law.probs == pytest.approx([1.0, 0.0], abs=1e-12)
+        law = filtered_distribution(inst.levels.shares(), pm.offsets(), 1)
+        _, probs = law.per_string(uniform_envelope(2, 1), np.arange(2))
+        assert probs == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_zero_denominator_rejected(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
-        pm = phase_gap(inst, math.pi)
-        env = external_envelope([0.0, 1.0])  # support only where F_1 vanishes
+        offsets = phase_gap(inst, math.pi).offsets()
+        mass = np.array([0.0, 1.0])  # support only where F_1 vanishes
         with pytest.raises(ValueError, match="denominator"):
-            filtered_distribution(env, pm, 1)
+            filtered_distribution(mass, offsets, 1)
+        # with a draw axis, one vanishing draw among finite ones is named
+        draws = np.stack([offsets, offsets / 2])
+        with pytest.raises(ValueError, match="denominator 0.0 "):
+            filtered_distribution(mass, draws, 1)
 
     def test_denominator_stored(self, rng):
         inst = random_instance(rng)
         env = random_envelope(rng, inst.size)
-        pm = phase_gap(inst, 0.11)
-        law = filtered_distribution(env, pm, 3)
-        weights = env.probs * fejer_kernel(3, pm.theta - pm.theta_star)
+        law = filtered_distribution(level_mass(env, inst)[0], phase_gap(inst, 0.11).offsets(), 3)
+        ref = phase_gap_per_string(inst, 0.11)
+        weights = env.probs * fejer_kernel(3, ref.theta - ref.theta_star)
         assert law.denominator == pytest.approx(float(weights.sum()))
 
-
-def _shape_instance(n, m, seed):
-    """A seeded instance: 8^4 with a dense energy table, the rest with an
-    assignment cost matrix, as in the benchmark."""
-    rng = np.random.default_rng([seed, n, m])
-    if (n, m) == (8, 4):
-        doc = {"n": n, "m": m, "energy": rng.integers(0, 40, size=n**m).tolist()}
-    else:
-        doc = {"n": n, "m": m,
-               "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (m, n)).tolist()}}
-    return load_instance(doc, cap=46656)
+    def test_draw_axis_is_one_law_per_draw(self, rng):
+        inst = random_instance(rng)
+        mass = level_mass(random_envelope(rng, inst.size), inst)[0]
+        offsets = np.outer([0.1, 0.7, 2.3], phase_gap(inst, 1.0).offsets())
+        law = filtered_distribution(mass, offsets, 4)
+        for row, kernel, denominator in zip(offsets, law.kernel, law.denominator):
+            single = filtered_distribution(mass, row, 4)
+            assert single.kernel.tobytes() == kernel.tobytes()
+            assert single.denominator == pytest.approx(denominator, rel=1e-15)
 
 
 class TestPhasesPerLevel:
-    """Phases and Fejér weights computed once per energy level and gathered
-    equal the per-string evaluation bit for bit."""
+    """The level law against the per-string law: the gathered phases and
+    Fejér weights of ``--law-output`` equal the per-string evaluation bit for
+    bit; the probabilities, the denominator and the closed-form q0 agree
+    with the per-string sums within 1e-12 relative.  The level masses are
+    built as ``certify`` builds them: exact shares for the uniform envelope,
+    sums through the level index for an external one."""
 
     @pytest.mark.parametrize("n,m", [(8, 4), (4, 7), (6, 6), (36, 3)])
     @pytest.mark.parametrize("scope", list(GapScope))
     def test_match_per_string(self, n, m, scope, rng):
-        inst = _shape_instance(n, m, 601)
-        env = random_envelope(rng, inst.size)
+        inst = load_instance(shape_document(n, m), cap=n**m)
+        uniform = uniform_envelope(n, m)
+        external = random_envelope(rng, inst.size)
+        masses = [
+            (uniform, inst.levels.shares(), inst.feasible_levels.counts[0] / inst.size),
+            (external, level_mass(external, inst)[0],
+             envelope_mass(external, inst.optimal_indices())),
+        ]
+        level_of = inst.levels.index(inst.energy).of_string
         for gamma in (0.37, 2.9):
             pm = phase_gap(inst, gamma, scope)
             ref = phase_gap_per_string(inst, gamma, scope)
-            assert pm.theta.tobytes() == ref.theta.tobytes()
+            assert pm.level_theta[level_of].tobytes() == ref.theta.tobytes()
             assert pm.theta_star == ref.theta_star
             for p in (0, 1, 3, 17):
-                law = filtered_distribution(env, pm, p)
-                kernel = fejer_kernel(p, ref.theta - ref.theta_star)
-                assert law.kernel.tobytes() == kernel.tobytes()
-                weights = env.probs * kernel
-                assert law.probs.tobytes() == (weights / float(weights.sum())).tobytes()
+                for env, mass, c_beta in masses:
+                    law = filtered_distribution(mass, pm.offsets(), p)
+                    ref_law = filtered_distribution_per_string(env, ref, p)
+                    kernel, probs = law.per_string(env, level_of)
+                    assert kernel.tobytes() == ref_law.kernel.tobytes()
+                    assert law.denominator == pytest.approx(ref_law.denominator, rel=1e-12, abs=0)
+                    assert np.allclose(probs, ref_law.probs, rtol=1e-12, atol=0)
+                    q0 = success_probability(p, c_beta, law.denominator)
+                    assert q0 == pytest.approx(
+                        success_probability_per_string(ref_law.probs, ref.omega_star),
+                        rel=1e-12, abs=0)
 
     def test_kernel_runs_once_per_level(self, monkeypatch):
-        inst = _shape_instance(6, 6, 601)
+        inst = load_instance(shape_document(6, 6), cap=6**6)
         pm = phase_gap(inst, 0.37)
         points = []
         monkeypatch.setattr(fejer, "fejer_kernel",
                             lambda p, theta: points.append(np.size(theta)) or fejer_kernel(p, theta))
-        filtered_distribution(uniform_envelope(6, 6), pm, 3)
+        filtered_distribution(inst.levels.shares(), pm.offsets(), 3)
         assert points == [len(inst.levels.values)]
 
 
@@ -219,36 +244,31 @@ class TestSuccessProbability:
     def test_all_strings(self, rng):
         inst = random_instance(rng)
         env = random_envelope(rng, inst.size)
-        pm = phase_gap(inst, 0.07)
-        law = filtered_distribution(env, pm, 2)
-        assert success_probability(law, np.arange(inst.size)) == pytest.approx(1.0)
+        mass, level_of = level_mass(env, inst)
+        law = filtered_distribution(mass, phase_gap(inst, 0.07).offsets(), 2)
+        assert law.per_string(env, level_of)[1].sum() == pytest.approx(1.0)
 
     def test_two_string_example(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
-        pm = phase_gap(inst, math.pi)
-        law = filtered_distribution(uniform_envelope(2, 1), pm, 1)
-        assert success_probability(law, [0]) == pytest.approx(1.0)
+        law = filtered_distribution(inst.levels.shares(), phase_gap(inst, math.pi).offsets(), 1)
+        assert success_probability(1, 0.5, law.denominator) == pytest.approx(1.0)
 
     def test_flat_filter_uniform(self):
         inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
-        pm = phase_gap(inst, 0.3)
-        law = filtered_distribution(uniform_envelope(2, 2), pm, 0)
-        assert success_probability(law, pm.omega_star) == pytest.approx(1 / 4)
+        law = filtered_distribution(inst.levels.shares(), phase_gap(inst, 0.3).offsets(), 0)
+        assert success_probability(0, 1 / 4, law.denominator) == pytest.approx(1 / 4)
 
+    # C_beta of an external envelope is read through envelope_mass, the one
+    # place where certify takes a set of strings
     def test_empty_target_rejected(self):
-        inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
-        pm = phase_gap(inst, 1.0)
-        law = filtered_distribution(uniform_envelope(2, 1), pm, 1)
         with pytest.raises(ValueError):
-            success_probability(law, [])
+            envelope_mass(uniform_envelope(2, 1), [])
 
     @pytest.mark.parametrize("target", [[-1], [2], np.array([0.0])])
     def test_bad_index_rejected(self, target):
         # a negative index would otherwise wrap to the last string
-        inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
-        law = filtered_distribution(uniform_envelope(2, 1), phase_gap(inst, 1.0), 1)
         with pytest.raises(ValueError):
-            success_probability(law, target)
+            envelope_mass(uniform_envelope(2, 1), target)
 
 
 class TestSuccessBound:
@@ -275,8 +295,8 @@ class TestSuccessBound:
                 continue
             env = random_envelope(rng, inst.size)
             p = int(rng.integers(0, 7))
-            law = filtered_distribution(env, pm, p)
-            c_beta = envelope_mass(env, pm.omega_star)
+            law = filtered_distribution(level_mass(env, inst)[0], pm.offsets(), p)
+            c_beta = envelope_mass(env, inst.optimal_indices())
             assert law.denominator <= denominator_bound(p, c_beta, pm.delta) + 1e-12
             hits += 1
 
@@ -290,9 +310,9 @@ class TestSuccessBound:
                 continue
             env = random_envelope(rng, inst.size)
             p = int(rng.integers(0, 7))
-            law = filtered_distribution(env, pm, p)
-            q0 = success_probability(law, pm.omega_star)
-            c_beta = envelope_mass(env, pm.omega_star)
+            law = filtered_distribution(level_mass(env, inst)[0], pm.offsets(), p)
+            c_beta = envelope_mass(env, inst.optimal_indices())
+            q0 = success_probability(p, c_beta, law.denominator)
             assert q0 >= success_lower_bound(p, c_beta, pm.delta) - 1e-12
             hits += 1
 

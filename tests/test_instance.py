@@ -10,6 +10,7 @@ from oracles import (
     assignment_energy_by_enumeration,
     energy_gap_per_string,
     enumerate_strings,
+    _optimum_per_string,
     phase_gap_per_string,
     string_index,
 )
@@ -267,6 +268,19 @@ class TestPenalty:
         assert np.array_equal(inst.feasible_indices(), np.arange(n**m))
         assert inst.feasible_levels is inst.levels
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "m": 3, "energy": [(5 * i) % 7 for i in range(27)],
+         "penalty": [i % 3 for i in range(27)]},
+        _assignment([[(3 * i + 5 * j) % 4 for j in range(5)] for i in range(5)]),
+        {"n": 4, "m": 3, "energy": [(7 * i) % 5 for i in range(64)]},
+    ], ids=["given", "default_square", "default_non_square"])
+    def test_optimal_indices_match_per_string(self, doc, monkeypatch):
+        inst = load_instance(doc)
+        if inst.feasible_levels is inst.levels:
+            # every string is feasible: the optima come from the energy table alone
+            monkeypatch.setattr(instance_module.ProblemInstance, "feasible_indices", _unexpected)
+        assert np.array_equal(inst.optimal_indices(), _optimum_per_string(inst)[1])
+
     def test_permutations_enumerated_under_the_cap(self, monkeypatch):
         inst = load_instance(_assignment([[0] * 8] * 8))
         monkeypatch.setattr(instance_module, "permutation_indices", _unexpected)
@@ -313,7 +327,7 @@ class TestPhaseGap:
     def test_three_level_example(self):
         inst = load_instance({"n": 3, "m": 1, "energy": [0, 1, 3]})
         pm = phase_gap(inst, math.pi / 2)
-        assert pm.theta == pytest.approx([0.0, math.pi / 2, -math.pi / 2])
+        assert pm.level_theta == pytest.approx([0.0, math.pi / 2, -math.pi / 2])
         assert pm.delta == pytest.approx(math.pi / 2)
         assert not pm.collided
 
@@ -340,8 +354,9 @@ class TestPhaseGap:
             if pm.collided or pm.all_optimal:
                 continue
             mask = np.ones(inst.size, dtype=bool)
-            mask[pm.omega_star] = False
-            dist = np.abs(wrap_angle(pm.theta[mask] - pm.theta_star))
+            mask[inst.optimal_indices()] = False
+            theta = pm.level_theta[inst.levels.index(inst.energy).of_string]
+            dist = np.abs(wrap_angle(theta[mask] - pm.theta_star))
             assert np.all(dist >= pm.delta - 1e-12)
             assert np.isclose(dist.min(), pm.delta)
 
@@ -401,8 +416,8 @@ class TestLevelScans:
         assert (pm.delta, pm.collided, pm.colliding, pm.all_optimal) == (
             ref.delta, ref.collided, ref.colliding, ref.all_optimal)
         assert pm.theta_star == ref.theta_star
-        assert np.array_equal(pm.theta, ref.theta)
-        assert np.array_equal(pm.omega_star, ref.omega_star)
+        assert np.array_equal(pm.level_theta[inst.levels.index(inst.energy).of_string], ref.theta)
+        assert np.array_equal(inst.optimal_indices(), ref.omega_star)
         assert energy_gap(inst) == energy_gap_per_string(inst)
 
     def test_levels_hold_python_ints(self):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from conftest import random_envelope, random_instance
+from conftest import level_mass, random_envelope, random_instance
 from oracles import (
     apply_cost_per_string,
     apply_mixer_allocating,
@@ -300,9 +300,10 @@ class TestDirichletFilterOracle:
             gamma = float(rng.uniform(0.05, 2.5))
             env = random_envelope(rng, inst.size)
             p = int(rng.integers(0, 9))
-            law = filtered_distribution(env, phase_gap(inst, gamma), p)
+            mass, level_of = level_mass(env, inst)
+            law = filtered_distribution(mass, phase_gap(inst, gamma).offsets(), p)
             reference = dirichlet_filter_oracle(env, inst, gamma, p)
-            assert np.max(np.abs(law.probs - reference)) < 1e-10
+            assert np.max(np.abs(law.per_string(env, level_of)[1] - reference)) < 1e-10
 
     def test_order_zero_returns_envelope(self, rng):
         inst = random_instance(rng)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_envelope, random_instance
+from conftest import level_mass, random_envelope, random_instance, shape_document
 from oracles import (
     averaged_fejer,
     averaged_fejer_quadrature,
@@ -20,7 +20,9 @@ from fejercert import (
     success_lower_bound,
     uniform_envelope,
 )
+from fejercert import fejer
 from fejercert.rl import (
+    _BLOCK_VALUES,
     _SUMMED_MAX_ORDER,
     DitherWindow,
     averaged_offpeak_bound,
@@ -172,10 +174,11 @@ class TestRLFilteredDistribution:
         env = random_envelope(rng, 4)
         gamma = 0.4
         w = DitherWindow(1e-10)
-        law = rl_filtered_distribution(env, inst, gamma, w, 3, samples=40, seed=9)
-        pm = phase_gap(inst, gamma)
-        plain = filtered_distribution(env, pm, 3)
-        assert np.max(np.abs(law.probs - plain.probs)) < 1e-7
+        mass, level_of = level_mass(env, inst)
+        law = rl_filtered_distribution(mass, inst, gamma, w, 3, samples=40, seed=9)
+        plain = filtered_distribution(mass, phase_gap(inst, gamma).offsets(), 3)
+        probs = law.per_string(env, level_of)[0]
+        assert np.max(np.abs(probs - plain.per_string(env, level_of)[1])) < 1e-7
 
     def test_success_mass_respects_bound(self, rng):
         checked = 0
@@ -190,12 +193,13 @@ class TestRLFilteredDistribution:
             hw = float(rng.uniform(0.3, 1.2))
             gamma = float(rng.uniform(0.1, 1.0))
             law = rl_filtered_distribution(
-                env, inst, gamma, DitherWindow(hw), p, samples=160, seed=checked, subset=omega
+                level_mass(env, inst)[0], inst, gamma, DitherWindow(hw), p, samples=160,
+                seed=checked,
             )
             c_beta = float(env.probs[omega].sum())
             mbar = averaged_offpeak_bound(p, hw, gap).exact
             bound = rl_success_bound(p, c_beta, mbar)
-            assert law.subset_mass >= bound - 3 * law.subset_stderr - 1e-12
+            assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
             checked += 1
 
     def test_single_sample_reproducible(self, rng):
@@ -203,10 +207,12 @@ class TestRLFilteredDistribution:
         inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
         env = uniform_envelope(2, 2)
         w = DitherWindow(0.5)
-        a = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=2, seed=123)
-        b = rl_filtered_distribution(env, inst, 0.3, w, 2, samples=2, seed=123)
-        assert np.array_equal(a.probs, b.probs)
-        assert np.array_equal(a.stderr, b.stderr)
+        mass, level_of = level_mass(env, inst)
+        a = rl_filtered_distribution(mass, inst, 0.3, w, 2, samples=2, seed=123)
+        b = rl_filtered_distribution(mass, inst, 0.3, w, 2, samples=2, seed=123)
+        assert (a.success_mass, a.success_stderr) == (b.success_mass, b.success_stderr)
+        for x, y in zip(a.per_string(env, level_of), b.per_string(env, level_of)):
+            assert np.array_equal(x, y)
 
     def test_zero_gap_rejected(self):
         # an infeasible string shares the optimal energy
@@ -215,19 +221,22 @@ class TestRLFilteredDistribution:
         )
         with pytest.raises(ValueError, match="gap"):
             rl_filtered_distribution(
-                uniform_envelope(2, 1), inst, 0.3, DitherWindow(0.5), 2, samples=5, seed=0
+                inst.levels.shares(), inst, 0.3, DitherWindow(0.5), 2, samples=5, seed=0
             )
 
     def test_pooled_mode_normalizes_once(self, rng):
         inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
         env = random_envelope(rng, 4)
         w = DitherWindow(0.8)
-        pooled = rl_filtered_distribution(env, inst, 0.4, w, 2, samples=60, seed=5, pooled=True)
-        averaged = rl_filtered_distribution(env, inst, 0.4, w, 2, samples=60, seed=5)
-        assert pooled.probs.sum() == pytest.approx(1.0)
-        assert averaged.probs.sum() == pytest.approx(1.0)
+        mass, level_of = level_mass(env, inst)
+        pooled = rl_filtered_distribution(mass, inst, 0.4, w, 2, samples=60, seed=5, pooled=True)
+        averaged = rl_filtered_distribution(mass, inst, 0.4, w, 2, samples=60, seed=5)
+        pooled_probs = pooled.per_string(env, level_of)[0]
+        averaged_probs = averaged.per_string(env, level_of)[0]
+        assert pooled_probs.sum() == pytest.approx(1.0)
+        assert averaged_probs.sum() == pytest.approx(1.0)
         # the two averaging orders genuinely differ
-        assert np.max(np.abs(pooled.probs - averaged.probs)) > 1e-6
+        assert np.max(np.abs(pooled_probs - averaged_probs)) > 1e-6
 
 
 def _agreement_instances(rng):
@@ -245,35 +254,68 @@ def _agreement_instances(rng):
 
 
 class TestLevelAgreement:
-    """The per-level dither average matches the per-string oracle.  stderr is
-    compared squared: both paths take it from the one-pass variance formula,
-    which cancels to noise near 1e-9 when all draws agree (as at p = 0)."""
+    """The per-level dither average matches the per-string oracle: the
+    gathered law and its stderr, and the success mass and its stderr against
+    the oracle's mass on Omega*.  stderr is compared squared: both paths
+    take it from the one-pass variance formula, which cancels to noise near
+    1e-9 when all draws agree (as at p = 0)."""
 
     @pytest.mark.parametrize("samples", [1, 2, 37])
     @pytest.mark.parametrize("pooled", [False, True])
     def test_matches_per_string_oracle(self, rng, pooled, samples):
         for inst in _agreement_instances(rng):
             env = random_envelope(rng, inst.size)
-            subsets = [inst.optimal_indices(), rng.choice(inst.size, size=inst.size // 2 + 1)]
+            mass, level_of = level_mass(env, inst)
             for p in range(6):
-                for subset in subsets:
-                    args = (env, inst, float(rng.uniform(0.1, 2.0)),
-                            DitherWindow(float(rng.uniform(0.1, 1.5))), p)
-                    kwargs = dict(samples=samples, seed=int(rng.integers(1000)),
-                                  pooled=pooled, subset=subset)
-                    if samples < 2 and not pooled:  # no standard error from one draw
-                        for average in (rl_filtered_distribution,
-                                        rl_filtered_distribution_per_string):
-                            with pytest.raises(ValueError, match="samples"):
-                                average(*args, **kwargs)
-                        continue
-                    law = rl_filtered_distribution(*args, **kwargs)
-                    ref = rl_filtered_distribution_per_string(*args, **kwargs)
-                    assert np.max(np.abs(law.probs - ref.probs)) < 1e-12
-                    assert abs(law.subset_mass - ref.subset_mass) < 1e-12
-                    if pooled:  # no per-draw laws, so no standard errors
-                        assert law.stderr is None and ref.stderr is None
-                        assert law.subset_stderr is None and ref.subset_stderr is None
-                    else:
-                        assert np.max(np.abs(law.stderr**2 - ref.stderr**2)) < 1e-12
-                        assert abs(law.subset_stderr - ref.subset_stderr) < 1e-12
+                gamma, w = float(rng.uniform(0.1, 2.0)), DitherWindow(float(rng.uniform(0.1, 1.5)))
+                kwargs = dict(samples=samples, seed=int(rng.integers(1000)), pooled=pooled)
+                if samples < 2 and not pooled:  # no standard error from one draw
+                    with pytest.raises(ValueError, match="samples"):
+                        rl_filtered_distribution(mass, inst, gamma, w, p, **kwargs)
+                    with pytest.raises(ValueError, match="samples"):
+                        rl_filtered_distribution_per_string(env, inst, gamma, w, p, **kwargs)
+                    continue
+                law = rl_filtered_distribution(mass, inst, gamma, w, p, **kwargs)
+                ref = rl_filtered_distribution_per_string(
+                    env, inst, gamma, w, p, subset=inst.optimal_indices(), **kwargs)
+                probs, stderr = law.per_string(env, level_of)
+                assert np.max(np.abs(probs - ref.probs)) < 1e-12
+                assert abs(law.success_mass - ref.subset_mass) < 1e-12
+                if pooled:  # no per-draw laws, so no standard errors
+                    assert stderr is None and ref.stderr is None
+                    assert law.success_stderr is None and ref.subset_stderr is None
+                else:
+                    assert np.max(np.abs(stderr**2 - ref.stderr**2)) < 1e-12
+                    assert abs(law.success_stderr - ref.subset_stderr) < 1e-12
+
+
+class TestUniformLevelLaw:
+    """The rl command's law: the uniform envelope's exact level shares, in
+    blocks of at most _BLOCK_VALUES kernel values."""
+
+    @pytest.mark.parametrize("n,m", [(16, 2), (4, 6), (36, 3)])
+    def test_success_matches_per_string_oracle(self, n, m):
+        inst = load_instance(shape_document(n, m), cap=n**m)
+        args = (inst, 0.37, DitherWindow(0.2), 3)
+        law = rl_filtered_distribution(inst.levels.shares(), *args, samples=40, seed=7)
+        ref = rl_filtered_distribution_per_string(uniform_envelope(n, m), *args, samples=40,
+                                                  seed=7, subset=inst.optimal_indices())
+        assert abs(law.success_mass - ref.subset_mass) < 1e-12
+        assert abs(law.success_stderr - ref.subset_stderr) < 1e-12
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "m": 13, "energy": list(range(2**13))},  # more levels than a block holds
+        None,                                             # 36^3: few levels, many strings
+    ], ids=["one_draw_per_block", "36^3"])
+    def test_blocks_hold_fixed_budget(self, doc, monkeypatch):
+        inst = load_instance(shape_document(36, 3) if doc is None else doc, cap=2**16)
+        levels = len(inst.levels.values)
+        sizes = []
+        kernel = fejer.fejer_kernel
+        monkeypatch.setattr(fejer, "fejer_kernel",
+                            lambda p, theta: sizes.append(np.size(theta)) or kernel(p, theta))
+        rl_filtered_distribution(inst.levels.shares(), inst, 0.37, DitherWindow(0.2), 3,
+                                 samples=200, seed=7)
+        assert sum(sizes) == 200 * levels
+        assert max(sizes) == max(levels, _BLOCK_VALUES // levels * levels)
+        assert len(sizes) > 1
