@@ -28,7 +28,6 @@ from .instance import (
     ProblemInstance,
     collision_penalty,
     collision_penalty_table,
-    index_string,
     load_instance,
     load_instance_file,
     phase_gap,

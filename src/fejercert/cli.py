@@ -28,8 +28,6 @@ from .instance import (
     CapExceededError,
     GapScope,
     ProblemInstance,
-    format_string,
-    index_string,
     load_instance_file,
     phase_gap,
     read_json,
@@ -254,15 +252,14 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     law = filtered_distribution(level_mass, pm.offsets(), args.order)
     q0_exact = success_probability(args.order, c_beta, law.denominator)
 
-    if pm.collided:
+    status, collisions = "certified", None
+    if pm.collided:  # delta is 0: list the non-optimal strings on the colliding levels
         status = "uncertifiable"
-        delta = 0.0
-    else:
-        status = "certified"
-        delta = pm.delta
+        collisions = serialize.string_labels_at(
+            inst.nonoptimal_strings(scope, pm.colliding), inst.n, inst.m)
 
     cert = build_certificate(
-        args.order, c_beta, delta, args.epsilon, eta=args.eta,
+        args.order, c_beta, pm.delta, args.epsilon, eta=args.eta,
         q0_exact=q0_exact, status=status,
     )
     bound_ok = q0_exact >= cert.q0_bound * (1.0 - BOUND_SLACK)
@@ -276,9 +273,8 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         "certify", cert, status,
         gamma=args.gamma,
         bound_satisfied=bound_ok,
-        gap_scope=pm.gap_scope.value,
-        collisions=[format_string(index_string(i, inst.n, inst.m)) for i in pm.colliding]
-        or None,
+        gap_scope=scope.value,
+        collisions=collisions,
         envelope_source=source,
     )
     outputs = [(args.output, serialize.dumps_json(document))]
@@ -361,7 +357,7 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         },
         "connected": feas.graph_connected(graph),
         "delta_f": sep.delta,
-        "aliasing": sep.aliasing,
+        "aliasing": feas.aliasing(args.gamma, ls),
         "collided": sep.collided,
         "c_f": c_f,
         "bounds": bounds,
@@ -425,11 +421,8 @@ def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     if args.shots is not None:
         report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
         hits = np.flatnonzero(report.counts)
-        symbols = [str(s) for s in range(inst.n)]
-        # the label of each hit from its base-n digits, block 0 first
-        blocks = [map(symbols.__getitem__, (hits // inst.n**b % inst.n).tolist())
-                  for b in range(inst.m)]
-        document["counts"] = dict(zip(map("-".join, zip(*blocks)), report.counts[hits].tolist()))
+        document["counts"] = dict(zip(serialize.string_labels_at(hits, inst.n, inst.m),
+                                      report.counts[hits].tolist()))
         document["success_frequency"] = report.frequency
         document["success_ci"] = [report.ci_low, report.ci_high]
     return EXIT_OK, [(args.output, serialize.dumps_json(document))]

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import oracle
 from .instance import (
-    PHASE_COLLISION_TOL,
     Levels,
+    PhaseModel,
     ProblemInstance,
     SectorBasis,
     check_phase,
-    circular_distance,
     collision_penalty,
+    level_phase_gap,
 )
 from .fejer import _check_order
 from .mixer import check_block_phase, resonance_distance
@@ -136,38 +136,21 @@ def descent_step(z: Sequence[int]) -> tuple:
 # Feasibility-stage phase separation and bounds
 # ---------------------------------------------------------------------------
 
-class DeltaFeasible(NamedTuple):
-    delta: float
-    aliasing: bool
-    collided: bool
-    colliding_levels: tuple
-    all_feasible: bool
-
-
-def delta_feasible(gamma: float, ls: Levels) -> DeltaFeasible:
-    """Penalty-phase separation: the minimal wrapped distance of gamma*t from
-    0 over nonzero active levels t.
-
-    Flags aliasing once gamma exceeds pi/t_max (phases may wrap past pi); in
-    the anti-aliased regime the separation is exactly gamma * t_min.  With no
-    nonzero active level the separation defaults to pi.
+def delta_feasible(gamma: float, ls: Levels) -> PhaseModel:
+    """Penalty-phase separation delta_F: the phase gap of the penalty levels
+    about the feasible level 0, over the nonzero levels.  In the anti-aliased
+    regime (see ``aliasing``) it is exactly gamma * t_min; with no nonzero
+    level it is pi.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    nonzero = [t for t in ls.values if t > 0]
-    if not nonzero:
-        return DeltaFeasible(math.pi, False, False, (), True)
-    aliasing = gamma > math.pi / nonzero[-1] + 1e-15
-    check_phase(gamma, nonzero, "penalty angle")
-    dist = circular_distance(gamma * np.asarray(nonzero, dtype=float), 0.0)
-    # a positive condition, so that the NaN distance of an overflowed
-    # gamma * t fails it
-    if not np.all(dist >= 0.0):
-        raise ValueError("penalty phase gamma * t is not finite")
-    colliding = tuple(int(t) for t, d in zip(nonzero, dist) if d < PHASE_COLLISION_TOL)
-    if colliding:
-        return DeltaFeasible(0.0, aliasing, True, colliding, False)
-    return DeltaFeasible(float(dist.min()), aliasing, False, (), False)
+    return level_phase_gap(gamma, ls.values, 0, np.array(ls.values) > 0, "penalty angle")
+
+
+def aliasing(gamma: float, ls: Levels) -> bool:
+    """Whether gamma exceeds pi/t_max, so that penalty phases may wrap past
+    pi; false with no nonzero level."""
+    return ls.values[-1] > 0 and gamma > math.pi / ls.values[-1] + 1e-15
 
 
 class FeasibilityBound(NamedTuple):

@@ -109,7 +109,9 @@ def filtered_distribution(level_mass: np.ndarray, offsets: np.ndarray, p: int) -
     offset theta - theta*; ``offsets`` may carry a leading draw axis, for
     one law per draw."""
     kernel = fejer_kernel(p, offsets)
-    denominator = kernel @ level_mass
+    # a pairwise sum along the levels, so that a draw's denominator does not
+    # depend on how many draws share the call, nor on the BLAS build
+    denominator = np.add.reduce(kernel * level_mass, axis=-1)
     # a positive condition, so that a NaN denominator fails it
     bad = np.extract(~((0.0 < denominator) & (denominator < math.inf)), denominator)
     if bad.size:

@@ -7,6 +7,7 @@ use a single canonical order: row-major with block 0 varying fastest, i.e.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -30,8 +31,6 @@ INTEGRALITY_TOL = 1e-9
 # difference of any two of them is still an int64.
 LATTICE_LIMIT = 2.0**62
 
-BlockString = tuple
-
 
 class CapExceededError(ValueError):
     """A table a path would allocate, n**m strings or the sector dimension,
@@ -54,24 +53,6 @@ def capped_size(n: int, m: int, cap: int) -> int:
 class GapScope(Enum):
     ALL_STRINGS = "all_strings"
     FEASIBLE_ONLY = "feasible_only"
-
-
-# ---------------------------------------------------------------------------
-# Canonical string indexing
-# ---------------------------------------------------------------------------
-
-def index_string(index: int, n: int, m: int) -> BlockString:
-    """The block string at a canonical index (block 0 fastest)."""
-    out = []
-    for _ in range(m):
-        index, r = divmod(index, n)
-        out.append(r)
-    return tuple(out)
-
-
-def format_string(z: Iterable[int]) -> str:
-    """Dash-joined symbol string, e.g. (0, 2, 1) -> '0-2-1'."""
-    return "-".join(str(int(s)) for s in z)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +370,35 @@ class ProblemInstance:
         feas = self.feasible_indices()
         return feas[self.energy[feas] == self.e_star()]
 
-    def nonoptimal_levels(self, scope: GapScope) -> tuple:
-        """The energy levels in the scope that hold a non-optimal string.  Every
-        feasible string at E* is optimal, so E* counts only in the all-strings
-        scope, and only when some infeasible string sits there too."""
-        e_star, optima = self.e_star(), self.feasible_levels.counts[0]
+    def gap_levels(self, scope: GapScope) -> np.ndarray:
+        """The mask over ``levels`` of the levels that hold a non-optimal
+        string of the scope, read-only.  Every feasible string at E* is
+        optimal, so E* counts only in the all-strings scope, and only when
+        some infeasible string sits there too."""
+        masks, values = self._gap_levels, self.levels.values
+        if scope not in masks:
+            if scope is GapScope.FEASIBLE_ONLY:
+                counted = set(self.feasible_levels.values[1:])
+                mask = np.array([value in counted for value in values])
+            else:
+                star = bisect.bisect_left(values, self.e_star())
+                mask = np.ones(len(values), dtype=bool)
+                mask[star] = self.levels.counts[star] > self.feasible_levels.counts[0]
+            mask.flags.writeable = False
+            masks[scope] = mask
+        return masks[scope]
+
+    @cached_property
+    def _gap_levels(self) -> dict:
+        return {}  # gap_levels' mask of each scope, built on first request
+
+    def nonoptimal_strings(self, scope: GapScope, levels: Sequence[int]) -> np.ndarray:
+        """The non-optimal strings of the scope at the energy ``levels``,
+        ascending: the strings are read on those levels only."""
+        strings = np.flatnonzero(np.isin(self.energy, levels))
         if scope is GapScope.FEASIBLE_ONLY:
-            return self.feasible_levels.values[1:]
-        return tuple(value for value, count in zip(self.levels.values, self.levels.counts)
-                     if value != e_star or count > optima)
+            strings = np.intersect1d(strings, self.feasible_indices(), assume_unique=True)
+        return np.setdiff1d(strings, self.optimal_indices(), assume_unique=True)
 
     def t_max(self) -> int:
         """The largest penalty level."""
@@ -591,23 +592,23 @@ def circular_distance(a, b):
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Wrapped phases theta = gamma*E mod 2pi, one per energy level of
-    ``inst.levels``; the optimal phase, and the phase gap delta within the
-    chosen scope.
+    """Wrapped phases theta = gamma*v mod 2pi, one per level v of a table;
+    the phase of the target level, and the phase gap delta: the minimal
+    circular distance from the target's phase over the levels that count.
 
-    ``delta`` is 0.0 with ``collided`` set when some non-optimal phase sits
-    within tolerance of the optimal phase, and ``colliding`` lists the
-    non-optimal strings of the scope there; it is pi with ``all_optimal``
-    set when the scope contains no non-optimal string.
+    ``delta`` is 0.0 when some counted phase sits within tolerance of the
+    target's phase, and ``colliding`` lists those levels; it is pi when no
+    level counts.
     """
 
     level_theta: np.ndarray
     theta_star: float
     delta: float
-    gap_scope: GapScope
-    collided: bool = False
     colliding: tuple = ()
-    all_optimal: bool = False
+
+    @property
+    def collided(self) -> bool:
+        return bool(self.colliding)
 
     def offsets(self) -> np.ndarray:
         """Phase offsets theta - theta_star of each level (the argument of
@@ -615,37 +616,31 @@ class PhaseModel:
         return self.level_theta - self.theta_star
 
 
+def level_phase_gap(
+    gamma: float, values: Sequence[int], target: int, counted: np.ndarray,
+    what: str = "cost angle",
+) -> PhaseModel:
+    """The wrapped-phase model of the integer levels ``values`` about the
+    ``target`` level, with the gap over the levels ``counted`` (a mask over
+    ``values``).  Phase collisions are flagged, not raised."""
+    table = np.array([*values, target])  # the target's phase is wrapped with the levels'
+    check_phase(gamma, table, what)
+    phases = wrap_angle(gamma * table.astype(float))
+    level_theta, theta_star = phases[:-1], float(phases[-1])
+    dist = circular_distance(level_theta[counted], theta_star)
+    colliding = table[:-1][counted][dist < PHASE_COLLISION_TOL]
+    if colliding.size:
+        return PhaseModel(level_theta, theta_star, 0.0, tuple(colliding.tolist()))
+    return PhaseModel(level_theta, theta_star, float(dist.min(initial=math.pi)))
+
+
 def phase_gap(
     inst: ProblemInstance,
     gamma: float,
     scope: GapScope = GapScope.ALL_STRINGS,
 ) -> PhaseModel:
-    """Compute the wrapped-phase model and the phase gap for an instance.
-
-    A phase depends on a string only through its energy, so phases are
-    wrapped once per level, and the gap is the minimum circular distance
-    from the phases of the levels that hold a non-optimal string of the
-    scope (all strings, or the feasible set only) to the optimal phase.
-    Phase collisions are flagged, not raised; only then are strings read,
-    to list the colliding ones.
-    """
-    values = np.array(inst.levels.values)
-    check_phase(gamma, values)
-    level_theta = wrap_angle(gamma * values.astype(float))
-    theta_star = wrap_angle(gamma * float(inst.e_star()))
-
-    nonoptimal = np.array(inst.nonoptimal_levels(scope), dtype=np.int64)
-    if nonoptimal.size == 0:
-        return PhaseModel(level_theta, theta_star, math.pi, scope, all_optimal=True)
-
-    dist = circular_distance(wrap_angle(gamma * nonoptimal.astype(float)), theta_star)
-    colliding = nonoptimal[dist < PHASE_COLLISION_TOL]
-    if colliding.size > 0:
-        # the non-optimal strings of the scope on the colliding levels
-        strings = (np.arange(inst.size) if scope is GapScope.ALL_STRINGS
-                   else inst.feasible_indices())
-        hit = strings[np.isin(inst.energy[strings], colliding)]
-        hit = np.setdiff1d(hit, inst.optimal_indices(), assume_unique=True)
-        return PhaseModel(level_theta, theta_star, 0.0, scope, collided=True,
-                          colliding=tuple(hit.tolist()))
-    return PhaseModel(level_theta, theta_star, float(dist.min()), scope)
+    """The wrapped-phase model of the energy levels of an instance about E*:
+    the gap is taken over the levels that hold a non-optimal string of the
+    scope (all strings, or the feasible set only), and ``colliding`` lists
+    the energies where such a string collides with E*."""
+    return level_phase_gap(gamma, inst.levels.values, inst.e_star(), inst.gap_levels(scope))

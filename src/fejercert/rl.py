@@ -89,18 +89,18 @@ def rl_success_bound(p: int, c_beta: float, mbar: float) -> float:
 
 def energy_gap(inst: ProblemInstance) -> float:
     """Minimal |E(z) - E_star| over non-optimal strings (inf if none)."""
-    e_star = inst.e_star()
-    levels = inst.nonoptimal_levels(GapScope.ALL_STRINGS)
-    return float(min(abs(level - e_star) for level in levels)) if levels else math.inf
+    e_star, values = inst.e_star(), inst.levels.values
+    counted = np.flatnonzero(inst.gap_levels(GapScope.ALL_STRINGS)).tolist()
+    return float(min((abs(values[i] - e_star) for i in counted), default=math.inf))
 
 
 def optimal_level(inst: ProblemInstance) -> int:
     """The position of E* among the energy levels.  The law's mass there is
     the success mass, so Omega* must fill the level: a string outside it at
     E* is a zero energy gap, and raises ValueError."""
-    e_star, levels = inst.e_star(), inst.levels
-    star = bisect.bisect_left(levels.values, e_star)
-    if levels.counts[star] > inst.feasible_levels.counts[0]:
+    e_star = inst.e_star()
+    star = bisect.bisect_left(inst.levels.values, e_star)
+    if inst.gap_levels(GapScope.ALL_STRINGS)[star]:
         raise ValueError(f"zero energy gap: a string outside the optimal set Omega* "
                          f"shares the optimal energy E* = {e_star}")
     return star
@@ -170,14 +170,18 @@ def rl_filtered_distribution(
         law = filtered_distribution(
             level_mass, (gamma + draws[start : start + block, None]) * offsets, p)
         kernel = law.kernel if pooled else law.kernel / law.denominator[:, None]
-        total += kernel.sum(axis=0)
-        total_sq += (kernel**2).sum(axis=0)
         success.append(kernel[:, star] * level_mass[star])
+        square = kernel**2
+        # the running sums enter at the block's first draw, so that each sum
+        # runs draw by draw and the block size does not change its rounding
+        kernel[0] += total
+        square[0] += total_sq
+        total, total_sq = kernel.sum(axis=0), square.sum(axis=0)
 
     mean = total / samples
     if pooled:
-        return RLLaw(mean, None, samples, float(mean[star] * level_mass[star] / (mean @ level_mass)),
-                     None)
+        pooled_mass = np.add.reduce(mean * level_mass)
+        return RLLaw(mean, None, samples, float(mean[star] * level_mass[star] / pooled_mass), None)
     masses = np.concatenate(success)
     return RLLaw(mean, total_sq, samples, float(masses.mean()),
                  float(masses.std(ddof=1) / math.sqrt(samples)))

@@ -87,6 +87,14 @@ def string_labels(n: int, m: int) -> list:
     return labels
 
 
+def string_labels_at(indices: np.ndarray, n: int, m: int) -> list:
+    """Dash-joined labels of the block strings at canonical ``indices``,
+    from their base-n digits, block 0 first."""
+    symbols = [str(s) for s in range(n)]
+    blocks = [map(symbols.__getitem__, (indices // n**b % n).tolist()) for b in range(m)]
+    return list(map("-".join, zip(*blocks)))
+
+
 class _ReprMemo(dict):
     """repr of a float64, keyed by its bit pattern, formatted on first use."""
 

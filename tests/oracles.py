@@ -2,8 +2,10 @@
 compare the runtime closed forms against.  None of them is on a command's
 path, so they live with the tests (and only they need scipy).
 
-- ``string_index``: the canonical index of a block string, the inverse of
-  ``fejercert.instance.index_string``;
+- ``index_string``, ``format_string`` and ``string_index``: the block
+  string at a canonical index, its dash-joined label, and the index of a
+  string, one string at a time, the reference for the vectorised labels of
+  ``fejercert.serialize``;
 - ``enumerate_strings``: all n**m block strings as an (n**m, m) matrix, the
   reference for the broadcast build of the assignment energy table;
 - ``assignment_energy_by_enumeration``: the assignment energy table as a
@@ -95,8 +97,6 @@ from fejercert.instance import (
     check_phase,
     circular_distance,
     collision_penalty,
-    format_string,
-    index_string,
     invariant_sector_basis,
     wrap_angle,
 )
@@ -112,6 +112,20 @@ from fejercert.rl import DitherWindow
 
 LIE_CLOSURE_TOL = 1e-9
 LIE_MAX_DIM = 64
+
+
+def index_string(index: int, n: int, m: int) -> tuple:
+    """The block string at a canonical index (block 0 fastest)."""
+    out = []
+    for _ in range(m):
+        index, r = divmod(index, n)
+        out.append(r)
+    return tuple(out)
+
+
+def format_string(z: Iterable[int]) -> str:
+    """Dash-joined symbol string, e.g. (0, 2, 1) -> '0-2-1'."""
+    return "-".join(str(int(s)) for s in z)
 
 
 def string_index(z: Sequence[int], n: int) -> int:
@@ -253,9 +267,12 @@ def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
 
 @dataclass(frozen=True)
 class PerStringPhases:
-    """The wrapped-phase model with one phase per string: the fields of
-    ``fejercert.instance.PhaseModel`` with ``theta`` in place of its level
-    phases, and the optimal strings ``omega_star``."""
+    """The wrapped-phase model with one phase per string: ``theta`` in place
+    of the level phases of ``fejercert.instance.PhaseModel``, the colliding
+    strings in place of its colliding levels (``phase_gap`` lists them
+    through ``ProblemInstance.nonoptimal_strings``), whether the scope holds
+    no non-optimal string (``all_optimal``), and the optimal strings
+    ``omega_star``."""
 
     theta: np.ndarray
     theta_star: float

@@ -23,6 +23,7 @@ from oracles import (
     dirichlet_filter_oracle,
 )
 from fejercert import (
+    GapScope,
     classify_regime,
     collision_penalty,
     depth_for_target,
@@ -138,7 +139,7 @@ def test_criterion_04_dimension_free_success_bound():
         inst = random_instance(rng, n=int(rng.integers(2, 4)), m=int(rng.integers(2, 4)))
         gamma = float(rng.uniform(0.05, 0.35))
         pm = phase_gap(inst, gamma)
-        if pm.collided or pm.all_optimal:
+        if pm.collided or not inst.gap_levels(GapScope.ALL_STRINGS).any():
             continue
         env = random_envelope(rng, inst.size)
         c_beta = envelope_mass(env, inst.optimal_indices())

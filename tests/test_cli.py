@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 
 from fejercert import cli, collision_penalty_table, feasibility, instance, load_instance, oracle
 from fejercert.cli import main
-from fejercert.instance import format_string, index_string
 from fejercert.serialize import load_schema
 from conftest import shape_document
-from oracles import phase_gap_per_string
+from oracles import format_string, index_string, phase_gap_per_string
 
 
 def write_instance(path, doc):
@@ -245,6 +244,36 @@ class TestCertifyWithoutPenaltyTable:
         assert doc["c_beta"] != float(np.full(6, 1 / 36).sum())
 
 
+class TestCollisionsListing:
+    """The collisions listing of certify, read on the colliding levels only,
+    equals the per-string scan in both scopes: for a given penalty, for the
+    default m = n penalty, and with an infeasible string at E*."""
+
+    DOCS = {
+        "given": {"n": 3, "m": 3, "energy": [(5 * i) % 7 for i in range(27)],
+                  "penalty": [int(i % 4 == 1) for i in range(27)]},
+        "default": {"n": 4, "m": 4, "energy": [(3 * i) % 10 for i in range(256)]},
+        "infeasible_at_e_star": {"n": 2, "m": 2, "energy": [0, 1, 0, 4],
+                                 "penalty": [0, 1, 1, 0]},
+    }
+
+    @pytest.mark.parametrize("gamma", [0.37, 2 * math.pi / 3, math.pi / 2, 2 * math.pi / 5])
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    def test_matches_per_string_scan(self, name, scope, gamma, tmp_path):
+        doc = self.DOCS[name]
+        out = tmp_path / "cert.json"
+        code = run(["certify", "--instance", write_instance(tmp_path / "inst.json", doc),
+                    "--gamma", repr(gamma), "-p", "3", "--scope", scope, "-o", str(out)])
+        ref = phase_gap_per_string(load_instance(doc), gamma,
+                                   instance.GapScope.ALL_STRINGS if scope == "all"
+                                   else instance.GapScope.FEASIBLE_ONLY)
+        listing = [format_string(index_string(i, doc["n"], doc["m"])) for i in ref.colliding]
+        assert json.loads(out.read_text())["collisions"] == (listing or None)
+        if listing:
+            assert code == 3
+
+
 def _traced_peak(action) -> int:
     tracemalloc.start()
     try:
@@ -285,13 +314,15 @@ class TestLevelLawWithoutLevelIndex:
         assert run(argv + ["--law-output", str(law)]) == 0
         assert calls == [1]
 
-    @pytest.mark.parametrize("argv, n, m", [
+    @pytest.mark.parametrize("argv, n, m, code", [
         (["certify", "--gamma", "0.37", "-p", "3", "--betas", "0.4,0.9,1.3",
-          "--scope", "feasible"], 6, 6),
+          "--scope", "feasible"], 6, 6, 0),
+        # collided (134 strings listed): the strings are read on the colliding levels only
+        (["certify", "--gamma", "0.7", "-p", "3", "--scope", "all"], 6, 6, 3),
         (["rl", "--gamma", "0.37", "-p", "3", "--half-width", "0.2", "--samples", "200",
-          "--seed", "7"], 36, 3),
-    ], ids=["certify.6^6", "rl.36^3"])
-    def test_peak_at_floor(self, argv, n, m, tmp_path):
+          "--seed", "7"], 36, 3, 0),
+    ], ids=["certify.6^6", "certify.collided.6^6", "rl.36^3"])
+    def test_peak_at_floor(self, argv, n, m, code, tmp_path):
         path = write_instance(tmp_path / "inst.json", shape_document(n, m))
         argv = argv[:1] + ["--instance", path, "--cap", str(n**m),
                            "-o", str(tmp_path / "out.json")] + argv[1:]
@@ -300,7 +331,7 @@ class TestLevelLawWithoutLevelIndex:
             inst = instance.load_instance_file(path, cap=n**m)
             inst.levels, inst.feasible_levels
 
-        assert run(argv) == 0  # imports and caches warm
+        assert run(argv) == code  # imports and caches warm
         assert _traced_peak(lambda: run(argv)) <= 1.1 * _traced_peak(floor)
 
 

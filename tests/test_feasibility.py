@@ -30,6 +30,7 @@ from fejercert.feasibility import (
     _sector_feasibility,
     _statevector_feasibility,
     LevelGraph,
+    aliasing,
     delta_feasible,
     descent_step,
     feasibility_angle_search,
@@ -192,7 +193,7 @@ class TestDeltaFeasible:
         ls = level_sets(inst)
         sep = delta_feasible(math.pi / 4, ls)
         assert sep.delta == pytest.approx(math.pi / 2)
-        assert not sep.aliasing and not sep.collided
+        assert not aliasing(math.pi / 4, ls) and not sep.collided
 
     def test_anti_aliased_equals_gamma_tmin(self):
         ls = level_sets(assignment_instance(3))
@@ -200,19 +201,21 @@ class TestDeltaFeasible:
         gamma = math.pi / ls.values[-1]
         sep = delta_feasible(gamma, ls)
         assert sep.delta == gamma * t_min
-        assert not sep.aliasing
+        assert not aliasing(gamma, ls)
 
     def test_wrap_collision(self):
         ls = level_sets(assignment_instance(2))  # active {0, 2}
         sep = delta_feasible(math.pi, ls)  # gamma * 2 = 2 pi wraps to 0
         assert sep.collided and sep.delta == 0.0
-        assert sep.colliding_levels == (2,)
-        assert sep.aliasing
+        assert sep.colliding == (2,)
+        assert aliasing(math.pi, ls)
 
     def test_all_feasible_defaults_to_pi(self):
         inst = load_instance({"n": 2, "m": 3, "energy": [0] * 8})
-        sep = delta_feasible(0.3, level_sets(inst))
-        assert sep.delta == math.pi and sep.all_feasible
+        ls = level_sets(inst)
+        sep = delta_feasible(0.3, ls)
+        assert ls.values == (0,)
+        assert sep.delta == math.pi and not sep.collided and not aliasing(0.3, ls)
 
 
 class TestFeasibilityBound:

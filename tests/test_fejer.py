@@ -191,6 +191,19 @@ class TestFilteredDistribution:
             assert single.kernel.tobytes() == kernel.tobytes()
             assert single.denominator == pytest.approx(denominator, rel=1e-15)
 
+    @pytest.mark.parametrize("levels", [3, 40, 300, 2000])
+    def test_denominator_does_not_depend_on_draw_count(self, levels):
+        """A draw's denominator has the same bits whether it is computed
+        alone, as a law without a draw axis, or in a block of any size."""
+        rng = np.random.default_rng(levels)
+        mass = rng.dirichlet(np.ones(levels))
+        offsets = np.outer(rng.uniform(0.1, 3.0, 200), rng.integers(-40, 40, levels))
+        alone = np.array([filtered_distribution(mass, row, 3).denominator for row in offsets])
+        for size in (1, 7, 200):
+            blocks = [filtered_distribution(mass, offsets[start:start + size], 3).denominator
+                      for start in range(0, 200, size)]
+            assert np.concatenate(blocks).tobytes() == alone.tobytes()
+
 
 class TestPhasesPerLevel:
     """The level law against the per-string law: the gathered phases and
@@ -291,7 +304,7 @@ class TestSuccessBound:
             inst = random_instance(rng)
             gamma = float(rng.uniform(0.05, 0.35))
             pm = phase_gap(inst, gamma)
-            if pm.collided or pm.all_optimal:
+            if pm.collided or not inst.gap_levels(GapScope.ALL_STRINGS).any():
                 continue
             env = random_envelope(rng, inst.size)
             p = int(rng.integers(0, 7))
@@ -306,7 +319,7 @@ class TestSuccessBound:
             inst = random_instance(rng)
             gamma = float(rng.uniform(0.05, 0.35))
             pm = phase_gap(inst, gamma)
-            if pm.collided or pm.all_optimal:
+            if pm.collided or not inst.gap_levels(GapScope.ALL_STRINGS).any():
                 continue
             env = random_envelope(rng, inst.size)
             p = int(rng.integers(0, 7))

@@ -10,6 +10,7 @@ from oracles import (
     assignment_energy_by_enumeration,
     energy_gap_per_string,
     enumerate_strings,
+    index_string,
     _optimum_per_string,
     phase_gap_per_string,
     string_index,
@@ -20,13 +21,13 @@ from fejercert import (
     InstanceFormatError,
     collision_penalty,
     collision_penalty_table,
-    index_string,
     load_instance,
     phase_gap,
     wrap_angle,
 )
 from fejercert import instance as instance_module
-from fejercert.instance import Levels, permutation_indices
+from fejercert.feasibility import delta_feasible, level_sets
+from fejercert.instance import Levels, PhaseModel, level_phase_gap, permutation_indices
 from fejercert.rl import energy_gap
 
 
@@ -336,13 +337,14 @@ class TestPhaseGap:
         pm = phase_gap(inst, 2 * math.pi / 3)
         assert pm.collided
         assert pm.delta == 0.0
-        assert pm.colliding == (1,)
+        assert pm.colliding == (3,)  # the level, whose one string is string 1
+        assert inst.nonoptimal_strings(GapScope.ALL_STRINGS, pm.colliding).tolist() == [1]
 
     def test_all_optimal_convention(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [5, 5]})
         pm = phase_gap(inst, 0.7)
-        assert pm.all_optimal
-        assert pm.delta == math.pi
+        assert not inst.gap_levels(GapScope.ALL_STRINGS).any()
+        assert pm.delta == math.pi and not pm.collided
 
     def test_gap_attained(self, rng):
         from conftest import random_instance
@@ -351,7 +353,7 @@ class TestPhaseGap:
             inst = random_instance(rng)
             gamma = float(rng.uniform(0.05, 0.3))
             pm = phase_gap(inst, gamma)
-            if pm.collided or pm.all_optimal:
+            if pm.collided or not inst.gap_levels(GapScope.ALL_STRINGS).any():
                 continue
             mask = np.ones(inst.size, dtype=bool)
             mask[inst.optimal_indices()] = False
@@ -413,8 +415,10 @@ class TestLevelScans:
     def test_match_per_string_scans(self, inst, scope, gamma):
         pm = phase_gap(inst, gamma, scope)
         ref = phase_gap_per_string(inst, gamma, scope)
-        assert (pm.delta, pm.collided, pm.colliding, pm.all_optimal) == (
+        colliding = tuple(inst.nonoptimal_strings(scope, pm.colliding).tolist())
+        assert (pm.delta, pm.collided, colliding, not inst.gap_levels(scope).any()) == (
             ref.delta, ref.collided, ref.colliding, ref.all_optimal)
+        assert pm.colliding == tuple(np.unique(inst.energy[list(ref.colliding)]).tolist())
         assert pm.theta_star == ref.theta_star
         assert np.array_equal(pm.level_theta[inst.levels.index(inst.energy).of_string], ref.theta)
         assert np.array_equal(inst.optimal_indices(), ref.omega_star)
@@ -466,3 +470,55 @@ class TestLevelScans:
     def test_summed_adds_equal_values(self):
         assert Levels.summed([2, 0, 2, 6], [3, 1, 4, 1]) == Levels((0, 2, 6), (1, 7, 1))
         assert Levels.summed([5], [2**70]) == Levels((5,), (2**70,))
+
+
+class TestSharedGap:
+    """The phase gap of the energy levels about E* and the feasibility gap of
+    the penalty levels about 0 are one routine over a level table, with one
+    mask of the levels that count."""
+
+    def test_one_record(self):
+        inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 3, 4], "penalty": [0, 1, 2, 0]})
+        assert type(phase_gap(inst, 0.5)) is PhaseModel
+        assert type(delta_feasible(0.5, level_sets(inst))) is PhaseModel
+
+    def test_feasibility_gap_is_penalty_gap_about_zero(self):
+        inst = load_instance({"n": 2, "m": 2, "energy": [0] * 4, "penalty": [0, 2, 4, 0]})
+        values = np.array(level_sets(inst).values)
+        for gamma in (0.3, math.pi / 4, math.pi, 2.9):
+            sep = delta_feasible(gamma, level_sets(inst))
+            ref = level_phase_gap(gamma, values, 0, values > 0)
+            assert (sep.delta, sep.colliding) == (ref.delta, ref.colliding)
+            assert sep.level_theta.tobytes() == ref.level_theta.tobytes()
+
+    def test_nan_angle_rejected_without_nonzero_level(self):
+        ls = level_sets(load_instance({"n": 2, "m": 3, "energy": [0] * 8}))
+        assert ls.values == (0,)
+        with pytest.raises(ValueError, match="penalty angle nan gives a non-finite phase"):
+            delta_feasible(math.nan, ls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=gap_instances(), scope=st.sampled_from(list(GapScope)))
+    def test_gap_levels_match_per_string(self, inst, scope):
+        """The mask holds exactly the energies of the non-optimal strings of
+        the scope, read string by string from the penalty table."""
+        _, omega = _optimum_per_string(inst)
+        strings = np.ones(inst.size, dtype=bool)
+        strings[omega] = False
+        if scope is GapScope.FEASIBLE_ONLY:
+            strings &= inst.penalty == 0
+        values = np.array(inst.levels.values)
+        assert values[inst.gap_levels(scope)].tolist() == np.unique(
+            inst.energy[strings]).tolist()
+        assert not inst.gap_levels(scope).flags.writeable
+
+    @pytest.mark.parametrize("scope", list(GapScope))
+    def test_colliding_strings_read_on_colliding_levels(self, scope):
+        """An infeasible string at E* collides in the all-strings scope at
+        any angle; the feasible scope lists feasible strings only."""
+        inst = load_instance({"n": 2, "m": 2, "energy": [0, 1, 0, 4], "penalty": [0, 1, 1, 0]})
+        pm = phase_gap(inst, math.pi / 2, scope)
+        ref = phase_gap_per_string(inst, math.pi / 2, scope)
+        assert pm.colliding == ((0, 4) if scope is GapScope.ALL_STRINGS else (4,))
+        assert tuple(inst.nonoptimal_strings(scope, pm.colliding).tolist()) == ref.colliding
+        assert ref.colliding == ((2, 3) if scope is GapScope.ALL_STRINGS else (3,))

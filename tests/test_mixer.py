@@ -133,7 +133,7 @@ class TestApplyKernel:
         probs[1 + 3 * 2] = 1.0
         out = apply_block_kernel(k, external_envelope(probs), m)
         # product of per-block closed-form entries
-        from fejercert import index_string
+        from oracles import index_string
 
         for i in range(n**m):
             z = index_string(i, n, m)

@@ -15,6 +15,7 @@ from oracles import (
     block_unitary_expm,
     dephased_reference,
     dirichlet_filter_oracle,
+    index_string,
     simulate_reference,
 )
 from fejercert import (
@@ -27,7 +28,7 @@ from fejercert import (
     single_block_kernel,
     uniform_envelope,
 )
-from fejercert.instance import CapExceededError, Levels, index_string
+from fejercert.instance import CapExceededError, Levels
 from fejercert.oracle import (
     EncodedState,
     apply_cost,

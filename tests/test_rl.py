@@ -20,7 +20,7 @@ from fejercert import (
     success_lower_bound,
     uniform_envelope,
 )
-from fejercert import fejer
+from fejercert import fejer, rl
 from fejercert.rl import (
     _BLOCK_VALUES,
     _SUMMED_MAX_ORDER,
@@ -319,3 +319,25 @@ class TestUniformLevelLaw:
         assert sum(sizes) == 200 * levels
         assert max(sizes) == max(levels, _BLOCK_VALUES // levels * levels)
         assert len(sizes) > 1
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("n,m", [(16, 2), (8, 4), (36, 3)])
+    def test_block_size_does_not_change_bits(self, n, m, pooled, monkeypatch):
+        """Blocks of 1 draw, 7 draws and all 200 draws give the same law,
+        bit for bit: the denominators and the running sums do not depend on
+        how the draws are blocked."""
+        inst = load_instance(shape_document(n, m), cap=n**m)
+        levels = len(inst.levels.values)
+        laws = []
+        for draws in (1, 7, 200):
+            monkeypatch.setattr(rl, "_BLOCK_VALUES", draws * levels)
+            laws.append(rl_filtered_distribution(inst.levels.shares(), inst, 0.37,
+                                                 DitherWindow(0.2), 3, samples=200, seed=7,
+                                                 pooled=pooled))
+        first = laws[0]
+        for law in laws[1:]:
+            assert law.level_mean.tobytes() == first.level_mean.tobytes()
+            if not pooled:
+                assert law.level_sum_sq.tobytes() == first.level_sum_sq.tobytes()
+            assert (law.success_mass, law.success_stderr) == (
+                first.success_mass, first.success_stderr)

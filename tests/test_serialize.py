@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fejercert import serialize
-from fejercert.instance import format_string, index_string
 from fejercert.serialize import (
     curves_csv,
     dumps_json,
@@ -24,11 +23,14 @@ from fejercert.serialize import (
     json_safe,
     rl_law_csv,
     string_labels,
+    string_labels_at,
 )
 from oracles import (
     curves_csv_rowwise,
     envelope_csv_rowwise,
     filtered_law_csv_rowwise,
+    format_string,
+    index_string,
     json_safe_generic,
     rl_law_csv_rowwise,
 )
@@ -60,6 +62,18 @@ def _columns(rng, size, count):
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_string_labels_match_index_string(n, m):
     assert string_labels(n, m) == [format_string(index_string(i, n, m)) for i in range(n**m)]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 3), (4, 4), (16, 2), (36, 3)])
+def test_string_labels_at_match_index_string(n, m):
+    """The labels of sparse indices (the collisions listing and the shot
+    counts) against the per-index reference; 16 and 36 symbols need two
+    digits."""
+    indices = np.random.default_rng([n, m]).integers(0, n**m, size=50)
+    assert string_labels_at(indices, n, m) == [
+        format_string(index_string(int(i), n, m)) for i in indices]
+    assert string_labels_at(np.arange(n**m), n, m) == string_labels(n, m)
+    assert string_labels_at(indices[:0], n, m) == []
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
