@@ -10,13 +10,11 @@ against brute-force oracles at desk scale.
 
 from .fejer import (
     FilteredLaw,
-    denominator_bound,
     fejer_coefficients,
     fejer_kernel,
     filtered_distribution,
     offpeak_bound,
     offpeak_bound_loose,
-    success_lower_bound,
     success_probability,
 )
 from .instance import (

@@ -40,7 +40,7 @@ from .mixer import (
     single_block_kernel,
     uniform_envelope,
 )
-from .planner import Certificate, build_certificate, cmin_curve
+from .planner import Certificate, build_certificate, cmin_curve, ratio_bounds, ratio_parameter
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -227,6 +227,7 @@ def _certificate_document(
 def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     scope = GapScope.ALL_STRINGS if args.scope == "all" else GapScope.FEASIBLE_ONLY
     _check_order(args.order)
+    inst.e_star()  # names an empty feasible set before c_beta divides its count
 
     if args.envelope is not None:
         if args.betas:
@@ -260,7 +261,7 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
     cert = build_certificate(
         args.order, c_beta, pm.delta, args.epsilon, eta=args.eta,
-        q0_exact=q0_exact, status=status,
+        q0_exact=q0_exact,
     )
     bound_ok = q0_exact >= cert.q0_bound * (1.0 - BOUND_SLACK)
     if status == "certified" and not bound_ok:
@@ -289,7 +290,7 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 def _cmd_plan(args: argparse.Namespace) -> tuple:
     cert = build_certificate(args.order, args.c_beta, args.delta, args.epsilon, eta=args.eta)
-    document = _certificate_document("plan", cert, cert.status)
+    document = _certificate_document("plan", cert, "planned")
     return EXIT_OK, [(args.output, serialize.dumps_json(document))]
 
 
@@ -334,12 +335,12 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     # exact int/int division: n**m reaches 2**64 at 16x16
     c_f = ls.counts[0] / inst.size if ls.values[0] == 0 else 0.0
 
+    bounds = None
     if sep.delta > 0.0 and c_f > 0.0:
-        bounds = {
-            f"p{p}": feas.feasibility_bound(p, c_f, sep.delta)._asdict() for p in (1, 2)
-        }
-    else:
-        bounds = None
+        bounds = {}
+        for p in (1, 2):  # the shallow orders, with prefactors (p+1)^2 = 4 and 9
+            x = ratio_parameter(p, sep.delta, c_f)
+            bounds[f"p{p}"] = {"x_f": x, **ratio_bounds(x, c_f)._asdict()}
 
     search = None
     if not args.no_search:
@@ -374,7 +375,8 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     gap = rl.energy_gap(inst)
     c_beta = inst.feasible_levels.counts[0] / inst.size  # the uniform envelope's, as in certify
     mbar = rl.averaged_offpeak_bound(args.order, args.half_width, gap)
-    bound = rl.rl_success_bound(args.order, c_beta, mbar.exact)
+    # Mbar takes the place of M_p(delta) in x = (p+1) C / M_p(delta)
+    bound = ratio_bounds((args.order + 1) * c_beta / mbar.exact, c_beta).tight
     law = rl.rl_filtered_distribution(
         inst.levels.shares(), inst, args.gamma, window, args.order,
         samples=args.samples, seed=args.seed, pooled=args.pooled,

@@ -1,10 +1,11 @@
-"""Penalty level-set analysis, descent and connectivity checks, feasibility
-bounds, the invariant-sector mixer, and the numerical angle search.
+"""Penalty level-set analysis, descent and connectivity checks, the
+penalty-phase gap, the invariant-sector mixer, and the numerical angle search.
 
 The feasibility stage reuses the filter machinery with penalty-only phases:
 the target phase is 0 (the feasible level), the gap delta_F is the minimal
 wrapped distance of nonzero penalty phases gamma*t from 0, and the ratio
-bound applies verbatim with the feasible envelope mass.
+bound ``planner.ratio_bounds`` applies verbatim with the feasible envelope
+mass.
 
 Under the default m = n collision penalty the level stage and the angle
 search run in the sector invariant under block permutations and symbol
@@ -33,7 +34,6 @@ from .instance import (
 )
 from .fejer import _check_order
 from .mixer import check_block_phase, resonance_distance
-from .planner import ratio_bounds, ratio_parameter
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def descent_step(z: Sequence[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility-stage phase separation and bounds
+# Feasibility-stage phase separation
 # ---------------------------------------------------------------------------
 
 def delta_feasible(gamma: float, ls: Levels) -> PhaseModel:
@@ -151,23 +151,6 @@ def aliasing(gamma: float, ls: Levels) -> bool:
     """Whether gamma exceeds pi/t_max, so that penalty phases may wrap past
     pi; false with no nonzero level."""
     return ls.values[-1] > 0 and gamma > math.pi / ls.values[-1] + 1e-15
-
-
-class FeasibilityBound(NamedTuple):
-    x_f: float
-    tight: float
-    simple: float
-
-
-def feasibility_bound(p: int, c_f: float, delta_f: float) -> FeasibilityBound:
-    """Ratio-form feasibility bound with x_F = (p+1)^2 sin^2(delta_F/2) C_F;
-    the shallow orders p = 1, 2 carry prefactors 4 and 9."""
-    if not 0.0 < c_f <= 1.0:
-        raise ValueError("feasible envelope mass must lie in (0, 1]")
-    if not 0.0 < delta_f <= math.pi:
-        raise ValueError("delta_F must lie in (0, pi]")
-    x_f = ratio_parameter(p, delta_f, c_f)
-    return FeasibilityBound(x_f, *ratio_bounds(x_f, c_f))
 
 
 def overlap_feasibility_floor(epsilon: float) -> float:

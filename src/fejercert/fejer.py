@@ -1,4 +1,4 @@
-"""Fejér kernel evaluation, the filtered measurement law, and success bounds.
+"""Fejér kernel evaluation, the off-peak bound, and the filtered measurement law.
 
 The order-p kernel
 
@@ -8,8 +8,9 @@ is the squared, normalized Dirichlet sum: nonnegative, 2pi-periodic, peak
 value p+1 at theta = 0, unit mean over a period, and first zero at
 2pi/(p+1).  Reweighting an envelope by F_p evaluated at wrapped phase
 offsets concentrates probability on the target phase; the off-peak tail
-bound 1/((p+1) sin^2(delta/2)) turns a phase gap delta into the
-dimension-free success guarantee implemented here.
+bound M_p(delta) = 1/((p+1) sin^2(delta/2)) turns a phase gap delta into
+the dimension-free success guarantee, whose ratio form
+``planner.ratio_bounds`` computes.
 """
 
 from __future__ import annotations
@@ -123,25 +124,6 @@ def success_probability(p: int, c_beta: float, denominator: float) -> float:
     """Mass of the filtered law on the optimal set, (p+1) C_beta / D: every
     optimal string sits at phase offset 0, where F_p is exactly p+1."""
     return (p + 1) * c_beta / denominator
-
-
-def success_lower_bound(p: int, c_beta: float, delta: float) -> float:
-    """Dimension-free success bound
-    (p+1)C / ((p+1)C + M_p(delta)(1-C)) with the analytic M_p."""
-    return (p + 1) * c_beta / denominator_bound(p, c_beta, delta)
-
-
-def denominator_bound(p: int, c_beta: float, delta: float) -> float:
-    """Upper bound (p+1)C + M_p(delta)(1-C) on the filter denominator of any
-    law with matching envelope mass and phase gap."""
-    _check_c(c_beta)
-    _check_delta(delta)
-    return (p + 1) * c_beta + offpeak_bound(p, delta) * (1.0 - c_beta)
-
-
-def _check_c(c_beta: float) -> None:
-    if not 0.0 < c_beta <= 1.0:
-        raise ValueError("envelope mass must lie in (0, 1]")
 
 
 def _check_order(p: int) -> None:

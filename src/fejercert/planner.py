@@ -6,7 +6,8 @@ Everything here is closed-form arithmetic in the single control parameter
     x = (p+1)^2 sin^2(delta/2) C_beta,
 
 which governs the ratio-form success bound x/(1+x) and the shot budget
-(1 + 1/x) ln(1/epsilon).
+(1 + 1/x) ln(1/epsilon).  ``ratio_bounds`` is the one implementation of the
+success bound, for every command and for the depth formula.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fejer import _check_order, success_lower_bound
+from .fejer import _check_order
 
 
 class Regime(Enum):
@@ -62,7 +63,6 @@ class Certificate:
     eta: float = 0.5
     depth_for_target: int | None = None
     q0_exact: float | None = None
-    status: str = "planned"
 
 
 def ratio_parameter(p: int, delta: float, c_beta: float) -> float:
@@ -117,7 +117,8 @@ def depth_for_target(epsilon: float, c_beta: float, delta: float) -> int:
 
         p = max(0, ceil(sqrt((1-eps)/eps * (1-C)/C) * csc(delta/2)) - 1),
 
-    with the postcondition success_lower_bound(p, C, delta) >= 1 - eps
+    with the postcondition that the certificate's bound
+    ratio_bounds(ratio_parameter(p, delta, C), C).tight is at least 1 - eps,
     enforced against floating-point boundary jitter.
     """
     _check_epsilon(epsilon)
@@ -126,15 +127,18 @@ def depth_for_target(epsilon: float, c_beta: float, delta: float) -> int:
     if not 0.0 < delta <= math.pi:
         raise ValueError("delta must lie in (0, pi]")
     radicand = (1.0 - epsilon) / epsilon * (1.0 - c_beta) / c_beta
-    value = math.sqrt(radicand) / math.sin(delta / 2.0)
-    if not math.isfinite(value):
-        raise ValueError("depth for target overflows: C_beta or delta is too small")
+    half_sin = math.sin(delta / 2.0)
+    # positive conditions, so that NaN fails them: with sin^2(delta/2)
+    # underflowed x is 0 at every order, and above 2**53 an order is not exact
+    if not (half_sin**2 > 0.0 and (value := math.sqrt(radicand) / half_sin) <= 2**53):
+        raise ValueError(f"depth for target overflows: no order up to 2**53 meets it "
+                         f"at C_beta={c_beta!r}, delta={delta!r}")
     # The 1e-9 slack keeps exact integer boundaries from rounding one order
     # up; the bump loop then restores the postcondition if the slack ever
     # undershot, with 1e-12 headroom so boundary rounding noise cannot push
     # past the minimal order.
     p = max(0, math.ceil(value - 1e-9) - 1)
-    while success_lower_bound(p, c_beta, delta) < 1.0 - epsilon - 1e-12:
+    while ratio_bounds(ratio_parameter(p, delta, c_beta), c_beta).tight < 1.0 - epsilon - 1e-12:
         p += 1
     return p
 
@@ -206,7 +210,6 @@ def build_certificate(
     epsilon: float,
     eta: float = 0.5,
     q0_exact: float | None = None,
-    status: str = "planned",
 ) -> Certificate:
     """Assemble the full report bundle for given (p, C_beta, delta).
 
@@ -230,7 +233,6 @@ def build_certificate(
         eta=eta,
         depth_for_target=depth_for_target(epsilon, c_beta, delta) if certifiable else None,
         q0_exact=q0_exact,
-        status=status,
     )
 
 

@@ -1,10 +1,12 @@
-"""Dithered (angle-averaged) Fejér kernels and the averaged success bound.
+"""Dithered (angle-averaged) Fejér kernels and the averaged off-peak bound.
 
 Averaging the base cost angle over a symmetric window trades the wrapped
 phase gap for an ordinary energy gap: oscillatory cross-terms in the squared
 Dirichlet sum decay through the window's Fourier transform, so off-peak mass
-stays bounded even without exact lattice normalization.  The dither window
-is uniform on [-Gamma, Gamma].
+stays bounded even without exact lattice normalization.  The averaged
+bound Mbar takes the place of M_p(delta) in the ratio parameter, so the
+averaged success bound is ``planner.ratio_bounds`` at (p+1) C / Mbar.  The
+dither window is uniform on [-Gamma, Gamma].
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fejer import _check_c, _check_order, filtered_distribution
+from .fejer import _check_order, filtered_distribution
 from .instance import GapScope, ProblemInstance, check_phase
 from .mixer import Envelope
 
@@ -72,19 +74,6 @@ def averaged_offpeak_bound(p: int, half_width: float, gap: float) -> AveragedOff
     if not (math.isfinite(exact) and math.isfinite(log_form)):
         raise ValueError("averaged off-peak bound overflows: half-width times gap is too small")
     return AveragedOffpeakBound(exact, log_form)
-
-
-def rl_success_bound(p: int, c_beta: float, mbar: float) -> float:
-    """Averaged-filter success bound (p+1)C / ((p+1)C + Mbar(1-C)).
-
-    Substituting the exact-lattice off-peak bound for Mbar reproduces the
-    unaveraged success bound identically.
-    """
-    if mbar < 0:
-        raise ValueError("off-peak bound must be nonnegative")
-    _check_c(c_beta)
-    num = (p + 1) * c_beta
-    return num / (num + mbar * (1.0 - c_beta))
 
 
 def energy_gap(inst: ProblemInstance) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fejercert import load_instance
+from fejercert import load_instance, ratio_bounds, ratio_parameter
 from fejercert.mixer import external_envelope
 
 settings.register_profile(
@@ -43,6 +43,18 @@ def random_envelope(rng, size):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def certified_bound(p, c_beta, delta):
+    """The success bound as ``certify`` and ``plan`` report it (``q0_bound``)
+    and as ``depth_for_target`` checks it."""
+    return ratio_bounds(ratio_parameter(p, delta, c_beta), c_beta).tight
+
+
+def averaged_bound(p, c_beta, mbar):
+    """The averaged success bound as ``rl`` reports it: the ratio form at
+    x = (p+1) C / Mbar."""
+    return ratio_bounds((p + 1) * c_beta / mbar, c_beta).tight
 
 
 def level_mass(env, inst):

@@ -36,6 +36,13 @@ path, so they live with the tests (and only they need scipy).
   the mass on any subset, the reference for the level law of
   ``fejercert.rl.rl_filtered_distribution``;
 - ``offpeak_grid_max``: numeric maximum of F_p over the off-peak region;
+- ``denominator_bound``, ``denominator_form_bound`` and
+  ``lattice_success_bound``: the filter denominator bound
+  (p+1) C + M (1-C) and the success bound in its denominator form
+  (p+1) C / ((p+1) C + M (1-C)) for an off-peak bound M, an averaged Mbar
+  or the analytic M_p(delta) of ``fejercert.fejer.offpeak_bound``, the
+  reference for the one ratio form x / ((1-C) + x) of
+  ``fejercert.planner.ratio_bounds``;
 - ``window_fourier``, ``window_density`` and ``averaged_fejer``: the uniform
   dither window and the window-averaged Fejér weight in its Fourier form, a
   second evaluation path of the averaged kernel;
@@ -87,7 +94,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fejercert.feasibility import sector_mixer
-from fejercert.fejer import fejer_kernel
+from fejercert.fejer import fejer_kernel, offpeak_bound
 from fejercert.instance import (
     PHASE_COLLISION_TOL,
     GapScope,
@@ -263,6 +270,28 @@ def offpeak_grid_max(p: int, delta: float, points: int = 4096) -> float:
         raise ValueError("delta must lie in (0, pi]")
     grid = np.linspace(delta, math.pi, points)
     return float(fejer_kernel(p, grid).max())
+
+
+def denominator_bound(p: int, c_beta: float, offpeak: float) -> float:
+    """Upper bound (p+1) C + M (1-C) on the filter denominator of any law
+    with envelope mass C on the optimal set whose off-peak Fejér weights are
+    at most M."""
+    if not 0.0 < c_beta <= 1.0:
+        raise ValueError("envelope mass must lie in (0, 1]")
+    if offpeak < 0:
+        raise ValueError("off-peak bound must be nonnegative")
+    return (p + 1) * c_beta + offpeak * (1.0 - c_beta)
+
+
+def denominator_form_bound(p: int, c_beta: float, offpeak: float) -> float:
+    """Success bound (p+1) C / ((p+1) C + M (1-C)); M = M_p(delta) gives the
+    bound of ``certify``, an averaged Mbar the bound of ``rl``."""
+    return (p + 1) * c_beta / denominator_bound(p, c_beta, offpeak)
+
+
+def lattice_success_bound(p: int, c_beta: float, delta: float) -> float:
+    """The denominator form at the analytic M_p(delta), for phase gap delta."""
+    return denominator_form_bound(p, c_beta, offpeak_bound(p, delta))
 
 
 @dataclass(frozen=True)

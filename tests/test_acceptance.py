@@ -14,13 +14,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from conftest import level_mass, random_envelope, random_instance
+from conftest import (
+    averaged_bound,
+    certified_bound,
+    level_mass,
+    random_envelope,
+    random_instance,
+)
 from oracles import (
     averaged_fejer,
     averaged_fejer_quadrature,
     block_unitary_expm,
     dephased_reference,
+    denominator_form_bound,
     dirichlet_filter_oracle,
+    lattice_success_bound,
 )
 from fejercert import (
     GapScope,
@@ -40,7 +48,6 @@ from fejercert import (
     ratio_parameter,
     shot_budget,
     single_block_kernel,
-    success_lower_bound,
     success_probability,
     uniform_envelope,
     averaged_block_kernel,
@@ -50,7 +57,6 @@ from fejercert.cli import main as cli_main
 from fejercert.feasibility import (
     delta_feasible,
     descent_step,
-    feasibility_bound,
     graph_connected,
     level_graph,
     level_sets,
@@ -62,7 +68,6 @@ from fejercert.rl import (
     averaged_offpeak_bound,
     energy_gap,
     rl_filtered_distribution,
-    rl_success_bound,
 )
 
 SEED = 0xCE0A
@@ -147,7 +152,7 @@ def test_criterion_04_dimension_free_success_bound():
         for p in range(0, 7):
             law = filtered_distribution(mass, pm.offsets(), p)
             q0 = success_probability(p, c_beta, law.denominator)
-            assert q0 >= success_lower_bound(p, c_beta, pm.delta) - 1e-12
+            assert q0 >= lattice_success_bound(p, c_beta, pm.delta) - 1e-12
             x = ratio_parameter(p, pm.delta, c_beta)
             bounds = ratio_bounds(x, c_beta)
             assert q0 >= bounds.tight - 1e-12
@@ -165,7 +170,8 @@ def test_criterion_05_depth_formula():
         for c in c_grid:
             for d in d_grid:
                 p = depth_for_target(float(eps), float(c), float(d))
-                assert success_lower_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
+                assert certified_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
+                assert lattice_success_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
     _report(5, "sufficient depth meets its target on the 20x20x20 grid; checkpoint p=4")
 
 
@@ -217,9 +223,12 @@ def test_criterion_07_feasibility_machinery():
         for p, prefactor in ((1, 4.0), (2, 9.0)):
             weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
             exact = float(weights[inst.feasible_indices()].sum() / weights.sum())
-            fb = feasibility_bound(p, c_f, sep.delta)
-            assert fb.x_f == pytest.approx(prefactor * math.sin(sep.delta / 2) ** 2 * c_f)
+            # the document's bounds.pK entry, as feasibility builds it
+            x_f = ratio_parameter(p, sep.delta, c_f)
+            fb = ratio_bounds(x_f, c_f)
+            assert x_f == pytest.approx(prefactor * math.sin(sep.delta / 2) ** 2 * c_f)
             assert fb.simple <= fb.tight <= exact + 1e-12
+            assert lattice_success_bound(p, c_f, sep.delta) <= exact + 1e-12
     assert overlap_feasibility_floor(0.5) == 49 / 64
     _report(7, "descent, connectivity, shallow feasibility bounds, and 49/64 identity hold")
 
@@ -266,8 +275,9 @@ def test_criterion_08_rl_averaging():
             samples=160, seed=SEED + checked,
         )
         mbar = averaged_offpeak_bound(p, hw, gap).exact
-        bound = rl_success_bound(p, float(env.probs[omega].sum()), mbar)
-        assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
+        c_beta = float(env.probs[omega].sum())
+        for bound in (averaged_bound(p, c_beta, mbar), denominator_form_bound(p, c_beta, mbar)):
+            assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
         checked += 1
     _report(8, "Fourier/quadrature agreement, off-peak bounds, checkpoint 2, MC bound hold")
 

@@ -17,11 +17,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fejercert import cli, collision_penalty_table, feasibility, instance, load_instance, oracle
+from fejercert import (
+    cli,
+    collision_penalty_table,
+    feasibility,
+    instance,
+    load_instance,
+    oracle,
+    ratio_bounds,
+    ratio_parameter,
+)
 from fejercert.cli import main
 from fejercert.serialize import load_schema
 from conftest import shape_document
-from oracles import format_string, index_string, phase_gap_per_string
+from oracles import (
+    denominator_form_bound,
+    format_string,
+    index_string,
+    lattice_success_bound,
+    phase_gap_per_string,
+)
 
 
 def write_instance(path, doc):
@@ -69,6 +84,16 @@ class TestCertify:
         assert doc["q0_bound"] == pytest.approx(0.8)
         assert doc["status"] == "certified"
         assert doc["bound_satisfied"] is True
+
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    def test_empty_feasible_set_exits_2(self, scope, tmp_path, capsys):
+        inst = write_instance(tmp_path / "infeasible.json",
+                              {"n": 2, "m": 1, "energy": [0, 1], "penalty": [1, 2]})
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--instance", inst, "--gamma", "0.3", "-p", "3",
+                    "--scope", scope, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "feasible set is empty" in capsys.readouterr().err
 
     def test_all_optimal_instance(self, tmp_path):
         inst = write_instance(tmp_path / "flat.json", {"n": 2, "m": 1, "energy": [3, 3]})
@@ -447,6 +472,17 @@ class TestFeasibilityCommand:
         assert doc["c_f"] == pytest.approx(6 / 27)
         assert doc["search"]["pi_f"] >= 6 / 27 - 1e-12
 
+    def test_bounds_are_the_ratio_form(self, qap_instance, tmp_path):
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", qap_instance, "--gamma", "0.5", "--no-search",
+                    "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for p in (1, 2):
+            x = ratio_parameter(p, doc["delta_f"], doc["c_f"])
+            assert doc["bounds"][f"p{p}"] == {"x_f": x, **ratio_bounds(x, doc["c_f"])._asdict()}
+            assert doc["bounds"][f"p{p}"]["tight"] == pytest.approx(
+                lattice_success_bound(p, doc["c_f"], doc["delta_f"]), abs=1e-12)
+
     def test_no_search(self, qap_instance, tmp_path):
         out = tmp_path / "feas.json"
         run(["feasibility", "--instance", qap_instance, "--gamma", "0.5", "--no-search",
@@ -686,6 +722,18 @@ class TestRLCommand:
         assert lines[0] == "string,probability,stderr"
         assert len(lines) == 28
 
+    def test_bound_is_the_ratio_form(self, qap_instance, tmp_path):
+        # x = (p+1) C / Mbar in the ratio form, against the denominator form
+        out = tmp_path / "rl.json"
+        assert run(["rl", "--instance", qap_instance, "--gamma", "0.4", "-p", "4",
+                    "--half-width", "0.8", "--samples", "4", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        inst = load_instance(QAP_DOC)
+        c_beta = inst.optimal_indices().size / inst.size
+        assert doc["bound"] == ratio_bounds(5 * c_beta / doc["mbar_exact"], c_beta).tight
+        assert doc["bound"] == pytest.approx(denominator_form_bound(4, c_beta, doc["mbar_exact"]),
+                                             rel=1e-14)
+
     def test_single_draw_fails_closed(self, qap_instance, tmp_path, capsys):
         # one unpooled draw has no standard error, which is not written as 0.0
         out = tmp_path / "rl.json"
@@ -847,6 +895,8 @@ OVERFLOWING_NAMED = {
                              "--betas", "0.3"], "cost angle 1e+308"),
     "plan_offpeak_underflow": (["plan", "-p", "3", "--c-beta", "0.5", "--delta", "1e-200"],
                                "delta=1e-200"),
+    "plan_depth_underflow": (["plan", "-p", "3", "--c-beta", "1", "--delta", "1e-200"],
+                             "delta=1e-200"),
     "simulate_shots": (["simulate", "--instance", None, "--gammas", "0.3", "--betas", "0.5",
                         "--shots", "100000000000000000000"], "shots 100000000000000000000"),
     "certify_cost_angle": (["certify", "--instance", None, "--gamma", "1e308", "-p", "2"],
@@ -1170,6 +1220,9 @@ class TestCommandsProperty:
     @settings(max_examples=100)
     @given(p=st.integers(), c_beta=FINITE, delta=FINITE, epsilon=FINITE)
     @example(p=3, c_beta=0.5, delta=1e-200, epsilon=0.1)
+    @example(p=3, c_beta=1.0, delta=1e-200, epsilon=0.1)
+    @example(p=3, c_beta=0.5, delta=5e-324, epsilon=0.1)
+    @example(p=3, c_beta=0.5, delta=1e-160, epsilon=0.1)
     @example(p=2**600, c_beta=0.5, delta=1.0, epsilon=0.1)
     def test_plan(self, p, c_beta, delta, epsilon):
         _check_document_run(["plan", f"-p={p}", f"--c-beta={c_beta!r}", f"--delta={delta!r}",
@@ -1185,3 +1238,45 @@ class TestCommandsProperty:
         _check_document_run(["curves", f"--deltas={deltas}",
                              f"--orders={','.join(map(str, orders))}",
                              f"--epsilon={epsilon!r}"], "csv")
+
+
+@st.composite
+def small_instance_documents(draw):
+    """Instances with n <= 4, m <= 3 and energies 0..6; the penalty is the
+    default or a given table, which sometimes has no zero."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    size = n**m
+    doc = {"n": n, "m": m,
+           "energy": draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))}
+    if draw(st.booleans()):
+        low = draw(st.sampled_from([0, 1]))
+        doc["penalty"] = draw(st.lists(st.integers(low, 3), min_size=size, max_size=size))
+    return doc
+
+
+ANGLES = (st.floats(-10.0, 10.0, allow_nan=False)
+          | st.integers(1, 8).map(lambda k: 2 * math.pi / k))
+
+
+class TestNothingEscapesMain:
+    """Every command on a small instance returns one of the documented exit
+    codes: no exception escapes ``cli.main``."""
+
+    @settings(max_examples=100)
+    @given(doc=small_instance_documents(), gamma=ANGLES, p=st.integers(0, 4))
+    @example(doc={"n": 2, "m": 1, "energy": [0, 1], "penalty": [1, 2]}, gamma=0.3, p=3)
+    def test_exit_codes(self, doc, gamma, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = write_instance(Path(tmp) / "inst.json", doc)
+            out = str(Path(tmp) / "out")
+            common = ["--instance", inst, "-o", out]
+            for argv in (
+                ["certify", f"--gamma={gamma!r}", f"-p={p}", "--scope", "all"],
+                ["certify", f"--gamma={gamma!r}", f"-p={p}", "--scope", "feasible"],
+                ["rl", f"--gamma={gamma!r}", f"-p={p}", "--half-width", "0.3",
+                 "--samples", "3"],
+                ["feasibility", f"--gamma={gamma!r}", "--budget", "3"],
+                ["simulate", f"--gammas={gamma!r}", "--betas", "0.4", "--shots", "5"],
+                ["envelope", "--betas", "0.4"],
+            ):
+                assert main(argv + common) in (0, 2, 3, 4), argv

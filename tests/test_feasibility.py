@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import random_envelope
 from oracles import (
     invariant_sector_generators,
+    lattice_success_bound,
     lie_closure_dim,
     relabel_pair_counts,
     sector_by_enumeration,
@@ -22,6 +24,8 @@ from fejercert import (
     feasibility,
     load_instance,
     oracle,
+    ratio_bounds,
+    ratio_parameter,
 )
 from fejercert.feasibility import (
     _Evaluator,
@@ -34,7 +38,6 @@ from fejercert.feasibility import (
     delta_feasible,
     descent_step,
     feasibility_angle_search,
-    feasibility_bound,
     graph_connected,
     level_graph,
     level_sets,
@@ -216,6 +219,15 @@ class TestDeltaFeasible:
         sep = delta_feasible(0.3, ls)
         assert ls.values == (0,)
         assert sep.delta == math.pi and not sep.collided and not aliasing(0.3, ls)
+
+
+def feasibility_bound(p, c_f, delta_f):
+    """The document's bounds.pK entry, as feasibility builds it, checked
+    against the denominator form at M_p(delta_F)."""
+    x_f = ratio_parameter(p, delta_f, c_f)
+    bounds = ratio_bounds(x_f, c_f)
+    assert bounds.tight == pytest.approx(lattice_success_bound(p, c_f, delta_f), abs=1e-12)
+    return types.SimpleNamespace(x_f=x_f, **bounds._asdict())
 
 
 class TestFeasibilityBound:

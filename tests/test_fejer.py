@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import level_mass, random_envelope, random_instance, shape_document
+from conftest import (
+    certified_bound,
+    level_mass,
+    random_envelope,
+    random_instance,
+    shape_document,
+)
 from oracles import (
+    denominator_bound,
     dirichlet_kernel_sum,
     filtered_distribution_per_string,
+    lattice_success_bound,
     offpeak_grid_max,
     phase_gap_per_string,
     success_probability_per_string,
@@ -15,7 +23,6 @@ from oracles import (
 from fejercert import fejer
 from fejercert import (
     GapScope,
-    denominator_bound,
     envelope_mass,
     fejer_coefficients,
     fejer_kernel,
@@ -24,7 +31,6 @@ from fejercert import (
     offpeak_bound,
     offpeak_bound_loose,
     phase_gap,
-    success_lower_bound,
     success_probability,
     uniform_envelope,
 )
@@ -285,18 +291,27 @@ class TestSuccessProbability:
 
 
 class TestSuccessBound:
+    """The ratio form that certify reports, against the denominator form."""
+
     def test_worked_example(self):
-        assert success_lower_bound(1, 0.5, math.pi) == pytest.approx(0.8)
+        assert certified_bound(1, 0.5, math.pi) == pytest.approx(0.8)
+        assert lattice_success_bound(1, 0.5, math.pi) == pytest.approx(0.8)
 
     def test_full_mass(self):
-        assert success_lower_bound(3, 1.0, 0.4) == 1.0
+        assert certified_bound(3, 1.0, 0.4) == 1.0
+        assert lattice_success_bound(3, 1.0, 0.4) == 1.0
 
     def test_order_zero(self):
-        assert success_lower_bound(0, 0.3, math.pi) == pytest.approx(0.3)
+        assert certified_bound(0, 0.3, math.pi) == pytest.approx(0.3)
+        assert lattice_success_bound(0, 0.3, math.pi) == pytest.approx(0.3)
 
     def test_denominator_bound_examples(self):
-        assert denominator_bound(1, 0.5, math.pi) == pytest.approx(1.25)
-        assert denominator_bound(4, 1.0, 0.8) == pytest.approx(5.0)
+        # the ratio form is (p+1) C over the denominator bound
+        for (p, c_beta, delta), expected in (((1, 0.5, math.pi), 1.25), ((4, 1.0, 0.8), 5.0)):
+            assert denominator_bound(p, c_beta, offpeak_bound(p, delta)) == pytest.approx(
+                expected)
+            assert (p + 1) * c_beta / certified_bound(p, c_beta, delta) == pytest.approx(
+                expected)
 
     def test_exact_denominator_below_bound(self, rng):
         hits = 0
@@ -310,7 +325,10 @@ class TestSuccessBound:
             p = int(rng.integers(0, 7))
             law = filtered_distribution(level_mass(env, inst)[0], pm.offsets(), p)
             c_beta = envelope_mass(env, inst.optimal_indices())
-            assert law.denominator <= denominator_bound(p, c_beta, pm.delta) + 1e-12
+            assert law.denominator <= denominator_bound(
+                p, c_beta, offpeak_bound(p, pm.delta)) + 1e-12
+            assert law.denominator <= (p + 1) * c_beta / certified_bound(
+                p, c_beta, pm.delta) + 1e-12
             hits += 1
 
     def test_bound_chain_on_random_instances(self, rng):
@@ -326,7 +344,8 @@ class TestSuccessBound:
             law = filtered_distribution(level_mass(env, inst)[0], pm.offsets(), p)
             c_beta = envelope_mass(env, inst.optimal_indices())
             q0 = success_probability(p, c_beta, law.denominator)
-            assert q0 >= success_lower_bound(p, c_beta, pm.delta) - 1e-12
+            assert q0 >= lattice_success_bound(p, c_beta, pm.delta) - 1e-12
+            assert q0 >= certified_bound(p, c_beta, pm.delta) - 1e-12
             hits += 1
 
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_envelope
+from conftest import certified_bound, random_envelope
+from oracles import lattice_success_bound
 from fejercert import (
     Regime,
     apply_block_kernel,
+    build_certificate,
     classify_regime,
     cmin_curve,
     depth_for_target,
@@ -21,7 +23,6 @@ from fejercert import (
     ratio_parameter,
     shot_budget,
     single_block_kernel,
-    success_lower_bound,
 )
 
 
@@ -37,10 +38,10 @@ class TestRatioParameter:
         st.floats(1e-9, 1.0),
     )
     def test_consistency_with_success_bound(self, p, delta, c):
-        # tight ratio form == closed-form success bound (algebraic identity)
+        # tight ratio form == denominator form of the success bound (algebraic identity)
         x = ratio_parameter(p, delta, c)
         tight = ratio_bounds(x, c).tight
-        assert tight == pytest.approx(success_lower_bound(p, c, delta), abs=1e-12)
+        assert tight == pytest.approx(lattice_success_bound(p, c, delta), abs=1e-12)
 
 
 class TestRatioBounds:
@@ -129,11 +130,47 @@ class TestDepthForTarget:
             for c in c_grid:
                 for d in d_grid:
                     p = depth_for_target(float(eps), float(c), float(d))
-                    assert success_lower_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
+                    assert certified_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
+                    assert lattice_success_bound(p, float(c), float(d)) >= 1 - eps - 1e-12
+
+    @staticmethod
+    def _targets():
+        """A 12x12x12 grid of (eps, C, delta), and the exact-integer boundaries
+        C = 1/(1+k^2), delta = pi, eps = 1/2, where the depth formula's value
+        is exactly k and the bound at order k-1 is 1 - eps up to rounding."""
+        for eps in np.geomspace(0.005, 0.5, 12):
+            for c in np.linspace(0.05, 1.0, 12):
+                for d in np.linspace(0.05 * math.pi, math.pi, 12):
+                    yield float(eps), float(c), float(d)
+        for k in range(1, 2000):
+            yield 0.5, 1.0 / (1 + k * k), math.pi
+
+    def test_certificate_meets_target_at_minimal_order(self):
+        # the depth a certificate names meets the target in the arithmetic of
+        # the bound it reports, and one order less does not
+        for eps, c, d in self._targets():
+            p = depth_for_target(eps, c, d)
+            assert build_certificate(p, c, d, eps).q0_bound >= 1 - eps - 1e-12
+            if p > 0:
+                assert build_certificate(p - 1, c, d, eps).q0_bound < 1 - eps - 1e-12
+
+    @pytest.mark.parametrize("c_beta, delta", [(1.0, 1e-200), (0.5, 1e-200), (0.5, 5e-324),
+                                               (1.0, 5e-324), (1e-40, 1.0), (0.5, 1e-160)])
+    def test_unreachable_depth_names_delta(self, c_beta, delta):
+        # x underflows to 0 at every order, or the order passes 2**53, where
+        # p += 1 no longer moves the bound
+        with pytest.raises(ValueError, match=f"delta={delta!r}"):
+            depth_for_target(0.1, c_beta, delta)
+
+    def test_full_mass_at_subnormal_gap(self):
+        # sin^2(delta/2) is subnormal but not 0, so x > 0 and the bound is 1
+        assert depth_for_target(0.1, 1.0, 1e-160) == 0
+        assert certified_bound(0, 1.0, 1e-160) == 1.0
 
     def test_minimality_near_checkpoint(self):
         # one order less must fail the target at the checkpoint
-        assert success_lower_bound(3, 0.5, math.pi / 2) < 0.9
+        assert certified_bound(3, 0.5, math.pi / 2) < 0.9
+        assert lattice_success_bound(3, 0.5, math.pi / 2) < 0.9
 
 
 class TestCminCurve:

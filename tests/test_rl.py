@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import level_mass, random_envelope, random_instance, shape_document
+from conftest import (
+    averaged_bound,
+    certified_bound,
+    level_mass,
+    random_envelope,
+    random_instance,
+    shape_document,
+)
 from oracles import (
     averaged_fejer,
     averaged_fejer_quadrature,
+    denominator_form_bound,
+    lattice_success_bound,
     rl_filtered_distribution_per_string,
     window_density,
     window_fourier,
@@ -17,7 +26,6 @@ from fejercert import (
     load_instance,
     offpeak_bound,
     phase_gap,
-    success_lower_bound,
     uniform_envelope,
 )
 from fejercert import fejer, rl
@@ -28,7 +36,6 @@ from fejercert.rl import (
     averaged_offpeak_bound,
     energy_gap,
     rl_filtered_distribution,
-    rl_success_bound,
 )
 
 
@@ -147,25 +154,35 @@ class TestAveragedOffpeak:
 
 
 class TestRLSuccessBound:
+    """The ratio form that rl reports, at x = (p+1) C / Mbar, against the
+    denominator form (p+1) C / ((p+1) C + Mbar (1-C))."""
+
     def test_worked_example(self):
-        assert rl_success_bound(9, 0.1, 2.0) == pytest.approx(1 / 2.8)
+        assert averaged_bound(9, 0.1, 2.0) == pytest.approx(1 / 2.8)
+        assert denominator_form_bound(9, 0.1, 2.0) == pytest.approx(1 / 2.8)
 
     def test_full_mass(self):
-        assert rl_success_bound(3, 1.0, 5.0) == 1.0
+        assert averaged_bound(3, 1.0, 5.0) == 1.0
+        assert denominator_form_bound(3, 1.0, 5.0) == 1.0
 
     def test_reduces_to_lattice_bound(self):
+        # Mbar = M_p(delta) gives the unaveraged bound
         for p in (0, 1, 4):
             for c in (0.2, 0.9):
                 for delta in (0.4, math.pi / 2, math.pi):
                     mbar = offpeak_bound(p, delta)
-                    assert rl_success_bound(p, c, mbar) == pytest.approx(
-                        success_lower_bound(p, c, delta), abs=1e-14
+                    assert averaged_bound(p, c, mbar) == pytest.approx(
+                        certified_bound(p, c, delta), abs=1e-14
+                    )
+                    assert averaged_bound(p, c, mbar) == pytest.approx(
+                        lattice_success_bound(p, c, delta), abs=1e-14
                     )
 
     def test_ratio_parameter(self):
         x = (9 + 1) * 0.1 / 2.0  # x_RL = (p+1) C / Mbar
         assert x == pytest.approx(0.5)
-        assert x / ((1 - 0.1) + x) == pytest.approx(rl_success_bound(9, 0.1, 2.0))
+        assert x / ((1 - 0.1) + x) == pytest.approx(denominator_form_bound(9, 0.1, 2.0))
+        assert x / ((1 - 0.1) + x) == pytest.approx(averaged_bound(9, 0.1, 2.0))
 
 
 class TestRLFilteredDistribution:
@@ -198,8 +215,8 @@ class TestRLFilteredDistribution:
             )
             c_beta = float(env.probs[omega].sum())
             mbar = averaged_offpeak_bound(p, hw, gap).exact
-            bound = rl_success_bound(p, c_beta, mbar)
-            assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
+            for bound in (averaged_bound(p, c_beta, mbar), denominator_form_bound(p, c_beta, mbar)):
+                assert law.success_mass >= bound - 3 * law.success_stderr - 1e-12
             checked += 1
 
     def test_single_sample_reproducible(self, rng):

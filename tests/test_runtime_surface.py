@@ -17,6 +17,7 @@ UNCALLED_ALLOWED = {
     "is_primitive",
     "lipschitz_envelope_bound",
     "main_lobe_constant",
+    "offpeak_bound",
     "offpeak_bound_loose",
     "order_reduction",
     "overlap_feasibility_floor",
