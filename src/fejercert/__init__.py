@@ -25,7 +25,6 @@ from .instance import (
     PhaseModel,
     ProblemInstance,
     collision_penalty,
-    collision_penalty_table,
     load_instance,
     load_instance_file,
     phase_gap,

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -235,7 +236,9 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         env = _load_diagonal(args.envelope, inst.size)
         index = inst.levels.index(inst.energy)
         level_mass = np.bincount(index.of_string, weights=env.probs)
-        c_beta = envelope_mass(env, inst.optimal_indices())
+        with warnings.catch_warnings():  # a zero mass is an uncertifiable document
+            warnings.filterwarnings("ignore", "subset carries zero envelope mass")
+            c_beta = envelope_mass(env, inst.optimal_indices())
         source = "external"
     else:
         betas = _adjacency_betas(args, inst.n)
@@ -264,10 +267,11 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         q0_exact=q0_exact,
     )
     bound_ok = q0_exact >= cert.q0_bound * (1.0 - BOUND_SLACK)
-    if status == "certified" and not bound_ok:
-        # Reachable only under the feasible-only gap scope, when an
-        # out-of-scope string sits inside the gap; the bound is then vacuous
-        # for this configuration and the certificate says so explicitly.
+    if not bound_ok or cert.q0_bound == 0.0:
+        # A zero bound (say, no envelope mass on Omega*) certifies nothing.
+        # A failed cross-check is reachable only under the feasible-only gap
+        # scope, when an out-of-scope string sits inside the gap; the bound
+        # is then vacuous for this configuration.
         status = "uncertifiable"
 
     document = _certificate_document(

@@ -10,8 +10,11 @@ mass.
 Under the default m = n collision penalty the level stage and the angle
 search run in the sector invariant under block permutations and symbol
 relabelings that the instance holds (``ProblemInstance.sector``), one
-dimension per partition of m into at most n parts; any other penalty is
-handled over all n**m strings.
+dimension per partition of m into at most n parts.  The m != n default
+penalty is zero on every string, so its one level needs no table, no
+relabel scan and no search: where L_0 is empty or holds every string, the
+norm-preserving circuit keeps pi_F = c_F at every schedule.  Only a penalty
+given in the document is handled over all n**m strings.
 """
 
 from __future__ import annotations
@@ -77,15 +80,17 @@ def _relabel_pairs(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
 
 def level_graph(inst: ProblemInstance, ls: Levels) -> LevelGraph:
     """The level-transition graph of the penalty levels ``ls`` of an
-    instance: from the orbit pairs of its sector, each orbit at its penalty
-    level, or by single-block relabels over all n**m strings."""
-    if inst.sector is not None:
+    instance: without edges for a single level, from the orbit pairs of its
+    sector, each orbit at its penalty level, or by single-block relabels
+    over the n**m strings of the given penalty table."""
+    if len(ls.values) == 1:
+        pairs = ()
+    elif inst.sector is not None:
         rank = {t: r for r, t in enumerate(ls.values)}
         ranks = [rank[t] for t in inst.sector.penalties]
         pairs = sorted({(ranks[src], ranks[dst]) for src, dst in inst.sector.pair_counts})
     else:
-        src, dst = _relabel_pairs(ls.index(inst.penalty).of_string,
-                                  len(ls.values), inst.n, inst.m)
+        src, dst = _relabel_pairs(inst.penalty_index.of_string, len(ls.values), inst.n, inst.m)
         pairs = zip(src.tolist(), dst.tolist())
     edges = tuple((ls.values[i], ls.values[j]) for i, j in pairs if i < j)
     return LevelGraph(vertices=ls.values, edges=edges)
@@ -224,13 +229,13 @@ def _rowwise_line(pi_f: Callable) -> Callable:
 
 def _statevector_feasibility(inst: ProblemInstance) -> _Evaluator:
     """The feasibility probabilities of a batch of schedules, one per row of
-    the (K, p) angle arrays, from one statevector run each."""
+    the (K, p) angle arrays, from one statevector run each under the given
+    penalty table."""
     feasible = inst.feasible_indices()
-    penalty = inst.penalty_levels.index(inst.penalty)
 
     def pi_f(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         return np.array([
-            oracle.projector_mass(oracle.simulate(inst, g, b, cost_table=penalty), feasible)
+            oracle.projector_mass(oracle.simulate(inst, g, b, inst.penalty_index), feasible)
             for g, b in zip(gammas, betas)
         ])
 
@@ -347,21 +352,27 @@ def feasibility_angle_search(
     """Seeded random-restart plus coordinate golden-section search maximizing
     the feasibility probability of the penalty-phase circuit.
 
-    The zero-angle baseline (whose feasibility mass is |L_0|/n^m) is always
-    evaluated first, so the reported optimum is never below it.  Restart
-    angles draw gamma from (0, pi/t_max] and beta from (0, 2pi) with
-    resonant values rejected.  An instance with a sector is simulated there,
-    and its refinement evaluates one angle in closed form; any other runs
-    on the statevector.  A refined point that beats the best is evaluated
-    again by the batch evaluator, uncounted, so the reported ``pi_f`` is
-    always that evaluator's value at the reported angles.
+    When L_0 is empty or holds every string, the circuit preserves the norm,
+    so pi_F = c_F (0 or 1) at every schedule: the zero schedule is returned
+    with that value exactly, after no evaluation.  Otherwise the zero-angle
+    baseline (whose feasibility mass is |L_0|/n^m) is evaluated first, so
+    the reported optimum is never below it.  Restart angles draw gamma from
+    (0, pi/t_max] and beta from (0, 2pi) with resonant values rejected.  An
+    instance with a sector is simulated there, and its refinement evaluates
+    one angle in closed form; a given penalty runs on the statevector.  A
+    refined point that beats the best is evaluated again by the batch
+    evaluator, uncounted, so the reported ``pi_f`` is always that
+    evaluator's value at the reported angles.
     """
     _check_order(p)
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
+    ls = inst.penalty_levels
+    if ls.values[0] != 0 or len(ls.values) == 1:  # L_0 empty, or every string
+        zeros = (0.0,) * p
+        return AngleSearchResult(zeros, zeros, float(ls.values[0] == 0), 0, seed)
     pi_f, line = (_statevector_feasibility(inst) if inst.sector is None
                   else _sector_feasibility(inst.sector))
-    t_max = inst.t_max()
     evaluations = 0
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -373,9 +384,9 @@ def feasibility_angle_search(
     best_x = np.zeros(2 * p)
     best = evaluate(best_x[None])[0]
 
-    if p > 0 and t_max > 0:
+    if p > 0:
         rng = np.random.default_rng(seed)
-        upper = np.array([math.pi / t_max] * p + [2.0 * math.pi] * p)
+        upper = np.array([math.pi / inst.t_max()] * p + [2.0 * math.pi] * p)
 
         # Random restarts, evaluated in batches; strict > keeps the first maximum.
         while evaluations < budget // 2:

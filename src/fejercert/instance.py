@@ -70,24 +70,6 @@ def collision_penalty(z: Sequence[int], n: int) -> int:
     return sum((c - 1) ** 2 for c in counts)
 
 
-def collision_penalty_table(n: int, m: int) -> np.ndarray:
-    """Dense collision-penalty table over [n]^m in canonical order.
-
-    As sum_k N_k = m and sum_k N_k^2 = m + 2 #{b < c : z_b = z_c}, the
-    penalty is 2 #{b < c : z_b = z_c} + n - m.  On the (n,)*m grid whose
-    axis b holds the symbol of block b, each pair of blocks adds an
-    identity matrix broadcast along its two axes.
-    """
-    pairs = np.zeros((n,) * m, dtype=np.int64)
-    same = np.eye(n, dtype=np.int64)
-    for c in range(m):
-        for b in range(c):
-            shape = [1] * m
-            shape[b] = shape[c] = n
-            pairs += same.reshape(shape)
-    return (2 * pairs + (n - m)).reshape(-1, order="F")
-
-
 def permutation_indices(n: int) -> np.ndarray:
     """Canonical indices of the n! permutations of [0, n) among the strings
     of [n]^n, ascending: the zeros of the m = n collision penalty."""
@@ -260,14 +242,16 @@ class ProblemInstance:
     the energies of the strings that leave blocks 1..m-1 at symbol 0, and
     row b > 0 the change from moving block b off symbol 0, so every partial
     sum over rows 0..b is itself an energy.  ``given_penalty`` is the
-    document's penalty table, or None for the loader's default: the
-    collision table when m = n (``default_penalty``), all-zero otherwise.
+    document's penalty table, the only penalty table, or None for the
+    loader's default: the collision penalty when m = n
+    (``default_penalty``), zero on every string otherwise.
 
-    The n**m tables ``energy`` and ``penalty`` are built on first read,
-    after n**m is checked against ``cap``; the physical energy is
-    ``lattice_scale * E(z)``.  Under the default collision penalty,
-    ``sector`` holds its orbits, their number checked against ``cap``, and
-    ``penalty_levels`` sums them, so the penalty spectrum needs no table.
+    The n**m table ``energy`` is built on first read, after n**m is checked
+    against ``cap``; the physical energy is ``lattice_scale * E(z)``.  A
+    default penalty is read from its spectrum, ``penalty_levels``: under the
+    collision penalty ``sector`` holds its orbits, their number checked
+    against ``cap``, and the levels sum them; otherwise the one level 0
+    holds all n**m strings.
     """
 
     n: int
@@ -303,17 +287,6 @@ class ProblemInstance:
             table = (row[:, None] + table).reshape(-1)
         return table
 
-    @cached_property
-    def penalty(self) -> np.ndarray:
-        """Nonnegative integer penalties in canonical order, zero exactly on
-        the feasible set L_0."""
-        if self.given_penalty is not None:
-            return self.given_penalty
-        size = self.checked_size()
-        if self.default_penalty:
-            return collision_penalty_table(self.n, self.m)
-        return np.zeros(size, dtype=np.int64)
-
     def feasible_indices(self) -> np.ndarray:
         """Canonical indices of the feasible set L_0, read-only."""
         return self._feasible
@@ -339,10 +312,18 @@ class ProblemInstance:
     @cached_property
     def penalty_levels(self) -> Levels:
         """The penalty levels of all n**m strings: summed over the orbits of
-        the sector when there is one, so no n**m table is formed."""
+        the sector when there is one, read from the given table, or the one
+        level 0 of the m != n default, so only a given penalty is a table."""
         if self.sector is not None:
             return Levels.summed(self.sector.penalties, self.sector.sizes)
-        return Levels.of(self.penalty)
+        if self.given_penalty is not None:
+            return Levels.of(self.given_penalty)
+        return Levels((0,), (self.size,))
+
+    @cached_property
+    def penalty_index(self) -> LevelIndex:
+        """The given penalty table by level, built once for its readers."""
+        return self.penalty_levels.index(self.given_penalty)
 
     @cached_property
     def levels(self) -> Levels:

@@ -23,7 +23,6 @@ import numpy as np
 from .instance import (
     DEFAULT_ENUMERATION_CAP,
     LevelIndex,
-    Levels,
     ProblemInstance,
     capped_size,
     check_phase,
@@ -125,25 +124,19 @@ def simulate(
     inst: ProblemInstance,
     gammas: Sequence[float],
     betas: Sequence[float],
-    cost_table: np.ndarray | LevelIndex | None = None,
+    cost_table: LevelIndex | None = None,
 ) -> EncodedState:
     """Alternate cost and mixer layers from the uniform initial state.
 
-    ``cost_table`` defaults to the instance energies; pass the penalty table
-    to drive the feasibility stage, or its LevelIndex to reuse one across
-    runs.  The level index is built once per call.  The state is capped like
-    the instance's tables.  Every cost phase gamma * E(z) must be finite;
-    the schedule is checked once on the level values, before the first layer.
+    ``cost_table`` defaults to the instance energies by level; pass the
+    penalty's LevelIndex to drive the feasibility stage.  The state is
+    capped like the instance's tables.  Every cost phase gamma * E(z) must
+    be finite; the schedule is checked once on the level values, before the
+    first layer.
     """
     if len(gammas) != len(betas):
         raise ValueError("gamma and beta schedules must have equal length")
-    if cost_table is None:
-        cost = inst.levels.index(inst.energy)
-    elif isinstance(cost_table, LevelIndex):
-        cost = cost_table
-    else:
-        table = np.asarray(cost_table)
-        cost = Levels.of(table).index(table)
+    cost = inst.levels.index(inst.energy) if cost_table is None else cost_table
     for gamma in gammas:
         check_phase(gamma, cost.values)
     state = initial_state(inst.n, inst.m, cap=inst.cap)

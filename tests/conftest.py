@@ -35,6 +35,24 @@ def shape_document(n, m, seed=601):
             "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (m, n)).tolist()}}
 
 
+def forbid_integer_tables(monkeypatch, size):
+    """Make numpy's array constructors fail on an integer array of ``size`` or
+    more entries, the way a dense penalty table over [n]^m is made; boolean
+    masks (np.unique and np.isin make them) and float arrays pass."""
+
+    def guarded(make):
+        def constructor(*args, **kwargs):
+            array = make(*args, **kwargs)
+            if array.size >= size and array.dtype.kind in "iu":
+                raise AssertionError(f"built an integer table of {array.size} entries")
+            return array
+        return constructor
+
+    for name in ("zeros", "ones", "full", "empty"):
+        for variant in (name, f"{name}_like"):
+            monkeypatch.setattr(np, variant, guarded(getattr(np, variant)))
+
+
 def random_envelope(rng, size):
     """Strictly positive random distribution (Dirichlet weights)."""
     return external_envelope(rng.dirichlet(np.ones(size)))

@@ -8,6 +8,11 @@ path, so they live with the tests (and only they need scipy).
   ``fejercert.serialize``;
 - ``enumerate_strings``: all n**m block strings as an (n**m, m) matrix, the
   reference for the broadcast build of the assignment energy table;
+- ``collision_penalty_table``, ``penalty_table`` and ``table_index``: the
+  dense collision-penalty table over [n]^m, an instance's penalty as an
+  n**m table (the given one, the collision table when m = n, all-zero
+  otherwise), and a table by level, the reference for the penalty spectra
+  that the runtime reads without a table;
 - ``assignment_energy_by_enumeration``: the assignment energy table as a
   float sum over every string, validated string by string, the reference
   for the O(mn) validation rule;
@@ -51,6 +56,10 @@ path, so they live with the tests (and only they need scipy).
 - ``relabel_pair_counts``: the count of every ordered single-block relabel
   pair between classes of strings, over all n**m strings, the reference
   for the orbit pair counts of the sector summed by level;
+- ``feasibility_document_by_table``: the ``feasibility`` document read from
+  the dense penalty table, with the gap scanned string by string and the
+  search's ``pi_f`` at the zero schedule on the statevector, the reference
+  for the documents of the penalty spectra that need no table;
 - ``sector_by_enumeration``: the invariant-sector orbits and generators
   found by enumerating all n**m strings and their relabel pairs, the
   reference for the combinatorial sector build;
@@ -92,6 +101,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from fejercert.feasibility import sector_mixer
 from fejercert.fejer import fejer_kernel, offpeak_bound
@@ -103,6 +114,8 @@ from fejercert.instance import (
     _to_integers,
     check_phase,
     circular_distance,
+    LevelIndex,
+    Levels,
     collision_penalty,
     invariant_sector_basis,
     wrap_angle,
@@ -115,6 +128,7 @@ from fejercert.oracle import (
     check_norm,
     initial_state,
 )
+from fejercert.planner import ratio_bounds, ratio_parameter
 from fejercert.rl import DitherWindow
 
 LIE_CLOSURE_TOL = 1e-9
@@ -147,6 +161,40 @@ def enumerate_strings(n: int, m: int) -> np.ndarray:
     """All block strings in canonical order, shape (n**m, m)."""
     idx = np.arange(n**m)
     return np.stack([(idx // n**b) % n for b in range(m)], axis=1)
+
+
+def collision_penalty_table(n: int, m: int) -> np.ndarray:
+    """Dense collision-penalty table over [n]^m in canonical order.
+
+    As sum_k N_k = m and sum_k N_k^2 = m + 2 #{b < c : z_b = z_c}, the
+    penalty is 2 #{b < c : z_b = z_c} + n - m.  On the (n,)*m grid whose
+    axis b holds the symbol of block b, each pair of blocks adds an
+    identity matrix broadcast along its two axes.
+    """
+    pairs = np.zeros((n,) * m, dtype=np.int64)
+    same = np.eye(n, dtype=np.int64)
+    for c in range(m):
+        for b in range(c):
+            shape = [1] * m
+            shape[b] = shape[c] = n
+            pairs += same.reshape(shape)
+    return (2 * pairs + (n - m)).reshape(-1, order="F")
+
+
+def penalty_table(inst: ProblemInstance) -> np.ndarray:
+    """The instance's penalty over all n**m strings in canonical order, zero
+    exactly on the feasible set L_0."""
+    if inst.given_penalty is not None:
+        return inst.given_penalty
+    size = inst.checked_size()
+    if inst.default_penalty:
+        return collision_penalty_table(inst.n, inst.m)
+    return np.zeros(size, dtype=np.int64)
+
+
+def table_index(table: np.ndarray) -> LevelIndex:
+    """A table over strings by level, for ``oracle.simulate``'s cost."""
+    return Levels.of(table).index(table)
 
 
 def assignment_energy_by_enumeration(cost: np.ndarray, lattice_scale: float) -> np.ndarray:
@@ -326,7 +374,7 @@ def phase_gap_per_string(
     if scope is GapScope.ALL_STRINGS:
         scope_idx = np.arange(inst.size)
     else:
-        scope_idx = np.flatnonzero(inst.penalty == 0)
+        scope_idx = np.flatnonzero(penalty_table(inst) == 0)
     in_omega = np.zeros(inst.size, dtype=bool)
     in_omega[omega_star] = True
     non_opt = scope_idx[~in_omega[scope_idx]]
@@ -383,7 +431,7 @@ def energy_gap_per_string(inst: ProblemInstance) -> float:
 def _optimum_per_string(inst: ProblemInstance) -> tuple:
     """E* as the minimum feasible energy, and the feasible strings at E*,
     read from the penalty table."""
-    feasible = np.flatnonzero(inst.penalty == 0)
+    feasible = np.flatnonzero(penalty_table(inst) == 0)
     e_star = int(inst.energy[feasible].min())
     return e_star, feasible[inst.energy[feasible] == e_star]
 
@@ -536,6 +584,52 @@ def relabel_pair_counts(labels: np.ndarray, k: int, n: int, m: int) -> tuple:
     total = np.bincount(inverse.reshape(-1), weights=np.concatenate(counts)).astype(np.int64)
     src, dst = np.divmod(pairs, k)
     return src, dst, total
+
+
+def feasibility_document_by_table(
+    inst: ProblemInstance, gamma: float, p: int, seed: int
+) -> dict:
+    """The ``feasibility`` document of an instance, read from its dense
+    penalty table: the levels by ``Levels.of``, the edges from the relabel
+    pair counts, the gap and c_F string by string, and the search's
+    ``pi_f`` at the zero schedule from one statevector run.  The search
+    reports the zero schedule, so ``evaluations`` is left None."""
+    table = penalty_table(inst)
+    ls = Levels.of(table)
+    rank = np.searchsorted(ls.values, table)
+    src, dst, _ = relabel_pair_counts(rank, len(ls.values), inst.n, inst.m)
+    edges = [[ls.values[i], ls.values[j]] for i, j in zip(src.tolist(), dst.tolist()) if i < j]
+    graph = coo_array((np.ones(src.size), (src, dst)), shape=(len(ls.values),) * 2)
+    dist = circular_distance(wrap_angle(gamma * table[table > 0].astype(float)), 0.0)
+    delta = float(dist.min(initial=math.pi))
+    collided = delta < PHASE_COLLISION_TOL
+    delta = 0.0 if collided else delta
+    feasible = np.flatnonzero(table == 0)
+    c_f = feasible.size / inst.size
+    bounds = None
+    if delta > 0.0 and c_f > 0.0:
+        bounds = {}
+        for q in (1, 2):
+            x = ratio_parameter(q, delta, c_f)
+            bounds[f"p{q}"] = {"x_f": x, **ratio_bounds(x, c_f)._asdict()}
+    state = simulate_reference(inst, [0.0] * p, [0.0] * p, cost_table=table)
+    t_max = int(table.max())
+    return {
+        "command": "feasibility",
+        "gamma": gamma,
+        "levels": {str(t): c for t, c in zip(ls.values, ls.counts)},
+        "graph": {"vertices": list(ls.values), "edges": edges},
+        "connected": connected_components(graph, directed=False)[0] == 1,
+        "delta_f": delta,
+        "aliasing": t_max > 0 and gamma > math.pi / t_max + 1e-15,
+        "collided": collided,
+        "c_f": c_f,
+        "bounds": bounds,
+        "search": {"gammas": [0.0] * p, "betas": [0.0] * p,
+                   "pi_f": float((np.abs(state.amplitudes[feasible]) ** 2).sum()),
+                   "evaluations": None, "seed": seed},
+        "seed": seed,
+    }
 
 
 def sector_by_enumeration(n: int, m: int) -> tuple:

@@ -29,6 +29,7 @@ from oracles import (
     denominator_form_bound,
     dirichlet_filter_oracle,
     lattice_success_bound,
+    penalty_table,
 )
 from fejercert import (
     GapScope,
@@ -221,7 +222,7 @@ def test_criterion_07_feasibility_machinery():
         env = random_envelope(rng, inst.size)
         c_f = float(env.probs[inst.feasible_indices()].sum())
         for p, prefactor in ((1, 4.0), (2, 9.0)):
-            weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
+            weights = env.probs * fejer_kernel(p, gamma * penalty_table(inst).astype(float))
             exact = float(weights[inst.feasible_indices()].sum() / weights.sum())
             # the document's bounds.pK entry, as feasibility builds it
             x_f = ratio_parameter(p, sep.delta, c_f)

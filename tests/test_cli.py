@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from fejercert import (
     cli,
-    collision_penalty_table,
     feasibility,
     instance,
     load_instance,
@@ -29,13 +28,17 @@ from fejercert import (
 )
 from fejercert.cli import main
 from fejercert.serialize import load_schema
-from conftest import shape_document
+from conftest import forbid_integer_tables, shape_document
 from oracles import (
+    collision_penalty_table,
     denominator_form_bound,
+    feasibility_document_by_table,
     format_string,
     index_string,
     lattice_success_bound,
+    penalty_table,
     phase_gap_per_string,
+    table_index,
 )
 
 
@@ -130,6 +133,21 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["c_beta"] == pytest.approx(0.8)
         assert doc["envelope_source"] == "external"
+
+    def test_zero_mass_envelope_is_uncertifiable(self, tmp_path):
+        """An envelope with no mass on Omega* gives q0_bound 0, which
+        certifies nothing, and the run emits no Python warning."""
+        inst = write_instance(tmp_path / "i.json", {"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
+        env = write_instance(tmp_path / "env.json", [0.5, 0, 0, 0.5])
+        out = tmp_path / "cert.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["certify", "--instance", inst, "--gamma", "0.5", "-p", "2",
+                        "--envelope", env, "-o", str(out)])
+        doc = json.loads(out.read_text())
+        assert code == 3
+        assert (doc["status"], doc["c_beta"], doc["q0_bound"], doc["shots"]) == (
+            "uncertifiable", 0.0, 0.0, None)
 
     def test_degrees_flag(self, toy_instance, tmp_path):
         out = tmp_path / "cert.json"
@@ -231,7 +249,8 @@ class TestCertify:
 
 class TestCertifyWithoutPenaltyTable:
     """Under the default m = n collision penalty the feasible set is the
-    permutations, so no certify run builds the n**m penalty table."""
+    permutations, so no certify run builds an n**m penalty table: no integer
+    array of n**m entries comes from a numpy constructor."""
 
     # off-diagonal costs are positive, so the identity is the one optimum
     DOC = {"n": 4, "m": 4, "generator": {"kind": "assignment", "cost": [
@@ -244,7 +263,7 @@ class TestCertifyWithoutPenaltyTable:
         path = write_instance(tmp_path / "square.json", self.DOC)
         out = tmp_path / "cert.json"
         with monkeypatch.context() as patch:
-            patch.setattr(instance, "collision_penalty_table", _unexpected)
+            forbid_integer_tables(patch, 4**4)
             code = run(["certify", "--instance", path, "--gamma", repr(gamma), "-p", "3",
                         "--scope", scope, "-o", str(out)])
         doc = json.loads(out.read_text())
@@ -549,10 +568,14 @@ class TestFeasibilityRoute:
         cost = [[(3 * i + 5 * j) % 7 for j in range(n)] for i in range(n)]
         return {"n": n, "m": n, "generator": {"kind": "assignment", "cost": cost}}
 
-    def run_without(self, monkeypatch, names, path, out):
+    def run_without(self, monkeypatch, names, path, out, table=None):
+        """Run with ``names`` patched to fail, and with no integer array of
+        ``table`` entries from a numpy constructor when ``table`` is given."""
         with monkeypatch.context() as patch:
             for module, name in names:
                 patch.setattr(module, name, _unexpected)
+            if table is not None:
+                forbid_integer_tables(patch, table)
             assert run(self.ARGV + ["--instance", path, "-o", str(out)]) == 0
         return json.loads(out.read_text())
 
@@ -564,9 +587,8 @@ class TestFeasibilityRoute:
                                   {**doc, "penalty": collision_penalty_table(n, n).tolist()})
         # the sector run forms no n**m table and runs no statevector
         sector = self.run_without(monkeypatch, [(oracle, "simulate"),
-                                                (instance, "collision_penalty_table"),
                                                 (feasibility, "_relabel_pairs")],
-                                  default, tmp_path / "sector.json")
+                                  default, tmp_path / "sector.json", table=n**n)
         statevector = self.run_without(monkeypatch, [(instance, "invariant_sector_basis")],
                                        explicit, tmp_path / "statevector.json")
         sector_pi_f = sector["search"].pop("pi_f")
@@ -613,6 +635,17 @@ class TestFeasibilityRoute:
         assert run(argv + ["--instance", inst, "-o", str(tmp_path / "feas.json")]) == 0
         assert calls == {"basis": 1, "pairs": 1}
 
+    def test_one_penalty_index_per_run(self, tmp_path, monkeypatch):
+        # the level graph and the statevector search read one index of the given table
+        calls = []
+        index = instance.Levels.index
+        monkeypatch.setattr(instance.Levels, "index",
+                            lambda ls, table: calls.append(1) or index(ls, table))
+        doc = {**self.square_doc(3), "penalty": collision_penalty_table(3, 3).tolist()}
+        assert run(self.ARGV + ["--instance", write_instance(tmp_path / "i.json", doc),
+                                "-o", str(tmp_path / "feas.json")]) == 0
+        assert len(calls) == 1
+
     def test_other_user_penalty_uses_statevector(self, tmp_path, monkeypatch):
         doc = {**self.square_doc(3), "penalty": (2 * collision_penalty_table(3, 3)).tolist()}
         report = self.run_without(monkeypatch, [(instance, "invariant_sector_basis")],
@@ -628,8 +661,9 @@ SIX = {"n": 6, "m": 6, "generator": {"kind": "assignment",
 
 class TestCapOnEveryPath:
     """--cap bounds the largest table a path allocates: n**m on the dense
-    paths, the orbit-sector dimension on the default-penalty feasibility
-    path.  A 6x6 instance (46656 strings) under the default cap of 4096."""
+    paths, the orbit-sector dimension on the m = n default-penalty
+    feasibility path, and none under the m != n default penalty.  A 6x6
+    instance (46656 strings) under the default cap of 4096."""
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--gamma", "0.3", "-p", "2"],
@@ -652,17 +686,23 @@ class TestCapOnEveryPath:
         assert "n**m = 6**6 exceeds enumeration cap 4096" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "six.json"]
 
-    @pytest.mark.parametrize("doc", [
-        {**SIX, "penalty": [0] * 6**6},
-        {"n": 6, "m": 7, "generator": {"kind": "assignment", "cost": [[0] * 6] * 7}},
+    @pytest.mark.parametrize("doc, code", [
+        ({**SIX, "penalty": [0] * 6**6}, 4),
+        # the m != n default penalty is one level, read without a table
+        ({"n": 6, "m": 7, "generator": {"kind": "assignment", "cost": [[0] * 6] * 7}}, 0),
     ], ids=["document_penalty", "non_square"])
     @pytest.mark.parametrize("search", [[], ["--no-search"]], ids=["search", "no_search"])
-    def test_dense_feasibility_exits_4(self, doc, search, tmp_path, capsys):
+    def test_dense_feasibility_exits_4(self, doc, code, search, tmp_path, capsys):
+        """A penalty table in the document exits 4 past the cap; the m != n
+        default penalty has no table, so it runs."""
         out = tmp_path / "feas.json"
         assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
-                    "--gamma", "0.1", *search, "-o", str(out)]) == 4
-        assert "exceeds enumeration cap 4096" in capsys.readouterr().err
-        assert not out.exists()
+                    "--gamma", "0.1", *search, "-o", str(out)]) == code
+        if code == 4:
+            assert "exceeds enumeration cap 4096" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads(out.read_text())["levels"] == {"0": 6**7}
 
     def test_default_penalty_feasibility_runs_past_cap(self, tmp_path):
         out = tmp_path / "feas.json"
@@ -682,6 +722,101 @@ class TestCapOnEveryPath:
         if code == 4:
             assert "sector dimension" in capsys.readouterr().err
             assert not out.exists()
+
+
+def _generator_doc(n, m, **extra):
+    rng = np.random.default_rng([32, n, m])
+    return {"n": n, "m": m, **extra,
+            "generator": {"kind": "assignment", "cost": rng.integers(0, 10, (m, n)).tolist()}}
+
+
+class TestSpectrumFixesFeasibility:
+    """Where L_0 holds every string (the m != n default penalty, or a given
+    all-zero one) or no string (a given penalty without a zero), the circuit
+    keeps pi_F = c_F at every schedule: the document reads the spectrum and
+    equals the one read from the dense table, with no search evaluation."""
+
+    CASES = [pytest.param(_generator_doc(n, m), id=f"default_{n}x{m}")
+             for n, m in [(3, 1), (2, 3), (3, 2), (7, 2), (10, 3), (16, 3)]] + [
+        pytest.param(_generator_doc(3, 3, penalty=[0] * 27), id="all_zero_3x3"),
+        pytest.param(_generator_doc(3, 2, penalty=[0] * 9), id="all_zero_3x2"),
+        pytest.param(_generator_doc(2, 3, penalty=[1 + i % 3 for i in range(8)]),
+                     id="no_zero_2x3"),
+        pytest.param(_generator_doc(3, 3, penalty=[2 + (i * i) % 5 for i in range(27)]),
+                     id="no_zero_3x3"),
+    ]
+
+    # at pi the no-zero penalties collide at level 2 and alias
+    @pytest.mark.parametrize("gamma", [0.1, math.pi], ids=["gamma0.1", "gamma_pi"])
+    @pytest.mark.parametrize("doc", CASES)
+    def test_document_matches_dense_table(self, doc, gamma, tmp_path, monkeypatch):
+        expected = feasibility_document_by_table(load_instance(doc), gamma, 2, 7)
+        out = tmp_path / "feas.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "simulate", _unexpected)
+            if len(expected["levels"]) == 1:  # a single level has no edge to scan for
+                patch.setattr(feasibility, "_relabel_pairs", _unexpected)
+            code = run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                        "--gamma", repr(gamma), "--seed", "7", "-o", str(out)])
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, load_schema("feasibility_report"))
+        assert code == (3 if expected["collided"] else 0)
+        assert report["search"].pop("evaluations") == 0
+        assert expected["search"].pop("evaluations") is None
+        assert abs(report["search"].pop("pi_f") - expected["search"].pop("pi_f")) <= 1e-12
+        assert report == expected
+
+    @pytest.mark.parametrize("doc", CASES)
+    def test_any_schedule_keeps_c_f(self, doc):
+        """The reason no search runs: pi_F on the statevector equals c_F at
+        random schedules."""
+        inst = load_instance(doc)
+        table = penalty_table(inst)
+        feasible = np.flatnonzero(table == 0)
+        rng = np.random.default_rng(inst.size)
+        for _ in range(3):
+            gammas, betas = rng.uniform(0.0, 3.0, size=2), rng.uniform(0.0, 6.0, size=2)
+            state = oracle.simulate(inst, gammas, betas, cost_table=table_index(table))
+            assert abs(oracle.projector_mass(state, feasible) - feasible.size / inst.size) <= 1e-12
+
+    def test_ten_by_six_without_table(self, tmp_path):
+        """10**6 strings under the default cap of 4096, in well under 1 MB."""
+        path = write_instance(tmp_path / "i.json", _generator_doc(10, 6))
+        out = tmp_path / "feas.json"
+        tracemalloc.start()
+        try:
+            code = run(["feasibility", "--instance", path, "--gamma", "0.1", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(out.read_text())
+        assert code == 0 and peak < 2**20
+        assert report["levels"] == {"0": 10**6}
+        assert report["graph"] == {"vertices": [0], "edges": []}
+        assert (report["delta_f"], report["c_f"]) == (math.pi, 1.0)
+        assert report["search"] == {"gammas": [0.0, 0.0], "betas": [0.0, 0.0], "pi_f": 1.0,
+                                    "evaluations": 0, "seed": 0}
+
+    def test_no_zero_six_by_six_runs_no_statevector(self, tmp_path, monkeypatch):
+        doc = {**SIX, "penalty": [1 + i % 4 for i in range(6**6)]}
+        out = tmp_path / "feas.json"
+        monkeypatch.setattr(oracle, "simulate", _unexpected)
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                    "--gamma", "0.1", "--cap", str(6**6), "-o", str(out)]) == 0
+        search = json.loads(out.read_text())["search"]
+        assert (search["pi_f"], search["evaluations"]) == (0.0, 0)
+
+    @pytest.mark.parametrize("search", [[], ["--no-search"]], ids=["search", "no_search"])
+    def test_count_past_int_str_limit_exits_2(self, search, tmp_path, capsys):
+        """10**5000 strings: the count has 5001 digits, past the limit of
+        Python's int-to-str conversion, so the document cannot be written."""
+        doc = {"n": 10, "m": 5000, "generator": {"kind": "assignment", "cost": [[0] * 10] * 5000}}
+        out = tmp_path / "feas.json"
+        assert run(["feasibility", "--instance", write_instance(tmp_path / "i.json", doc),
+                    "--gamma", "0.1", *search, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSeedRule:

@@ -9,18 +9,20 @@ import pytest
 
 from conftest import random_envelope
 from oracles import (
+    collision_penalty_table,
     invariant_sector_generators,
     lattice_success_bound,
     lie_closure_dim,
+    penalty_table,
     relabel_pair_counts,
     sector_by_enumeration,
     sector_feasibility_rowwise,
     sector_pair_counts_by_index,
+    table_index,
 )
 from fejercert import (
     CapExceededError,
     collision_penalty,
-    collision_penalty_table,
     feasibility,
     load_instance,
     oracle,
@@ -65,7 +67,7 @@ def explicit_penalty_instance(n):
 def level_pair_counts(inst, ls):
     """The relabel pair counts between the penalty levels ``ls`` of an
     instance, {(t, t'): count}, by the counting oracle over all n**m strings."""
-    rank = np.searchsorted(ls.values, inst.penalty)
+    rank = np.searchsorted(ls.values, penalty_table(inst))
     src, dst, counts = relabel_pair_counts(rank, len(ls.values), inst.n, inst.m)
     return {(ls.values[i], ls.values[j]): c
             for i, j, c in zip(src.tolist(), dst.tolist(), counts.tolist())}
@@ -151,8 +153,9 @@ class TestLevelGraph:
         ls = level_sets(inst)
         g = level_graph(inst, ls)
         index = {z: i for i, z in enumerate(canonical_strings(n, m))}
-        counts = brute_relabel_pairs(n, m, lambda z: int(inst.penalty[index[z]]))
-        sizes = collections.Counter(int(t) for t in inst.penalty)
+        table = penalty_table(inst)
+        counts = brute_relabel_pairs(n, m, lambda z: int(table[index[z]]))
+        sizes = collections.Counter(int(t) for t in table)
         edges = tuple(sorted(k for k, c in counts.items() if k[0] < k[1] and c > 0))
         assert g.vertices == tuple(sorted(sizes))
         assert g.edges == edges
@@ -271,7 +274,7 @@ class TestFeasibilityBound:
             gamma = 0.9 * math.pi / ls.values[-1]
             sep = delta_feasible(gamma, ls)
             env = random_envelope(rng, inst.size)
-            weights = env.probs * fejer_kernel(p, gamma * inst.penalty.astype(float))
+            weights = env.probs * fejer_kernel(p, gamma * penalty_table(inst).astype(float))
             exact = weights[inst.feasible_indices()].sum() / weights.sum()
             c_f = env.probs[inst.feasible_indices()].sum()
             fb = feasibility_bound(p, c_f, sep.delta)
@@ -344,14 +347,16 @@ class TestSectorAgreement:
     def test_pi_f_matches_statevector(self, n):
         inst = assignment_instance(n)
         pi_f, _ = _sector_feasibility(inst.sector)
-        assert inst.t_max() == int(inst.penalty.max())
+        table = penalty_table(inst)
+        assert inst.t_max() == int(table.max())
+        cost = table_index(table)
         rng = np.random.default_rng(900 + n)
         for p in range(4):
             schedules = [(rng.uniform(-math.pi, math.pi, size=p),
                           rng.uniform(0.0, 2.0 * math.pi, size=p)) for _ in range(20)]
             gammas, betas = (np.array(angles).reshape(20, p) for angles in zip(*schedules))
             for (g, b), value in zip(schedules, pi_f(gammas, betas)):
-                state = oracle.simulate(inst, g, b, cost_table=inst.penalty)
+                state = oracle.simulate(inst, g, b, cost_table=cost)
                 expected = oracle.projector_mass(state, inst.feasible_indices())
                 assert abs(value - expected) <= 1e-12
 
@@ -364,7 +369,7 @@ class TestSectorAgreement:
         sector_ls = level_sets(sector_inst)
         sector_graph = level_graph(sector_inst, sector_ls)
         # sector and dense Levels agree exactly, counts as Python ints
-        assert sector_ls == ls == Levels.of(inst.penalty)
+        assert sector_ls == ls == Levels.of(penalty_table(inst))
         assert sector_graph.vertices == graph.vertices
         assert sector_graph.edges == graph.edges
         # the orbit pair counts summed by level are the string pair counts
@@ -418,6 +423,7 @@ class TestSectorAgreement:
         t_max = max(basis.penalties)
         rowwise = sector_feasibility_rowwise(n, n)
         inst = assignment_instance(n) if n <= 5 else None
+        cost = table_index(penalty_table(inst)) if inst is not None else None
         rng = np.random.default_rng(1100 + n)
         for p in range(1, 4):
             upper = [math.pi / t_max] * p + [2.0 * math.pi] * p
@@ -432,7 +438,7 @@ class TestSectorAgreement:
                         assert abs(value - pi_f(y[None, :p], y[None, p:])[0]) <= 1e-12
                         assert abs(value - rowwise(y[:p], y[p:])) <= 1e-12
                         if inst is not None:
-                            state = oracle.simulate(inst, y[:p], y[p:], cost_table=inst.penalty)
+                            state = oracle.simulate(inst, y[:p], y[p:], cost_table=cost)
                             expected = oracle.projector_mass(state, inst.feasible_indices())
                             assert abs(value - expected) <= 1e-12
 
@@ -620,7 +626,7 @@ class TestStatevectorEvaluator:
         assert len(calls) == 1
         monkeypatch.setattr(Levels, "index", index)
         for g, b, value in zip(gammas, betas, values):
-            state = oracle.simulate(inst, g, b, cost_table=inst.penalty)
+            state = oracle.simulate(inst, g, b, cost_table=table_index(penalty_table(inst)))
             assert value == oracle.projector_mass(state, inst.feasible_indices())
 
 

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forbid_integer_tables
 from oracles import (
     assignment_energy_by_enumeration,
+    collision_penalty_table,
     energy_gap_per_string,
     enumerate_strings,
     index_string,
     _optimum_per_string,
+    penalty_table,
     phase_gap_per_string,
     string_index,
 )
@@ -20,7 +23,6 @@ from fejercert import (
     GapScope,
     InstanceFormatError,
     collision_penalty,
-    collision_penalty_table,
     load_instance,
     phase_gap,
     wrap_angle,
@@ -83,7 +85,7 @@ class TestLoadInstance:
 
     def test_default_penalty_assignment_case(self):
         inst = load_instance({"n": 2, "m": 2, "energy": [0, 0, 0, 0]})
-        assert list(inst.penalty) == list(collision_penalty_table(2, 2))
+        assert inst.penalty_levels == Levels.of(collision_penalty_table(2, 2))
 
     def test_default_penalty_non_square_is_feasible(self):
         inst = load_instance({"n": 2, "m": 3, "energy": [0] * 8})
@@ -119,7 +121,7 @@ class TestLoadInstance:
         assert inst.feasible_indices() is feasible
         assert len(scans) == 1
         assert not feasible.flags.writeable
-        assert feasible.tolist() == [i for i in range(27) if inst.penalty[i] == 0]
+        assert feasible.tolist() == [i for i, t in enumerate(penalty_table(inst)) if t == 0]
 
     def test_empty_feasible_set_has_no_optimum(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1], "penalty": [1, 2]})
@@ -203,15 +205,16 @@ class TestLazyTables:
         doc = _assignment([[(3 * i + j) % 10 for j in range(16)] for i in range(16)])
         inst = load_instance(doc)
         assert inst.size == 16**16 and inst.default_penalty
-        for table in ("energy", "penalty"):
-            with pytest.raises(CapExceededError, match="n\\*\\*m = 16\\*\\*16"):
-                getattr(inst, table)
+        with pytest.raises(CapExceededError, match="n\\*\\*m = 16\\*\\*16"):
+            inst.energy
+        # the penalty has no table: its spectrum sums the 231 orbits
+        assert sum(inst.penalty_levels.counts) == 16**16
 
     @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2)])
     def test_default_penalty_built_on_read(self, n, m):
         inst = load_instance(_assignment([[0] * n] * m))
         expected = collision_penalty_table(n, m) if m == n else np.zeros(n**m, dtype=np.int64)
-        assert np.array_equal(inst.penalty, expected) and inst.penalty.dtype == np.int64
+        assert inst.penalty_levels == Levels.of(expected)
 
     def test_dense_tables_capped_at_load(self):
         with pytest.raises(CapExceededError):
@@ -221,15 +224,15 @@ class TestLazyTables:
 class TestPenalty:
     def test_permutation_is_feasible(self):
         inst = load_instance({"n": 3, "m": 3, "energy": [0] * 27})
-        assert inst.penalty[string_index((0, 1, 2), inst.n)] == 0
+        assert penalty_table(inst)[string_index((0, 1, 2), inst.n)] == 0
 
     def test_collision_counts(self):
         inst = load_instance({"n": 3, "m": 3, "energy": [0] * 27})
-        assert inst.penalty[string_index((0, 0, 1), inst.n)] == 2
+        assert penalty_table(inst)[string_index((0, 0, 1), inst.n)] == 2
 
     def test_two_block_collision(self):
         inst = load_instance({"n": 2, "m": 2, "energy": [0] * 4})
-        assert inst.penalty[string_index((0, 0), inst.n)] == 2
+        assert penalty_table(inst)[string_index((0, 0), inst.n)] == 2
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 2), (3, 3), (2, 4), (4, 2), (3, 5),
                                      (5, 5)])
@@ -257,17 +260,18 @@ class TestPenalty:
         doc = _assignment([[(3 * i + 5 * j) % 7 for j in range(5)] for i in range(5)])
         expected = np.flatnonzero(collision_penalty_table(5, 5) == 0)
         inst = load_instance(doc)
-        monkeypatch.setattr(instance_module, "collision_penalty_table", _unexpected)
+        forbid_integer_tables(monkeypatch, 5**5)
         assert np.array_equal(inst.feasible_indices(), expected)
         assert inst.feasible_levels == Levels.of(inst.energy[expected])
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 1), (16, 2), (1, 4)])
     def test_default_non_square_feasible_set_is_every_string(self, n, m, monkeypatch):
         inst = load_instance({"n": n, "m": m, "energy": [(7 * i) % 5 for i in range(n**m)]})
-        monkeypatch.setattr(instance_module, "collision_penalty_table", _unexpected)
+        forbid_integer_tables(monkeypatch, n**m)
         monkeypatch.setattr(np, "flatnonzero", _unexpected)
         assert np.array_equal(inst.feasible_indices(), np.arange(n**m))
         assert inst.feasible_levels is inst.levels
+        assert inst.penalty_levels == Levels((0,), (n**m,))
 
     @pytest.mark.parametrize("doc", [
         {"n": 3, "m": 3, "energy": [(5 * i) % 7 for i in range(27)],
@@ -506,7 +510,7 @@ class TestSharedGap:
         strings = np.ones(inst.size, dtype=bool)
         strings[omega] = False
         if scope is GapScope.FEASIBLE_ONLY:
-            strings &= inst.penalty == 0
+            strings &= penalty_table(inst) == 0
         values = np.array(inst.levels.values)
         assert values[inst.gap_levels(scope)].tolist() == np.unique(
             inst.energy[strings]).tolist()

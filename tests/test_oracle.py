@@ -13,13 +13,15 @@ from oracles import (
     apply_cost_per_string,
     apply_mixer_allocating,
     block_unitary_expm,
+    collision_penalty_table,
     dephased_reference,
     dirichlet_filter_oracle,
     index_string,
+    penalty_table,
     simulate_reference,
+    table_index,
 )
 from fejercert import (
-    collision_penalty_table,
     external_envelope,
     filtered_distribution,
     load_instance,
@@ -184,17 +186,18 @@ class TestSimulate:
 
     def test_penalty_cost_table(self):
         inst = load_instance({"n": 2, "m": 2, "energy": [5, 7, 1, 3]})
-        state = simulate(inst, [0.4], [0.9], cost_table=inst.penalty)
+        state = simulate(inst, [0.4], [0.9], cost_table=table_index(penalty_table(inst)))
         feasible = inst.feasible_indices()
         assert 0.0 <= projector_mass(state, feasible) <= 1.0
 
     def test_level_index_reused_across_runs(self, rng):
         inst = random_instance(rng, n=3, m=3)
-        cost = inst.penalty_levels.index(inst.penalty)
+        table = penalty_table(inst)
+        cost = table_index(table)
         for _ in range(3):
             gammas, betas = rng.uniform(0, 2, size=2), rng.uniform(0, 3, size=2)
             reused = simulate(inst, gammas, betas, cost_table=cost)
-            fresh = simulate(inst, gammas, betas, cost_table=inst.penalty)
+            fresh = simulate(inst, gammas, betas, cost_table=table_index(table))
             assert reused.amplitudes.tobytes() == fresh.amplitudes.tobytes()
 
     def test_non_finite_phase_rejected_before_any_layer(self):
@@ -209,7 +212,7 @@ class TestSimulate:
         # starts to swap the operands of an operator product
         inst = _seeded_instance(*shape)
         table = None if cost == "energy" else collision_penalty_table(*shape)
-        state = simulate(inst, *SCHEDULE, cost_table=table)
+        state = simulate(inst, *SCHEDULE, cost_table=None if table is None else table_index(table))
         reference = simulate_reference(inst, *SCHEDULE, cost_table=table)
         assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
 
