@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -210,9 +210,10 @@ def _certificate_document(
     envelope_source=None,
 ) -> dict:
     """The certificate document of ``certify`` and ``plan``; fields that need
-    an instance are null unless given."""
+    an instance are null unless given, and so are the shots of x = 0."""
     return {
         **dataclasses.asdict(cert),
+        "shots": None if cert.shots == math.inf else cert.shots,
         "command": command,
         "status": status,
         "regime": cert.regime.value,
@@ -355,7 +356,7 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     document = {
         "command": "feasibility",
         "gamma": args.gamma,
-        "levels": {str(t): size for t, size in zip(ls.values, ls.counts)},
+        "levels": {str(t): _writable_count(t, size) for t, size in zip(ls.values, ls.counts)},
         "graph": {
             "vertices": list(graph.vertices),
             "edges": [list(edge) for edge in graph.edges],
@@ -371,6 +372,18 @@ def _cmd_feasibility(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
     }
     code = EXIT_UNCERTIFIABLE if sep.collided else EXIT_OK
     return code, [(args.output, serialize.dumps_json(document))]
+
+
+def _writable_count(level, count: int) -> int:
+    """A level count within Python's int-to-str limit, so a document can hold it."""
+    try:
+        str(count)
+        return count
+    except ValueError:
+        digits = math.floor(math.log10(count)) + 1
+        digits += (count >= 10**digits) - (count < 10 ** (digits - 1))  # log10 rounds
+        raise ValueError(f"the `levels` count of level {level} has {digits} digits, past the "
+                         f"{sys.get_int_max_str_digits()}-digit limit on writing it") from None
 
 
 def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
@@ -393,13 +406,13 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         "samples": args.samples,
         "seed": args.seed,
         "pooled": args.pooled,
-        "g": gap,
+        "g": None if gap == math.inf else gap,  # every string is optimal
         "mbar_exact": mbar.exact,
         "mbar_log": mbar.log_form,
         "bound": bound,
         # a level's mass and its normalizer are rounded apart, so the ratio
-        # can exceed 1 by an ulp
-        "success_mass": min(1.0, max(0.0, law.success_mass)),
+        # can exceed 1 by an ulp; a NaN is kept
+        "success_mass": 1.0 if 1.0 < law.success_mass < math.inf else law.success_mass,
         "success_stderr": law.success_stderr,
     }
     outputs = [(args.output, serialize.dumps_json(document))]
@@ -452,6 +465,9 @@ def main(argv=None) -> int:
     try:
         if "seed" in args and not 0 <= args.seed < 2**63:
             raise ValueError(f"--seed {args.seed} must lie in [0, 2**63)")
+        law_output = getattr(args, "law_output", None)
+        if law_output is not None and Path(law_output).resolve() == Path(args.output).resolve():
+            raise ValueError(f"--law-output and --output name the same file: {law_output}")
         if "instance" in args:
             inst = load_instance_file(args.instance, cap=args.cap)
             if args.command != "feasibility":  # it bounds its own tables
@@ -465,7 +481,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, MemoryError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -3,17 +3,18 @@ writes, and access to the shipped JSON schemas.
 
 Identical inputs must produce byte-identical files: JSON is dumped with
 sorted keys and repr-roundtrip floats, CSV uses repr floats, LF endings, and
-a header row.  Non-finite floats are mapped to null (JSON has no inf).
+a header row.  Documents hold JSON values only: `shots` is null when x = 0
+and `rl`'s `g` is null when every string is optimal, and any other
+non-finite value raises ValueError, which the command line exits 2 on.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -26,40 +27,13 @@ _JSON_RUN = 1024
 _DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
 
 
-def json_safe(value):
-    """Recursively convert numpy scalars/arrays and non-finite floats into
-    JSON-serializable values."""
-    # exact JSON types return first: the Mapping test below is an ABC lookup
-    kind = type(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if kind is float:
-        return value if math.isfinite(value) else None
-    if isinstance(value, Mapping):
-        return {str(k): json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and np.isfinite(value).all():
-            return value.tolist()
-        return [json_safe(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def dumps_json(obj) -> str:
-    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
-            and obj.size and np.isfinite(obj).all()):
+    if isinstance(obj, np.ndarray):
+        if not (obj.dtype == np.float64 and obj.ndim == 1 and obj.size and np.isfinite(obj).all()):
+            raise ValueError("an array document must be a nonempty vector of finite floats")
         # the layout of json.dumps(..., indent=2), whose indenting encoder is pure Python
         return "[\n  " + ",\n  ".join(chain.from_iterable(_float_reprs(obj, _JSON_RUN))) + "\n]\n"
-    return json.dumps(json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

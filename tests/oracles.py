@@ -78,9 +78,6 @@ path, so they live with the tests (and only they need scipy).
 - ``apply_block_kernel_tensordot``: the m-fold kernel applied one block
   axis at a time through ``np.tensordot``, the bit-for-bit reference for
   the direct products of ``fejercert.mixer.apply_block_kernel``;
-- ``json_safe_generic``: the JSON conversion through the generic type chain
-  alone, the reference for the exact-type early returns of
-  ``fejercert.serialize.json_safe``;
 - ``apply_cost_per_string``, ``apply_mixer_allocating`` and
   ``simulate_reference``: the statevector layers with one exp per string
   and fresh arrays for every step of the mixer, the bit-for-bit reference
@@ -97,7 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -819,26 +816,6 @@ def rl_law_csv_rowwise(probs: np.ndarray, stderr: np.ndarray | None, n: int, m: 
 def curves_csv_rowwise(rows: Iterable[Sequence[float]]) -> str:
     body = ((float(d), int(p), float(e), float(c)) for d, p, e, c in rows)
     return csv_table(("delta", "p", "epsilon", "c_min"), body)
-
-
-def json_safe_generic(value):
-    if isinstance(value, Mapping):
-        return {str(k): json_safe_generic(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe_generic(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and np.isfinite(value).all():
-            return value.tolist()
-        return [json_safe_generic(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def apply_block_kernel_tensordot(mat: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:

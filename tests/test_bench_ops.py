@@ -1,9 +1,12 @@
 """The benchmark's op script, run once: every timed op of each workload,
-on the seed-601 instances, exits with its pinned code through ``cli.main``
-and passes the benchmark's own check of the documents it writes.  A fault
-here would otherwise show only as failed operations in a benchmark run."""
+on the seed-601 instances, exits with its pinned code through ``cli.main``,
+writes every JSON document in the one layout (sorted keys, indent 2, a
+final newline) and passes the benchmark's own check of the documents it
+writes.  A fault here would otherwise show only as failed operations in a
+benchmark run."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -25,4 +28,8 @@ def test_timed_ops_pass_their_checks(workload, tmp_path, monkeypatch):
                                  checks.Schemas(ROOT / "src" / "fejercert" / "schemas"))
     for op in ops:
         assert (op.name, cli.main(list(op.argv))) == (op.name, op.expect_exit)
+        for path in op.outputs:
+            if path.suffix == ".json":
+                text = path.read_text("utf-8")
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert (op.name, op.check()) == (op.name, [])

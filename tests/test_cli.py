@@ -25,6 +25,7 @@ from fejercert import (
     oracle,
     ratio_bounds,
     ratio_parameter,
+    rl,
 )
 from fejercert.cli import main
 from fejercert.serialize import load_schema
@@ -816,6 +817,8 @@ class TestSpectrumFixesFeasibility:
                     "--gamma", "0.1", *search, "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert "`levels` count" in err and "5001 digits" in err
+        assert "sys." not in err
         assert not out.exists()
 
 
@@ -892,6 +895,25 @@ class TestRLCommand:
         assert len(lines) == 28 and all(line.count(",") == 1 for line in lines)
         assert sum(float(line.split(",")[1]) for line in lines[1:]) == pytest.approx(1.0)
 
+    def test_all_optimal_writes_null_gap(self, tmp_path):
+        # no string is non-optimal: the energy gap g is infinite, so null
+        path = write_instance(tmp_path / "flat.json", {"n": 2, "m": 1, "energy": [0, 0]})
+        out = tmp_path / "rl.json"
+        assert run(["rl", "--instance", path, "--gamma", "0.4", "-p", "3",
+                    "--half-width", "0.2", "--samples", "5", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, load_schema("rl_report"))
+        assert (doc["g"], doc["bound"], doc["success_mass"]) == (None, 1.0, 1.0)
+
+    def test_nan_success_mass_exits_2(self, qap_instance, tmp_path, monkeypatch):
+        # a NaN mass is neither clamped into [0, 1] nor written
+        law_of = rl.rl_filtered_distribution
+        monkeypatch.setattr(rl, "rl_filtered_distribution", lambda *a, **k: dataclasses.replace(
+            law_of(*a, **k), success_mass=math.nan))
+        out = tmp_path / "rl.json"
+        assert run(["rl", "--instance", qap_instance, "--gamma", "0.4", "-p", "3",
+                    "--half-width", "0.2", "--samples", "5", "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_zero_gap_names_the_cause(self, tmp_path, capsys):
         # the infeasible string 0-0 sits at E* = 0, beside the optimum 0-1
@@ -1122,6 +1144,23 @@ class TestFailClosed:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+class TestOneFilePerOutput:
+    @pytest.mark.parametrize("law_spelling", ["same.json", "./same.json"])
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--gamma", "0.5", "-p", "2"],
+        ["rl", "--gamma", "0.5", "-p", "2", "--half-width", "0.2", "--samples", "5"],
+    ], ids=["certify", "rl"])
+    def test_law_output_naming_the_document_exits_2(self, argv, law_spelling, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_instance(tmp_path / "i.json", {"n": 2, "m": 2, "energy": [0, 1, 2, 3]})
+        assert run(argv + ["--instance", "i.json", "-o", "same.json",
+                           "--law-output", law_spelling]) == 2
+        err = capsys.readouterr().err
+        assert "--law-output" in err and "--output" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json"]
+
+
 class TestConventionAtBoundary:
     """--convention normalized --betas B writes the bytes of --convention
     adjacency --betas B/n: the command converts, the library takes A(K_n)
@@ -1296,7 +1335,8 @@ def _json_floats(value):
 
 def _check_document_run(argv, suffix, schema=None):
     """Run a command; exit 2 leaves no file, exit 0 leaves a document whose
-    every JSON number is finite or null, or whose every numeric CSV value is
+    every JSON number is finite or null, in the one JSON layout (sorted
+    keys, indent 2, a final newline), or whose every numeric CSV value is
     finite, and which validates against ``schema`` when one is given."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / f"out.{suffix}"
@@ -1316,6 +1356,7 @@ def _check_document_run(argv, suffix, schema=None):
                     assert math.isfinite(number)
             return
         document = json.loads(text, parse_constant=_reject_constant)
+        assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
         assert all(math.isfinite(f) for f in _json_floats(document))
         if schema is not None:
             jsonschema.validate(document, load_schema(schema))
