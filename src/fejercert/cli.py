@@ -284,12 +284,16 @@ def _cmd_certify(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         envelope_source=source,
     )
     outputs = [(args.output, serialize.dumps_json(document))]
-    if args.law_output is not None:
-        if index is None:
-            env, index = uniform_envelope(inst.n, inst.m), inst.levels.index(inst.energy)
-        weight, probs = law.per_string(env, index.of_string)
+    if args.law_output is not None:  # by level, but for an external envelope's probability
+        if env is None:
+            index, share = inst.levels.index(inst.energy), 1.0 / inst.size
+            by_level = (pm.level_theta, law.kernel, share * law.kernel / law.denominator)
+            by_string = ()
+        else:
+            by_level = (pm.level_theta, law.kernel)
+            by_string = (env.probs * law.kernel[index.of_string] / law.denominator,)
         outputs.append((args.law_output, serialize.filtered_law_csv(
-            probs, pm.level_theta[index.of_string], weight, inst.n, inst.m)))
+            index.of_string, by_level, by_string, inst.n, inst.m)))
     return (EXIT_UNCERTIFIABLE if status == "uncertifiable" else EXIT_OK), outputs
 
 
@@ -416,10 +420,16 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         "success_stderr": law.success_stderr,
     }
     outputs = [(args.output, serialize.dumps_json(document))]
-    if args.law_output is not None:
-        probs, stderr = law.per_string(uniform_envelope(inst.n, inst.m),
-                                       inst.levels.index(inst.energy).of_string)
-        outputs.append((args.law_output, serialize.rl_law_csv(probs, stderr, inst.n, inst.m)))
+    if args.law_output is not None:  # by level, each string at the uniform envelope's share
+        level_of, share = inst.levels.index(inst.energy).of_string, 1.0 / inst.size
+        probs, stderr, samples = share * law.level_mean, None, law.samples
+        if args.pooled:  # normalized by the pairwise sum over the strings
+            probs = probs / float(probs[level_of].sum())
+        else:  # the one-pass variance of the per-draw laws
+            variance = (share * share * law.level_sum_sq - samples * probs**2) / (samples - 1)
+            stderr = np.sqrt(np.maximum(variance, 0.0) / samples)
+        outputs.append((args.law_output, serialize.rl_law_csv(level_of, probs, stderr,
+                                                              inst.n, inst.m)))
     return EXIT_OK, outputs
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import TWO_PI, wrap_angle
-from .mixer import Envelope
 
 # Below this |sin(theta/2)| the ratio form is catastrophically cancelled and
 # the sinc form on the offset reduced mod 2pi is used instead (exactly p+1 at
@@ -98,11 +97,6 @@ class FilteredLaw:
 
     kernel: np.ndarray
     denominator: float | np.ndarray
-
-    def per_string(self, env: Envelope, level_of: np.ndarray) -> tuple:
-        """Each string's Fejér weight and probability, gathered through its level."""
-        kernel = self.kernel[level_of]
-        return kernel, env.probs * kernel / self.denominator
 
 
 def filtered_distribution(level_mass: np.ndarray, offsets: np.ndarray, p: int) -> FilteredLaw:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .fejer import _check_order, filtered_distribution
 from .instance import GapScope, ProblemInstance, check_phase
-from .mixer import Envelope
 
 
 @dataclass(frozen=True)
@@ -108,16 +107,6 @@ class RLLaw:
     samples: int
     success_mass: float
     success_stderr: float | None
-
-    def per_string(self, env: Envelope, level_of: np.ndarray) -> tuple:
-        """Each string's probability, gathered through its level, and its
-        standard error (None when pooled)."""
-        probs = env.probs * self.level_mean[level_of]
-        if self.level_sum_sq is None:
-            return probs / float(probs.sum()), None
-        samples = self.samples
-        variance = (env.probs**2 * self.level_sum_sq[level_of] - samples * probs**2) / (samples - 1)
-        return probs, np.sqrt(np.maximum(variance, 0.0) / samples)
 
 
 def rl_filtered_distribution(

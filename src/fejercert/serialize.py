@@ -4,19 +4,20 @@ writes, and access to the shipped JSON schemas.
 Identical inputs must produce byte-identical files: JSON is dumped with
 sorted keys and repr-roundtrip floats, CSV uses repr floats, LF endings, and
 a header row.  Documents hold JSON values only: `shots` is null when x = 0
-and `rl`'s `g` is null when every string is optimal, and any other
-non-finite value raises ValueError, which the command line exits 2 on.
+and `rl`'s `g` is null when every string is optimal; any other non-finite
+value raises a ValueError naming its field, on which the command line exits 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
 from collections.abc import Iterable, Sequence
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,26 @@ def dumps_json(obj) -> str:
             raise ValueError("an array document must be a nonempty vector of finite floats")
         # the layout of json.dumps(..., indent=2), whose indenting encoder is pure Python
         return "[\n  " + ",\n  ".join(chain.from_iterable(_float_reprs(obj, _JSON_RUN))) + "\n]\n"
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # json's own text names no field
+        for path, value in _leaves(obj, ""):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"document field {path} is {float(value)!r}, not finite") from None
+        raise
+
+
+def _leaves(value, path: str):
+    """Each (path, value) of a document's leaves, the path as ``bounds.p1.x_f``
+    or ``success_ci[1]``."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _leaves(child, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, child in enumerate(value):
+            yield from _leaves(child, f"{path}[{i}]")
+    else:
+        yield path, value
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -90,36 +110,46 @@ def _float_reprs(column: np.ndarray, run: int):
         yield list(map(memo.__getitem__, bits[start:start + run].tolist()))
 
 
-def _labelled_csv(header: Sequence[str], n: int, m: int, *columns: np.ndarray) -> str:
-    """One row per block string: its label, then the repr of each column's
-    float.  Rows go out in runs that share the slow half of the blocks, so
-    only one run of labels and formatted values is alive at a time."""
+def _labelled_csv(header: Sequence[str], n: int, m: int, level_of: np.ndarray | None,
+                  by_level: Sequence[np.ndarray], by_string: Sequence[np.ndarray]) -> str:
+    """One row per block string: its label, the ``by_level`` columns (each
+    level's text formatted once and gathered to the rows through
+    ``level_of``), then the ``by_string`` ones.  Rows go out in runs that
+    share the slow half of the blocks, one join per run, so only one run of
+    labels and formatted values is alive at a time."""
     fast = string_labels(n, (m + 1) // 2)
-    runs = zip(string_labels(n, m // 2), *(_float_reprs(c, len(fast)) for c in columns))
-    parts = [",".join(header)]
-    for slow, *formatted in runs:
-        suffix = "-" + slow if slow else ""
-        parts.append("\n".join(map(",".join, zip([p + suffix for p in fast], *formatted))))
-    return "\n".join(parts) + "\n"
+    level_text = np.array([",".join(("",) + row) for row in
+                           zip(*(map(repr, c.tolist()) for c in by_level))], dtype=object)
+    strings = zip(*(_float_reprs(c, len(fast)) for c in by_string))
+    parts = [",".join(header) + "\n"]
+    for start, slow in zip(range(0, n**m, len(fast)), string_labels(n, m // 2)):
+        row = [fast, repeat("-" + slow if slow else "")]
+        if by_level:
+            row.append(level_text[level_of[start:start + len(fast)]])
+        for formatted in next(strings, ()):
+            row += [repeat(","), formatted]
+        parts.append("".join(chain.from_iterable(zip(*row, repeat("\n")))))
+    return "".join(parts)
 
 
 def envelope_csv(probs: np.ndarray, n: int, m: int) -> str:
-    return _labelled_csv(("string", "probability"), n, m, probs)
+    return _labelled_csv(("string", "probability"), n, m, None, (), (probs,))
 
 
-def filtered_law_csv(
-    probs: np.ndarray, theta: np.ndarray, weights: np.ndarray, n: int, m: int
-) -> str:
-    return _labelled_csv(
-        ("string", "phase", "fejer_weight", "probability"), n, m, theta, weights, probs
-    )
+def filtered_law_csv(level_of: np.ndarray, by_level: Sequence[np.ndarray],
+                     by_string: Sequence[np.ndarray], n: int, m: int) -> str:
+    """The filtered law's phase, Fejér weight and probability, by level and
+    then by string (the probability, under an external envelope)."""
+    return _labelled_csv(("string", "phase", "fejer_weight", "probability"), n, m,
+                         level_of, by_level, by_string)
 
 
-def rl_law_csv(probs: np.ndarray, stderr: np.ndarray | None, n: int, m: int) -> str:
-    """The averaged law; a pooled law (``stderr`` None) has no stderr column."""
-    if stderr is None:
-        return _labelled_csv(("string", "probability"), n, m, probs)
-    return _labelled_csv(("string", "probability", "stderr"), n, m, probs, stderr)
+def rl_law_csv(level_of: np.ndarray, probs: np.ndarray, stderr: np.ndarray | None,
+               n: int, m: int) -> str:
+    """The averaged law by level; a pooled law (``stderr`` None) has no stderr column."""
+    columns = (probs,) if stderr is None else (probs, stderr)
+    return _labelled_csv(("string", "probability", "stderr")[:1 + len(columns)], n, m,
+                         level_of, columns, ())
 
 
 def curves_csv(rows: Iterable[Sequence[float]]) -> str:

@@ -36,6 +36,11 @@ path, so they live with the tests (and only they need scipy).
   weight per string and its mass on Omega* summed string by string, the
   reference for the level law of ``fejercert.fejer.filtered_distribution``
   and the closed form (p+1) C_beta / D of ``success_probability``;
+- ``filtered_law_per_string`` and ``rl_law_per_string``: a level law
+  gathered to the strings as floats, each string's Fejér weight and
+  probability, and each string's averaged probability with its standard
+  error (None when pooled) in the one-pass variance form, the per-string
+  reference that the law CSVs, written by level, must match byte for byte;
 - ``rl_filtered_distribution_per_string``: the dither average evaluated
   string by string, one Fejér kernel over all n**m strings per draw, with
   the mass on any subset, the reference for the level law of
@@ -102,7 +107,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from fejercert.feasibility import sector_mixer
-from fejercert.fejer import fejer_kernel, offpeak_bound
+from fejercert.fejer import FilteredLaw, fejer_kernel, offpeak_bound
 from fejercert.instance import (
     PHASE_COLLISION_TOL,
     GapScope,
@@ -126,7 +131,7 @@ from fejercert.oracle import (
     initial_state,
 )
 from fejercert.planner import ratio_bounds, ratio_parameter
-from fejercert.rl import DitherWindow
+from fejercert.rl import DitherWindow, RLLaw
 
 LIE_CLOSURE_TOL = 1e-9
 LIE_MAX_DIM = 64
@@ -414,6 +419,12 @@ def success_probability_per_string(probs: np.ndarray, subset: np.ndarray) -> flo
     return float(probs[subset].sum())
 
 
+def filtered_law_per_string(law: FilteredLaw, env: Envelope, level_of: np.ndarray) -> tuple:
+    """Each string's Fejér weight and probability, gathered through its level."""
+    kernel = law.kernel[level_of]
+    return kernel, env.probs * kernel / law.denominator
+
+
 def energy_gap_per_string(inst: ProblemInstance) -> float:
     """Minimal |E(z) - E_star| over the non-optimal strings (inf if none),
     from a mask over all n**m strings."""
@@ -515,6 +526,17 @@ def rl_filtered_distribution_per_string(
         subset_mass=sub_mass,
         subset_stderr=sub_err,
     )
+
+
+def rl_law_per_string(law: RLLaw, env: Envelope, level_of: np.ndarray) -> tuple:
+    """Each string's probability, gathered through its level, and its
+    standard error (None when pooled)."""
+    probs = env.probs * law.level_mean[level_of]
+    if law.level_sum_sq is None:
+        return probs / float(probs.sum()), None
+    samples = law.samples
+    variance = (env.probs**2 * law.level_sum_sq[level_of] - samples * probs**2) / (samples - 1)
+    return probs, np.sqrt(np.maximum(variance, 0.0) / samples)
 
 
 def window_fourier(w: DitherWindow, xi):

@@ -28,6 +28,7 @@ from oracles import (
     dephased_reference,
     denominator_form_bound,
     dirichlet_filter_oracle,
+    filtered_law_per_string,
     lattice_success_bound,
     penalty_table,
 )
@@ -131,7 +132,7 @@ def test_criterion_03_factorization_equality():
         p = int(rng.integers(0, 7))
         mass, level_of = level_mass(env, inst)
         law = filtered_distribution(mass, phase_gap(inst, gamma).offsets(), p)
-        _, probs = law.per_string(env, level_of)
+        _, probs = filtered_law_per_string(law, env, level_of)
         reference = dirichlet_filter_oracle(env, inst, gamma, p)
         assert np.max(np.abs(probs - reference)) < 1e-10
         done += 1
@@ -191,7 +192,7 @@ def test_criterion_06_shot_regimes():
     env, omega = uniform_envelope(2, 2), inst.optimal_indices()
     mass, level_of = level_mass(env, inst)
     law = filtered_distribution(mass, phase_gap(inst, 0.4).offsets(), 2)
-    _, probs = law.per_string(env, level_of)
+    _, probs = filtered_law_per_string(law, env, level_of)
     q0 = success_probability(2, envelope_mass(env, omega), law.denominator)
     shots = math.ceil(math.log(1 / eps) / q0)
     misses = 0

@@ -28,17 +28,23 @@ from fejercert import (
     rl,
 )
 from fejercert.cli import main
+from fejercert.fejer import filtered_distribution
+from fejercert.mixer import external_envelope, uniform_envelope
 from fejercert.serialize import load_schema
 from conftest import forbid_integer_tables, shape_document
 from oracles import (
     collision_penalty_table,
     denominator_form_bound,
     feasibility_document_by_table,
+    filtered_law_csv_rowwise,
+    filtered_law_per_string,
     format_string,
     index_string,
     lattice_success_bound,
     penalty_table,
     phase_gap_per_string,
+    rl_law_csv_rowwise,
+    rl_law_per_string,
     table_index,
 )
 
@@ -378,6 +384,99 @@ class TestLevelLawWithoutLevelIndex:
 
         assert run(argv) == code  # imports and caches warm
         assert _traced_peak(lambda: run(argv)) <= 1.1 * _traced_peak(floor)
+
+
+def _law_documents():
+    """The shapes of the law CSV tests: one string, one block, an odd m,
+    the benchmark's 4^4 and 6^6, and a dense 3^3 whose level span (up to
+    40000) is past its 27 strings, so that ``Levels.index`` searches."""
+    return {
+        "1^1": {"n": 1, "m": 1, "energy": [0]},
+        "2^1": {"n": 2, "m": 1, "energy": [0, 1]},
+        "3^5": shape_document(3, 5),
+        "4^4": shape_document(4, 4),
+        "6^6": shape_document(6, 6),
+        "wide.3^3": {"n": 3, "m": 3, "energy": np.random.default_rng(5).choice(
+            40000, 27, replace=False).tolist()},
+    }
+
+
+LAW_DOCUMENTS = _law_documents()
+
+
+class TestLawOutputByLevel:
+    """The law CSVs, written by level, against the row-wise writers of
+    ``tests/oracles.py`` fed the law gathered to the strings as floats by
+    the per-string references: byte for byte."""
+
+    @staticmethod
+    def _paths(tmp_path, doc):
+        inst = load_instance(doc, cap=46656)
+        return inst, write_instance(tmp_path / "inst.json", doc), tmp_path / "law.csv"
+
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    @pytest.mark.parametrize("source", ["reference_uniform", "external"])
+    @pytest.mark.parametrize("shape", sorted(LAW_DOCUMENTS))
+    def test_certify(self, shape, source, scope, tmp_path):
+        inst, path, law_csv = self._paths(tmp_path, LAW_DOCUMENTS[shape])
+        argv = ["certify", "--instance", path, "--gamma", "0.37", "-p", "3", "--scope", scope,
+                "--cap", "46656", "-o", str(tmp_path / "cert.json"), "--law-output", str(law_csv)]
+        level_of = table_index(inst.energy).of_string
+        if source == "external":
+            probs = np.random.default_rng(inst.size).random(inst.size)
+            env = external_envelope(probs / probs.sum())
+            (tmp_path / "env.json").write_text(json.dumps(env.probs.tolist()))
+            argv += ["--envelope", str(tmp_path / "env.json")]
+            mass = np.bincount(level_of, weights=env.probs)
+        else:
+            env, mass = uniform_envelope(inst.n, inst.m), inst.levels.shares()
+            argv += ["--betas", "0.4,0.9,1.3"]
+        assert run(argv) in (0, 3)
+        pm = instance.phase_gap(inst, 0.37, instance.GapScope(
+            "all_strings" if scope == "all" else "feasible_only"))
+        law = filtered_distribution(mass, pm.offsets(), 3)
+        weight, probs = filtered_law_per_string(law, env, level_of)
+        assert law_csv.read_text() == filtered_law_csv_rowwise(
+            probs, pm.level_theta[level_of], weight, inst.n, inst.m)
+        assert json.loads((tmp_path / "cert.json").read_text())["envelope_source"] == source
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("shape", sorted(LAW_DOCUMENTS))
+    def test_rl(self, shape, pooled, tmp_path):
+        doc = LAW_DOCUMENTS[shape]
+        if doc["n"] == doc["m"] > 1:  # a given all-zero penalty: no infeasible string sits at E*
+            doc = {**doc, "penalty": [0] * doc["n"] ** doc["m"]}
+        inst, path, law_csv = self._paths(tmp_path, doc)
+        assert run(["rl", "--instance", path, "--gamma", "0.37", "-p", "3", "--half-width", "0.2",
+                    "--samples", "30", "--seed", "7", "--cap", "46656",
+                    "-o", str(tmp_path / "rl.json"), "--law-output", str(law_csv)]
+                   + (["--pooled"] if pooled else [])) == 0
+        law = rl.rl_filtered_distribution(inst.levels.shares(), inst, 0.37, rl.DitherWindow(0.2),
+                                          3, samples=30, seed=7, pooled=pooled)
+        probs, stderr = rl_law_per_string(law, uniform_envelope(inst.n, inst.m),
+                                          table_index(inst.energy).of_string)
+        assert law_csv.read_text() == rl_law_csv_rowwise(probs, stderr, inst.n, inst.m)
+
+    def test_wide_instance_takes_the_search_route(self, monkeypatch):
+        inst = load_instance(LAW_DOCUMENTS["wide.3^3"])
+        search, calls = np.searchsorted, []
+        monkeypatch.setattr(np, "searchsorted", lambda *a: calls.append(1) or search(*a))
+        inst.levels.index(inst.energy)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("scope", ["all", "feasible"])
+    def test_uniform_certify_peak_within_two_and_a_half_csvs(self, scope, tmp_path):
+        """The uniform law at 6^6 holds no float array over the strings: the
+        peak of the whole command stays within 2.5 times the CSV's length
+        (3.7 times when the law was gathered to the strings as floats)."""
+        path = write_instance(tmp_path / "inst.json", shape_document(6, 6))
+        law_csv = tmp_path / "law.csv"
+        argv = ["certify", "--instance", path, "--gamma", "0.37", "-p", "3", "--betas",
+                "0.4,0.9,1.3", "--scope", scope, "--cap", "46656",
+                "-o", str(tmp_path / "cert.json"), "--law-output", str(law_csv)]
+        code = run(argv)  # imports and caches warm
+        assert code in (0, 3)
+        assert _traced_peak(lambda: run(argv)) <= 2.5 * len(law_csv.read_text())
 
 
 class TestPlanAndCurves:
@@ -905,8 +1004,9 @@ class TestRLCommand:
         jsonschema.validate(doc, load_schema("rl_report"))
         assert (doc["g"], doc["bound"], doc["success_mass"]) == (None, 1.0, 1.0)
 
-    def test_nan_success_mass_exits_2(self, qap_instance, tmp_path, monkeypatch):
-        # a NaN mass is neither clamped into [0, 1] nor written
+    def test_nan_success_mass_exits_2(self, qap_instance, tmp_path, monkeypatch, capsys):
+        # a NaN mass is neither clamped into [0, 1] nor written, and the
+        # message names the field
         law_of = rl.rl_filtered_distribution
         monkeypatch.setattr(rl, "rl_filtered_distribution", lambda *a, **k: dataclasses.replace(
             law_of(*a, **k), success_mass=math.nan))
@@ -914,6 +1014,7 @@ class TestRLCommand:
         assert run(["rl", "--instance", qap_instance, "--gamma", "0.4", "-p", "3",
                     "--half-width", "0.2", "--samples", "5", "-o", str(out)]) == 2
         assert not out.exists()
+        assert capsys.readouterr().err == "error: document field success_mass is nan, not finite\n"
 
     def test_zero_gap_names_the_cause(self, tmp_path, capsys):
         # the infeasible string 0-0 sits at E* = 0, beside the optimum 0-1

@@ -15,6 +15,7 @@ from oracles import (
     denominator_bound,
     dirichlet_kernel_sum,
     filtered_distribution_per_string,
+    filtered_law_per_string,
     lattice_success_bound,
     offpeak_grid_max,
     phase_gap_per_string,
@@ -158,14 +159,14 @@ class TestFilteredDistribution:
         env = random_envelope(rng, inst.size)
         mass, level_of = level_mass(env, inst)
         law = filtered_distribution(mass, phase_gap(inst, 0.2).offsets(), 0)
-        assert np.allclose(law.per_string(env, level_of)[1], env.probs, atol=1e-14)
+        assert np.allclose(filtered_law_per_string(law, env, level_of)[1], env.probs, atol=1e-14)
         assert law.denominator == pytest.approx(1.0)
 
     def test_two_string_suppression(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})
         pm = phase_gap(inst, math.pi)
         law = filtered_distribution(inst.levels.shares(), pm.offsets(), 1)
-        _, probs = law.per_string(uniform_envelope(2, 1), np.arange(2))
+        _, probs = filtered_law_per_string(law, uniform_envelope(2, 1), np.arange(2))
         assert probs == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_zero_denominator_rejected(self):
@@ -240,7 +241,7 @@ class TestPhasesPerLevel:
                 for env, mass, c_beta in masses:
                     law = filtered_distribution(mass, pm.offsets(), p)
                     ref_law = filtered_distribution_per_string(env, ref, p)
-                    kernel, probs = law.per_string(env, level_of)
+                    kernel, probs = filtered_law_per_string(law, env, level_of)
                     assert kernel.tobytes() == ref_law.kernel.tobytes()
                     assert law.denominator == pytest.approx(ref_law.denominator, rel=1e-12, abs=0)
                     assert np.allclose(probs, ref_law.probs, rtol=1e-12, atol=0)
@@ -265,7 +266,7 @@ class TestSuccessProbability:
         env = random_envelope(rng, inst.size)
         mass, level_of = level_mass(env, inst)
         law = filtered_distribution(mass, phase_gap(inst, 0.07).offsets(), 2)
-        assert law.per_string(env, level_of)[1].sum() == pytest.approx(1.0)
+        assert filtered_law_per_string(law, env, level_of)[1].sum() == pytest.approx(1.0)
 
     def test_two_string_example(self):
         inst = load_instance({"n": 2, "m": 1, "energy": [0, 1]})

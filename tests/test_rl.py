@@ -15,8 +15,10 @@ from oracles import (
     averaged_fejer,
     averaged_fejer_quadrature,
     denominator_form_bound,
+    filtered_law_per_string,
     lattice_success_bound,
     rl_filtered_distribution_per_string,
+    rl_law_per_string,
     window_density,
     window_fourier,
 )
@@ -194,8 +196,8 @@ class TestRLFilteredDistribution:
         mass, level_of = level_mass(env, inst)
         law = rl_filtered_distribution(mass, inst, gamma, w, 3, samples=40, seed=9)
         plain = filtered_distribution(mass, phase_gap(inst, gamma).offsets(), 3)
-        probs = law.per_string(env, level_of)[0]
-        assert np.max(np.abs(probs - plain.per_string(env, level_of)[1])) < 1e-7
+        probs = rl_law_per_string(law, env, level_of)[0]
+        assert np.max(np.abs(probs - filtered_law_per_string(plain, env, level_of)[1])) < 1e-7
 
     def test_success_mass_respects_bound(self, rng):
         checked = 0
@@ -228,7 +230,7 @@ class TestRLFilteredDistribution:
         a = rl_filtered_distribution(mass, inst, 0.3, w, 2, samples=2, seed=123)
         b = rl_filtered_distribution(mass, inst, 0.3, w, 2, samples=2, seed=123)
         assert (a.success_mass, a.success_stderr) == (b.success_mass, b.success_stderr)
-        for x, y in zip(a.per_string(env, level_of), b.per_string(env, level_of)):
+        for x, y in zip(rl_law_per_string(a, env, level_of), rl_law_per_string(b, env, level_of)):
             assert np.array_equal(x, y)
 
     def test_zero_gap_rejected(self):
@@ -248,8 +250,8 @@ class TestRLFilteredDistribution:
         mass, level_of = level_mass(env, inst)
         pooled = rl_filtered_distribution(mass, inst, 0.4, w, 2, samples=60, seed=5, pooled=True)
         averaged = rl_filtered_distribution(mass, inst, 0.4, w, 2, samples=60, seed=5)
-        pooled_probs = pooled.per_string(env, level_of)[0]
-        averaged_probs = averaged.per_string(env, level_of)[0]
+        pooled_probs = rl_law_per_string(pooled, env, level_of)[0]
+        averaged_probs = rl_law_per_string(averaged, env, level_of)[0]
         assert pooled_probs.sum() == pytest.approx(1.0)
         assert averaged_probs.sum() == pytest.approx(1.0)
         # the two averaging orders genuinely differ
@@ -295,7 +297,7 @@ class TestLevelAgreement:
                 law = rl_filtered_distribution(mass, inst, gamma, w, p, **kwargs)
                 ref = rl_filtered_distribution_per_string(
                     env, inst, gamma, w, p, subset=inst.optimal_indices(), **kwargs)
-                probs, stderr = law.per_string(env, level_of)
+                probs, stderr = rl_law_per_string(law, env, level_of)
                 assert np.max(np.abs(probs - ref.probs)) < 1e-12
                 assert abs(law.success_mass - ref.subset_mass) < 1e-12
                 if pooled:  # no per-draw laws, so no standard errors

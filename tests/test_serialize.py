@@ -1,10 +1,12 @@
-"""The stable emitters: the column-wise CSV writers must match the row-wise
-references in ``tests/oracles.py`` byte for byte, the JSON fast path for
-float vectors must match the per-element path, and no document holds a
-non-finite number."""
+"""The stable emitters: the CSV writers, which take the law columns by
+energy level, must match the row-wise references in ``tests/oracles.py``
+on the columns gathered to the strings byte for byte, the JSON fast path
+for float vectors must match the per-element path, and no document holds
+a non-finite number, which is named by its field."""
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -36,11 +38,35 @@ from oracles import (
 SHAPES = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 3), (3, 5), (6, 6)]
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
 
+# name -> (the writer on columns by level and the level of each string, the
+# row-wise reference on the columns gathered to the strings, column count);
+# columns in the order of the CSV, the envelope's per string
 WRITERS = {
-    "envelope": (envelope_csv, envelope_csv_rowwise, 1),
-    "filtered_law": (filtered_law_csv, filtered_law_csv_rowwise, 3),
-    "rl_law": (rl_law_csv, rl_law_csv_rowwise, 2),
+    "envelope": (lambda of, cols, n, m: envelope_csv(cols[0][of], n, m),
+                 lambda *cols, n, m: envelope_csv_rowwise(*cols, n, m), 1),
+    "filtered_law": (lambda of, cols, n, m: filtered_law_csv(of, cols, (), n, m),
+                     lambda theta, weight, probs, n, m:
+                         filtered_law_csv_rowwise(probs, theta, weight, n, m), 3),
+    # the law under an external envelope: its probability is per string
+    "filtered_law_envelope": (
+        lambda of, cols, n, m: filtered_law_csv(of, cols[:2], (cols[2][of],), n, m),
+        lambda theta, weight, probs, n, m: filtered_law_csv_rowwise(probs, theta, weight, n, m),
+        3),
+    "rl_law": (lambda of, cols, n, m: rl_law_csv(of, *cols, n, m),
+               lambda *cols, n, m: rl_law_csv_rowwise(*cols, n, m), 2),
 }
+
+
+def _check_writer(writer: str, level_of: np.ndarray, columns: list, n: int, m: int) -> None:
+    fast, reference, _ = WRITERS[writer]
+    assert fast(level_of, columns, n, m) == reference(*(c[level_of] for c in columns), n=n, m=m)
+
+
+def _level_of(rng, levels: int, size: int) -> np.ndarray:
+    """The level of each of ``size`` strings, every one of ``levels`` held
+    (``levels`` at most ``size``), in random order."""
+    return rng.permutation(np.concatenate([np.arange(levels),
+                                           rng.integers(0, levels, size - levels)]))
 
 
 def _columns(rng, size, count):
@@ -76,16 +102,20 @@ def test_string_labels_at_match_index_string(n, m):
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_csv_writers_byte_identical_to_rowwise(writer, n, m):
-    fast, reference, count = WRITERS[writer]
-    columns = _columns(np.random.default_rng(1000 * n + m), n**m, count)
-    assert fast(*columns, n, m) == reference(*columns, n, m)
+    """Level tables of one level per string, and of a seventh as many."""
+    rng = np.random.default_rng(1000 * n + m)
+    for levels in sorted({max(1, n**m // 7), n**m}):
+        columns = _columns(rng, levels, WRITERS[writer][2])
+        _check_writer(writer, _level_of(rng, levels, n**m), columns, n, m)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_pooled_rl_law_has_no_stderr_column(n, m):
-    (probs,) = _columns(np.random.default_rng(3000 * n + m), n**m, 1)
-    text = rl_law_csv(probs, None, n, m)
-    assert text == rl_law_csv_rowwise(probs, None, n, m)
+    rng = np.random.default_rng(3000 * n + m)
+    levels = max(1, n**m // 3)
+    (probs,), level_of = _columns(rng, levels, 1), _level_of(rng, levels, n**m)
+    text = rl_law_csv(level_of, probs, None, n, m)
+    assert text == rl_law_csv_rowwise(probs[level_of], None, n, m)
     assert text.split("\n", 1)[0] == "string,probability"
 
 
@@ -98,17 +128,24 @@ def test_curves_csv_byte_identical_to_rowwise():
 
 
 def test_filtered_law_csv_peak_memory_not_above_rowwise():
+    """At 6^6, with about the levels of the benchmark's assignment instance
+    and with one level per string; both sides get their columns before
+    tracing."""
     n = m = 6
-    columns = _columns(np.random.default_rng(66), n**m, 3)
-    peaks = []
-    for writer in (filtered_law_csv, filtered_law_csv_rowwise):
-        tracemalloc.start()
-        try:
-            writer(*columns, n, m)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
+    rng = np.random.default_rng(66)
+    for levels in (60, n**m):
+        columns, level_of = _columns(rng, levels, 3), _level_of(rng, levels, n**m)
+        theta, weight, probs = (c[level_of] for c in columns)
+        peaks = []
+        for write in (lambda: filtered_law_csv(level_of, columns, (), n, m),
+                      lambda: filtered_law_csv_rowwise(probs, theta, weight, n, m)):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], levels
 
 
 @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
@@ -121,6 +158,20 @@ def test_json_non_finite_float_raises(special):
         dumps_json({"a": values.tolist()})
     with pytest.raises(ValueError):
         dumps_json({"x": special})
+
+
+@pytest.mark.parametrize("document,field", [
+    ({"success_mass": math.nan, "g": 0.5}, "success_mass"),
+    ({"bounds": {"p1": {"x_f": 0.2, "tight": 0.1}, "p2": {"x_f": math.inf}}}, "bounds.p2.x_f"),
+    ({"success_ci": [0.1, -math.inf], "shots": 3}, "success_ci[1]"),
+    ({"search": {"gammas": (0.1, math.nan)}, "levels": {"0": 2}}, "search.gammas[1]"),
+    ({"a": [{"b": [1.0, {"c": math.nan}]}]}, "a[0].b[1].c"),
+], ids=["top", "nested-dict", "list", "tuple", "deep"])
+def test_json_non_finite_field_is_named(document, field):
+    """The error names the field that holds the value, and the value."""
+    with pytest.raises(ValueError, match=rf"^document field {re.escape(field)} is -?(nan|inf), "
+                                         "not finite$"):
+        dumps_json(document)
 
 
 def test_json_finite_float_array_matches_per_element_path():
@@ -141,12 +192,12 @@ def _nan_with_payload(payload: int) -> float:
 def test_csv_repeated_values_byte_identical_to_rowwise(writer, n, m):
     """Few distinct values, each repeated across runs: -0.0 next to 0.0, the
     smallest subnormal, NaNs with different payloads and both infinities."""
-    fast, reference, count = WRITERS[writer]
     pool = np.array([0.0, -0.0, 5e-324, -5e-324, math.nan, _nan_with_payload(7),
                      math.inf, -math.inf, 0.1, 1e308])
     rng = np.random.default_rng(77 * n + m)
-    columns = [pool[rng.integers(0, pool.size, size=n**m)] for _ in range(count)]
-    assert fast(*columns, n, m) == reference(*columns, n, m)
+    levels = max(1, n**m // 2)
+    columns = [pool[rng.integers(0, pool.size, size=levels)] for _ in range(WRITERS[writer][2])]
+    _check_writer(writer, _level_of(rng, levels, n**m), columns, n, m)
 
 
 @given(
@@ -155,16 +206,46 @@ def test_csv_repeated_values_byte_identical_to_rowwise(writer, n, m):
     picks=st.lists(st.integers(0, 39), min_size=3 * 128, max_size=3 * 128),
 )
 def test_csv_drawn_columns_byte_identical_to_rowwise(pool, shape, picks):
-    """Drawn columns with repeated values; pools larger than one run make
-    the memo clear and refill, and every pool holds both signed zeros."""
+    """Drawn columns with repeated values, one per string (the level of
+    each string its own); pools larger than one run make the memo clear
+    and refill, and every pool holds both signed zeros."""
     n, m = shape
     size = n**m
     pool = pool + [0.0, -0.0]
     values = np.array(pool)[np.array(picks) % len(pool)]
-    a, b, c = values[:size], values[128:128 + size], values[256:256 + size]
-    assert envelope_csv(a, n, m) == envelope_csv_rowwise(a, n, m)
-    assert rl_law_csv(a, b, n, m) == rl_law_csv_rowwise(a, b, n, m)
-    assert filtered_law_csv(a, b, c, n, m) == filtered_law_csv_rowwise(a, b, c, n, m)
+    columns = [values[:size], values[128:128 + size], values[256:256 + size]]
+    for writer, (_, _, count) in WRITERS.items():
+        _check_writer(writer, np.arange(size), columns[:count], n, m)
+
+
+@given(
+    table=st.lists(st.one_of(st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf,
+                                              5e-324, -5e-324]),
+                             st.floats(width=64)), min_size=3, max_size=3 * 40),
+    shape=st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 3), (4, 3), (2, 7)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_writers_on_drawn_level_tables(table, shape, seed):
+    """Drawn tables of up to 40 levels, in which -0.0, nan, +-inf and the
+    smallest subnormal are likely, gathered to the strings through a drawn
+    level of each string: the writers by level against the row-wise
+    references on the gathered columns."""
+    n, m = shape
+    levels = min(len(table) // 3, n**m)
+    columns = [np.array(table[k * levels:(k + 1) * levels]) for k in range(3)]
+    level_of = _level_of(np.random.default_rng(seed), levels, n**m)
+    for writer, (_, _, count) in WRITERS.items():
+        _check_writer(writer, level_of, columns[:count], n, m)
+
+
+def test_level_text_keeps_signed_zeros_apart():
+    """Two levels whose values differ only in the sign of zero (equal as
+    dict keys) each keep their own text."""
+    level_of = np.array([0, 1, 1, 0, 2, 2])
+    columns = [np.array([0.0, -0.0, math.nan])] * 3
+    _check_writer("filtered_law", level_of, columns, 6, 1)
+    text = filtered_law_csv(level_of, columns, (), 6, 1)
+    assert text.split("\n")[1:3] == ["0,0.0,0.0,0.0", "1,-0.0,-0.0,-0.0"]
 
 
 def _json_reference(values: np.ndarray) -> str:
