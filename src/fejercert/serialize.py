@@ -33,7 +33,9 @@ def dumps_json(obj) -> str:
         if not (obj.dtype == np.float64 and obj.ndim == 1 and obj.size and np.isfinite(obj).all()):
             raise ValueError("an array document must be a nonempty vector of finite floats")
         # the layout of json.dumps(..., indent=2), whose indenting encoder is pure Python
-        return "[\n  " + ",\n  ".join(chain.from_iterable(_float_reprs(obj, _JSON_RUN))) + "\n]\n"
+        texts = (repeat(repr(float(obj[0])), obj.size) if _one_value(obj)
+                 else chain.from_iterable(_float_reprs(obj, _JSON_RUN)))
+        return "[\n  " + ",\n  ".join(texts) + "\n]\n"
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # json's own text names no field
@@ -89,6 +91,12 @@ def string_labels_at(indices: np.ndarray, n: int, m: int) -> list:
     return list(map("-".join, zip(*blocks)))
 
 
+def _one_value(column: np.ndarray) -> bool:
+    """Whether a nonempty float column holds one bit pattern (-0.0 is not 0.0)."""
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 class _ReprMemo(dict):
     """repr of a float64, keyed by its bit pattern, formatted on first use."""
 
@@ -116,14 +124,20 @@ def _labelled_csv(header: Sequence[str], n: int, m: int, level_of: np.ndarray | 
     level's text formatted once and gathered to the rows through
     ``level_of``), then the ``by_string`` ones.  Rows go out in runs that
     share the slow half of the blocks, one join per run, so only one run of
-    labels and formatted values is alive at a time."""
+    labels and formatted values is alive at a time; when every row ends
+    alike (one level, no ``by_string`` column), a run joins just its labels."""
     fast = string_labels(n, (m + 1) // 2)
     level_text = np.array([",".join(("",) + row) for row in
                            zip(*(map(repr, c.tolist()) for c in by_level))], dtype=object)
     strings = zip(*(_float_reprs(c, len(fast)) for c in by_string))
     parts = [",".join(header) + "\n"]
     for start, slow in zip(range(0, n**m, len(fast)), string_labels(n, m // 2)):
-        row = [fast, repeat("-" + slow if slow else "")]
+        slow = "-" + slow if slow else ""
+        if len(level_text) == 1 and not by_string:
+            suffix = slow + level_text[0] + "\n"
+            parts.append(suffix.join(fast) + suffix)
+            continue
+        row = [fast, repeat(slow)]
         if by_level:
             row.append(level_text[level_of[start:start + len(fast)]])
         for formatted in next(strings, ()):
@@ -133,7 +147,9 @@ def _labelled_csv(header: Sequence[str], n: int, m: int, level_of: np.ndarray | 
 
 
 def envelope_csv(probs: np.ndarray, n: int, m: int) -> str:
-    return _labelled_csv(("string", "probability"), n, m, None, (), (probs,))
+    # an all-equal column (the uniform start, say) is a table of one level
+    columns = ((probs[:1],), ()) if _one_value(probs) else ((), (probs,))
+    return _labelled_csv(("string", "probability"), n, m, None, *columns)
 
 
 def filtered_law_csv(level_of: np.ndarray, by_level: Sequence[np.ndarray],

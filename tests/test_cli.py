@@ -550,6 +550,27 @@ class TestEnvelopeCommand:
         run(["envelope", "--instance", inst, "--v0", str(v0), "-o", str(out)])
         assert json.loads(out.read_text()) == [0.9, 0.1]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n,m", [(4, 4), (6, 6)])
+    def test_all_equal_v0_writes_the_default_bytes(self, n, m, fmt, tmp_path):
+        """An external start of equal entries is the uniform start: the
+        document is the default start's, byte for byte."""
+        argv = ["envelope", "--instance", write_instance(tmp_path / "i.json", shape_document(n, m)),
+                "--betas", "0.4,0.9", "--format", fmt, "--cap", "46656"]
+        v0 = write_instance(tmp_path / "v0.json", [1 / n**m] * n**m)
+        assert run(argv + ["-o", str(tmp_path / "default")]) == 0
+        assert run(argv + ["--v0", v0, "-o", str(tmp_path / "v0")]) == 0
+        assert (tmp_path / "v0").read_bytes() == (tmp_path / "default").read_bytes()
+
+    def test_uniform_csv_peak_within_two_and_a_half_csvs(self, tmp_path):
+        """The default start at 6^6: the peak of the whole command stays
+        within 2.5 times the CSV's length."""
+        out = tmp_path / "env.csv"
+        argv = ["envelope", "--instance", write_instance(tmp_path / "i.json", shape_document(6, 6)),
+                "--betas", "0.4,0.9", "--format", "csv", "--cap", "46656", "-o", str(out)]
+        assert run(argv) == 0  # imports and caches warm
+        assert _traced_peak(lambda: run(argv)) <= 2.5 * len(out.read_text())
+
     def test_parser_reuse_keeps_bytes(self, qap_instance, tmp_path, capsys):
         """main builds its parser once per process; runs in one process,
         after a run with --betas and after a parse error, write what a fresh
@@ -1172,6 +1193,13 @@ OVERFLOWING_NAMED = {
 }
 
 
+# the two commands that read an external diagonal, the file's path to follow
+DIAGONAL_COMMANDS = pytest.mark.parametrize("argv", [
+    ["certify", "--gamma", "1", "-p", "1", "--envelope"],
+    ["envelope", "--v0"],
+], ids=["certify", "envelope"])
+
+
 class TestFailClosed:
     @pytest.mark.parametrize("name", sorted(BAD_INSTANCES))
     def test_bad_instance_exits_2_without_output(self, name, tmp_path):
@@ -1205,6 +1233,37 @@ class TestFailClosed:
         out = tmp_path / "curves.csv"
         assert exit_code(args + ["-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("diagonal, index", [
+        (["0.5", 0.5], 0),
+        ([True, 0], 0),
+        ([1.0, False], 1),
+        ([0.5, None], 1),
+        ([[0.5], 0.5], 0),
+        ([1.0, 10**400], 1),
+    ], ids=["string", "true", "false", "null", "nested", "past-float-range"])
+    @DIAGONAL_COMMANDS
+    def test_non_number_diagonal_entry_exits_2(self, argv, diagonal, index, toy_instance,
+                                               tmp_path, capsys):
+        """Every entry of an external diagonal is a JSON int or float; the
+        first that is not is named by its index, and nothing is written."""
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(diagonal))
+        out = tmp_path / "out.json"
+        assert run(argv[:1] + ["--instance", toy_instance] + argv[1:]
+                   + [str(path), "-o", str(out)]) == 2
+        assert f"external diagonal entry {index} is not a finite JSON number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @DIAGONAL_COMMANDS
+    def test_int_diagonal_entries_are_numbers(self, argv, toy_instance, tmp_path):
+        path = tmp_path / "diag.json"
+        path.write_text("[1, 0]")
+        out = tmp_path / "out.json"
+        assert run(argv[:1] + ["--instance", toy_instance] + argv[1:]
+                   + [str(path), "-o", str(out)]) == 0
+        assert out.exists()
 
     def test_nan_initial_diagonal_exits_2(self, toy_instance, tmp_path):
         v0 = tmp_path / "v0.json"

@@ -200,6 +200,36 @@ def test_csv_repeated_values_byte_identical_to_rowwise(writer, n, m):
     _check_writer(writer, _level_of(rng, levels, n**m), columns, n, m)
 
 
+# an all-equal column: "uniform" is 1/n^m, the start of the envelope command
+ONE_VALUES = ["uniform", -0.0, 5e-324, 1e308, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", ONE_VALUES, ids=str)
+@pytest.mark.parametrize("n,m", SHAPES + [(36, 3)])
+def test_all_equal_column_byte_identical_to_rowwise(n, m, value):
+    """A column of one bit pattern is formatted once and each run written
+    as one join, in the envelope CSV and in the law CSVs of one level."""
+    value = 1 / n**m if value == "uniform" else value
+    column = np.full(n**m, value)
+    assert envelope_csv(column, n, m) == envelope_csv_rowwise(column, n, m)
+    for writer in ("filtered_law", "rl_law"):
+        _check_writer(writer, np.zeros(n**m, dtype=np.intp),
+                      [np.full(1, value)] * WRITERS[writer][2], n, m)
+
+
+@pytest.mark.parametrize("n,m", [shape for shape in SHAPES if shape[0] ** shape[1] > 1])
+def test_nearly_equal_column_byte_identical_to_rowwise(n, m):
+    """Columns equal as floats but not as bit patterns: one -0.0 among 0.0,
+    and NaNs with two payloads."""
+    rng = np.random.default_rng(88 * n + m)
+    zeros = np.zeros(n**m)
+    zeros[rng.integers(0, n**m)] = -0.0
+    nans = np.full(n**m, math.nan)
+    nans[rng.integers(0, n**m)] = _nan_with_payload(7)
+    for column in (zeros, nans):
+        assert envelope_csv(column, n, m) == envelope_csv_rowwise(column, n, m)
+
+
 @given(
     pool=st.lists(st.floats(width=64), min_size=1, max_size=40),
     shape=st.sampled_from([(1, 1), (2, 3), (3, 3), (4, 3), (2, 7)]),
@@ -259,7 +289,12 @@ def _json_reference(values: np.ndarray) -> str:
     [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1],
     np.random.default_rng(4).normal(size=3000).tolist(),
     np.random.default_rng(5).choice([0.5, -0.0, 0.0, 5e-324, 1e308], size=5000).tolist(),
-], ids=["empty", "one", "minus-zero", "specials", "distinct", "repeated"])
+    [-0.0] * 3000,
+    [5e-324] * 3000,
+    [1 / 46656] * 46656,
+    [0.0] * 3000 + [-0.0],
+], ids=["empty", "one", "minus-zero", "specials", "distinct", "repeated", "all-minus-zero",
+        "all-subnormal", "uniform-6^6", "zeros-then-minus-zero"])
 def test_json_float64_array_matches_json_dumps(values):
     array = np.array(values, dtype=np.float64)
     if not values:  # an empty vector is no document
@@ -288,3 +323,25 @@ def test_json_fast_path_skips_json_dumps_only_for_finite_float64_vectors(monkeyp
         with pytest.raises(ValueError):
             dumps_json(value)
         assert calls == [], value
+
+
+def test_all_equal_column_is_formatted_once(monkeypatch):
+    """An all-equal column reaches neither the bit-pattern memo nor
+    json.dumps; a column with one other bit pattern (-0.0 among 0.0) still
+    goes through the memo."""
+    calls = []
+    float_reprs, dumps = serialize._float_reprs, json.dumps
+    monkeypatch.setattr(serialize, "_float_reprs",
+                        lambda *a: calls.append("_float_reprs") or float_reprs(*a))
+    monkeypatch.setattr(serialize.json, "dumps",
+                        lambda *a, **k: calls.append("json.dumps") or dumps(*a, **k))
+    uniform = np.full(4**4, 1 / 4**4)
+    envelope_csv(uniform, 4, 4)
+    dumps_json(uniform)
+    assert calls == []
+    mixed = np.zeros(4**4)
+    mixed[100] = -0.0
+    envelope_csv(mixed, 4, 4)
+    assert calls == ["_float_reprs"]
+    dumps_json(mixed)
+    assert calls == ["_float_reprs"] * 2
