@@ -190,13 +190,12 @@ def _load_diagonal(path: str, size: int) -> Envelope:
     data = read_json(path)
     if not isinstance(data, list) or len(data) != size:
         raise ValueError(f"external diagonal must be a JSON array of length {size}")
-    if set(map(type, data)) - {float}:  # a file of floats only, the usual one, needs no scan
-        for i, entry in enumerate(data):
-            # json loads true as an int, asarray would parse "0.5", and an int
-            # past the float range would raise OverflowError there
-            if type(entry) not in (int, float) or not abs(entry) <= sys.float_info.max:
-                raise ValueError(f"external diagonal entry {i} is not a finite JSON number: "
-                                 f"{entry!r:.40}")
+    for i, entry in enumerate(data):
+        # json loads true as an int, asarray would parse "0.5", and an int
+        # past the float range would raise OverflowError there
+        if type(entry) not in (int, float) or not abs(entry) <= sys.float_info.max:
+            raise ValueError(f"external diagonal entry {i} is not a finite JSON number: "
+                             f"{entry!r:.40}")
     return external_envelope(data)
 
 

@@ -1256,6 +1256,26 @@ class TestFailClosed:
             in capsys.readouterr().err
         assert not out.exists()
 
+    # raw JSON text: json reads a float literal past the float range as inf
+    @pytest.mark.parametrize("text, index", [
+        ("[1e400, 0.5]", 0),
+        ("[1e400, 0]", 0),
+        ("[0.5, -1e400]", 1),
+    ], ids=["among-floats", "among-ints", "negative"])
+    @DIAGONAL_COMMANDS
+    def test_non_finite_diagonal_entry_exits_2(self, argv, text, index, toy_instance,
+                                               tmp_path, capsys):
+        """A float literal past the float range is named like any other bad
+        entry, whatever the other entries are."""
+        path = tmp_path / "diag.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        assert run(argv[:1] + ["--instance", toy_instance] + argv[1:]
+                   + [str(path), "-o", str(out)]) == 2
+        assert f"external diagonal entry {index} is not a finite JSON number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @DIAGONAL_COMMANDS
     def test_int_diagonal_entries_are_numbers(self, argv, toy_instance, tmp_path):
         path = tmp_path / "diag.json"
