@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="normalize after averaging (no bound asserted)")
     rl_cmd.add_argument("--law-output", default=None, help="also write the averaged law as CSV")
 
-    simulate = command("simulate", "coherent statevector run")
+    simulate = command("simulate", "coherent circuit run: block product state or statevector")
     simulate.add_argument("--gammas", type=_float_list, required=True)
     simulate.add_argument("--betas", type=_float_list, required=True)
     simulate.add_argument("--convention", choices=["adjacency", "normalized"], default="adjacency")
@@ -421,8 +421,8 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
         "mbar_log": mbar.log_form,
         "bound": bound,
         # a level's mass and its normalizer are rounded apart, so the ratio
-        # can exceed 1 by an ulp; a NaN is kept
-        "success_mass": 1.0 if 1.0 < law.success_mass < math.inf else law.success_mass,
+        # can exceed 1 by an ulp
+        "success_mass": oracle.unit_mass(law.success_mass),
         "success_stderr": law.success_stderr,
     }
     outputs = [(args.output, serialize.dumps_json(document))]
@@ -440,24 +440,40 @@ def _cmd_rl(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
 
 
 def _cmd_simulate(args: argparse.Namespace, inst: ProblemInstance) -> tuple:
-    state = oracle.simulate(inst, args.gammas, _adjacency_betas(args, inst.n))
-    omega = inst.optimal_indices()
-    feasible = inst.feasible_indices()
+    """On an instance in product form, the state is kept as m block vectors
+    and its masses are read without the n**m strings; otherwise it is the
+    statevector."""
+    betas = _adjacency_betas(args, inst.n)
+    if inst.product_form:
+        probs = np.abs(oracle.simulate_blocks(inst, args.gammas, betas)) ** 2
+        masses = inst.product_masses(probs)
+        success, feasible = oracle.unit_mass(masses.optimal), oracle.unit_mass(masses.feasible)
+    else:
+        state = oracle.simulate(inst, args.gammas, betas)
+        omega = inst.optimal_indices()
+        success = oracle.projector_mass(state, omega)
+        feasible = oracle.projector_mass(state, inst.feasible_indices())
     document = {
         "command": "simulate",
         "gammas": args.gammas,
         "betas": args.betas,
         "convention": args.convention,
-        "success_probability": oracle.projector_mass(state, omega),
-        "feasibility_probability": oracle.projector_mass(state, feasible),
+        "success_probability": success,
+        "feasibility_probability": feasible,
         "seed": args.seed if args.shots is not None else None,
         "shots": args.shots,
     }
     if args.shots is not None:
-        report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
-        hits = np.flatnonzero(report.counts)
-        document["counts"] = dict(zip(serialize.string_labels_at(hits, inst.n, inst.m),
-                                      report.counts[hits].tolist()))
+        if inst.product_form:
+            symbols, report = oracle.sample_block_shots(inst, probs, args.shots, args.seed,
+                                                        masses.e_star)
+            labels, counts = serialize.string_labels_of(symbols, inst.n), report.counts
+        else:
+            report = oracle.sample_shots(state.probabilities(), args.shots, args.seed, omega)
+            hits = np.flatnonzero(report.counts)
+            labels = serialize.string_labels_at(hits, inst.n, inst.m)
+            counts = report.counts[hits]
+        document["counts"] = dict(zip(labels, counts.tolist()))
         document["success_frequency"] = report.frequency
         document["success_ci"] = [report.ci_low, report.ci_high]
     return EXIT_OK, [(args.output, serialize.dumps_json(document))]
@@ -486,7 +502,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--law-output and --output name the same file: {law_output}")
         if "instance" in args:
             inst = load_instance_file(args.instance, cap=args.cap)
-            if args.command != "feasibility":  # it bounds its own tables
+            # feasibility, and simulate in product form, bound their own tables
+            if not (args.command == "feasibility"
+                    or args.command == "simulate" and inst.product_form):
                 inst.checked_size()
             code, outputs = handler(args, inst)
         else:

@@ -33,8 +33,9 @@ LATTICE_LIMIT = 2.0**62
 
 
 class CapExceededError(ValueError):
-    """A table a path would allocate, n**m strings or the sector dimension,
-    exceeds the configured enumeration cap."""
+    """A table a path would allocate, n**m strings, the sector dimension,
+    the subset table or a level of the shot tree, exceeds the configured
+    enumeration cap."""
 
 
 class InstanceFormatError(ValueError):
@@ -76,6 +77,58 @@ def permutation_indices(n: int) -> np.ndarray:
     symbols = itertools.chain.from_iterable(itertools.permutations(range(n)))
     perms = np.fromiter(symbols, dtype=np.int64, count=n * math.factorial(n)).reshape(-1, n)
     return np.sort(perms @ n ** np.arange(n, dtype=np.int64))
+
+
+class BlockMasses(NamedTuple):
+    """Masses of a product distribution over the blocks: on the feasible
+    set, the least feasible energy E*, and on the feasible strings at E*."""
+
+    feasible: float
+    e_star: int
+    optimal: float
+
+
+def permutation_masses(weights: np.ndarray, terms: np.ndarray, cap: int) -> BlockMasses:
+    """Over the permutations z of [0, n), with (n, n) block ``weights`` and
+    energy terms: the summed weight prod_b weights[b, z_b] (the permanent;
+    Ryser, Combinatorial Mathematics, 1963), the least energy
+    sum_b terms[b, z_b], and the summed weight at that energy.
+
+    One DP over the subsets S of used symbols, one popcount layer at a time,
+    places blocks 0..|S|-1 on S and keeps the summed weight, the least
+    partial energy and the weight at it.  An assignment least on S restricts
+    to one least on S less its last block's symbol, so the three are exact
+    up to the float sums.  A partial sum of terms along a string is itself
+    an energy, so the least one is an exact int64.  The 2**n subset table
+    is checked against ``cap``, and each layer is worked on in chunks of at
+    most 2**n entries."""
+    n = terms.shape[1]
+    if 2**n > cap:
+        raise CapExceededError(f"subset table 2**n = 2**{n} exceeds enumeration cap {cap}")
+    size = 2**n
+    popcount = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    bits = 1 << np.arange(n)
+    total, at_best = np.zeros(size), np.zeros(size)
+    best = np.zeros(size, dtype=np.int64)
+    total[0] = at_best[0] = 1.0
+    rows = max(1, size // n)
+    for k in range(n):  # place block k on each subset of k + 1 symbols
+        layer = np.flatnonzero(popcount == k + 1)
+        for start in range(0, layer.size, rows):
+            subsets = layer[start:start + rows]
+            held = (subsets[:, None] & bits) != 0
+            # S less symbol j where S holds j; elsewhere S itself, at zero weight
+            prev = subsets[:, None] & ~bits
+            energy = best[prev] + terms[k]
+            low = np.where(held, energy, np.iinfo(np.int64).max).min(axis=1)
+            weight = np.where(held, weights[k], 0.0)
+            total[subsets] = np.add.reduce(total[prev] * weight, axis=1)
+            at_low = np.where(energy == low[:, None], at_best[prev] * weight, 0.0)
+            at_best[subsets] = np.add.reduce(at_low, axis=1)
+            best[subsets] = low
+    return BlockMasses(float(total[-1]), int(best[-1]), float(at_best[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +323,32 @@ class ProblemInstance:
         """Whether the penalty is the loader's m = n collision table."""
         return self.given_penalty is None and self.m == self.n
 
+    @property
+    def product_form(self) -> bool:
+        """Whether the energy is a sum of per-block terms under a default
+        penalty, so that a product distribution over the blocks has its
+        masses in ``product_masses`` without the n**m strings."""
+        return self.terms.ndim == 2 and self.given_penalty is None
+
     def checked_size(self) -> int:
         """n**m, or CapExceededError when it exceeds the cap; called before
         anything of that size is allocated."""
         return capped_size(self.n, self.m, self.cap)
+
+    def product_masses(self, probs: np.ndarray) -> BlockMasses:
+        """The masses of the product distribution prod_b probs[b, z_b] on the
+        feasible set and on its optimal strings, with E*, for an instance in
+        ``product_form``.  Under the m != n default every string is feasible,
+        so each mass is a product over the blocks (the optimal strings take
+        each block to an argmin of its row); under the m = n one the
+        feasible strings are the permutations (``permutation_masses``)."""
+        if self.default_penalty:
+            return permutation_masses(probs, self.terms, self.cap)
+        low = self.terms.min(axis=1)
+        optimal = np.where(self.terms == low[:, None], probs, 0.0)
+        return BlockMasses(math.prod(np.add.reduce(probs, axis=1).tolist()),
+                           sum(low.tolist()),
+                           math.prod(np.add.reduce(optimal, axis=1).tolist()))
 
     @cached_property
     def energy(self) -> np.ndarray:

@@ -1,11 +1,16 @@
-"""Statevector simulation on the encoded space and shot sampling.
+"""Simulation on the encoded space and shot sampling.
 
 The encoded qudit space [n]^m is simulated directly.  Per block, the mixer
 unitary has the rank-one closed form
 
     <j| exp(-i beta A(K_n)) |k> = e^{i beta} (delta_jk + (e^{-i beta n} - 1)/n),
 
-which every simulation path uses.
+which every simulation path uses.  The statevector (``simulate``) holds the
+n**m amplitudes.  On an instance whose energy is a sum of per-block terms
+under a default penalty, the cost layer is a product of per-block
+diagonals, so from the uniform product start the state stays a product of
+m block vectors (``simulate_blocks``), whose shots are drawn block by block
+(``sample_block_shots``).
 
 Randomness: every sampling routine takes an explicit seed and uses numpy's
 PCG64 generator, which is bit-reproducible across platforms.  Parallel
@@ -22,6 +27,7 @@ import numpy as np
 
 from .instance import (
     DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
     LevelIndex,
     ProblemInstance,
     capped_size,
@@ -146,13 +152,39 @@ def simulate(
     return state
 
 
+def simulate_blocks(inst: ProblemInstance, gammas: Sequence[float],
+                    betas: Sequence[float]) -> np.ndarray:
+    """The state of ``simulate`` on an instance in ``product_form``, as the
+    (m, n) amplitudes of its block vectors: a cost layer multiplies block b
+    by exp(-i gamma terms[b]) and the mixer acts on each block alone, so a
+    run costs O(p m n) and allocates no n**m table.  Every per-block phase
+    gamma * terms[b, j] must be finite; the schedule is checked once, before
+    the first layer."""
+    if len(gammas) != len(betas):
+        raise ValueError("gamma and beta schedules must have equal length")
+    for gamma in gammas:
+        check_phase(gamma, inst.terms)
+    terms = inst.terms.astype(float)
+    amps = np.full((inst.m, inst.n), inst.n**-0.5, dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        phase, coupling = _block_coefficients(inst.n, beta)
+        amps = np.multiply(np.exp(-1j * gamma * terms), amps)
+        amps = phase * (amps + coupling * amps.sum(axis=1, keepdims=True))
+    check_norm(amps)
+    return amps
+
+
+def unit_mass(mass: float) -> float:
+    """A probability mass, read 1.0 where rounding carried it past 1; a NaN
+    is kept."""
+    return 1.0 if 1.0 < mass < math.inf else mass
+
+
 def projector_mass(state: EncodedState, indices: np.ndarray) -> float:
     """Probability mass of the state on a set of basis strings."""
     if indices.size == 0:
         return 0.0
-    mass = float((np.abs(state.amplitudes[indices]) ** 2).sum())
-    # rounding can carry the mass of a unit-norm state past 1; a NaN is kept
-    return 1.0 if 1.0 < mass < math.inf else mass
+    return unit_mass(float((np.abs(state.amplitudes[indices]) ** 2).sum()))
 
 
 class ShotReport(NamedTuple):
@@ -162,17 +194,19 @@ class ShotReport(NamedTuple):
     ci_high: float
 
 
-def sample_shots(dist: np.ndarray, shots: int, seed: int, subset: np.ndarray) -> ShotReport:
-    """Multinomial sampling, deterministic under the seed; reports the subset
-    hit frequency with its 95% Wilson score interval (Wilson, JASA 22:209,
-    1927), which keeps a positive width at zero and at all hits."""
+def _check_shots(shots: int) -> None:
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots {shots} must lie in [1, 2**63 - 1]")
+
+
+def _distribution(dist: np.ndarray) -> np.ndarray:
     probs = np.clip(np.asarray(dist, dtype=float), 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    hits = int(counts[subset].sum()) if subset.size else 0
+    return probs / probs.sum()
+
+
+def _shot_report(counts: np.ndarray, hits: int, shots: int) -> ShotReport:
+    """The hit frequency with its 95% Wilson score interval (Wilson, JASA
+    22:209, 1927), which keeps a positive width at zero and at all hits."""
     z2 = Z95 * Z95
     center = (hits + z2 / 2.0) / (shots + z2)
     # hits * (shots - hits) is an exact Python int
@@ -183,3 +217,45 @@ def sample_shots(dist: np.ndarray, shots: int, seed: int, subset: np.ndarray) ->
         ci_low=0.0 if hits == 0 else center - half,
         ci_high=1.0 if hits == shots else center + half,
     )
+
+
+def sample_shots(dist: np.ndarray, shots: int, seed: int, subset: np.ndarray) -> ShotReport:
+    """Multinomial sampling over the strings, deterministic under the seed;
+    reports the subset hit frequency with its Wilson interval."""
+    _check_shots(shots)
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(shots, _distribution(dist))
+    hits = int(counts[subset].sum()) if subset.size else 0
+    return _shot_report(counts, hits, shots)
+
+
+def sample_block_shots(inst: ProblemInstance, probs: np.ndarray, shots: int, seed: int,
+                       e_star: int) -> tuple:
+    """Shots from the product law prod_b probs[b, z_b], deterministic under
+    the seed, by conditional multinomial splitting: the shots split over
+    block m-1's symbols, each part over block m-2's, and so on down to
+    block 0.  The strings drawn, the leaves, come out in canonical order
+    with their counts, and no table per shot exists.  A level draws a
+    (nodes, n) table of counts, checked against the instance's cap; nodes
+    never exceed the shots nor n**(m-1).  A shot hits when its string is
+    feasible at energy ``e_star``.  Returns the (m, leaves) symbols of the
+    leaves and the report of their counts, with its Wilson interval."""
+    _check_shots(shots)
+    n, m = inst.n, inst.m
+    rng = np.random.default_rng(seed)
+    counts, kept = np.array([shots]), []
+    for b in reversed(range(m)):
+        if counts.size * n > inst.cap:
+            raise CapExceededError(f"shot tree of {counts.size} nodes times n = {n} symbols "
+                                   f"exceeds enumeration cap {inst.cap}")
+        drawn = rng.multinomial(counts, _distribution(probs[b])).reshape(-1)
+        kept.append(np.flatnonzero(drawn))  # child = parent * n + symbol
+        counts = drawn[kept[-1]]
+    symbols = np.empty((m, counts.size), dtype=np.intp)
+    node = np.arange(counts.size)
+    for b in range(m):  # back from the leaves: block 0's level was drawn last
+        node, symbols[b] = np.divmod(kept[m - 1 - b][node], n)
+    hit = np.add.reduce(inst.terms[np.arange(m)[:, None], symbols], axis=0) == e_star
+    if inst.default_penalty:  # m = n: the feasible strings are the permutations
+        hit &= (np.sort(symbols, axis=0) == np.arange(n)[:, None]).all(axis=0)
+    return symbols, _shot_report(counts, int(counts[hit].sum()), shots)

@@ -86,9 +86,15 @@ def string_labels(n: int, m: int) -> list:
 def string_labels_at(indices: np.ndarray, n: int, m: int) -> list:
     """Dash-joined labels of the block strings at canonical ``indices``,
     from their base-n digits, block 0 first."""
-    symbols = [str(s) for s in range(n)]
-    blocks = [map(symbols.__getitem__, (indices // n**b % n).tolist()) for b in range(m)]
-    return list(map("-".join, zip(*blocks)))
+    return string_labels_of([indices // n**b % n for b in range(m)], n)
+
+
+def string_labels_of(symbols: Sequence[np.ndarray], n: int) -> list:
+    """Dash-joined labels of block strings given by their symbol columns,
+    one per block, block 0 first; no string index is formed, so n**m may
+    pass 2**63."""
+    texts = [str(s) for s in range(n)]
+    return list(map("-".join, zip(*(map(texts.__getitem__, col.tolist()) for col in symbols))))
 
 
 def _one_value(column: np.ndarray) -> bool:

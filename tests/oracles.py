@@ -92,11 +92,23 @@ path, so they live with the tests (and only they need scipy).
   swapping its operands can change the last bit, and an operator
   expression such as ``amps * np.exp(...)`` leaves the order to numpy's
   temporary elision, which swaps the operands from 16384 strings (256 KiB)
-  on.
+  on;
+- ``block_marginals`` and ``product_law``: a statevector's law summed to
+  each block's symbols, and the per-string law of a product of block
+  distributions, the references that ``oracle.simulate_blocks`` and the
+  law ``oracle.sample_block_shots`` draws from are checked against;
+- ``permutation_masses_by_enumeration``: the summed weight, the least
+  energy, the weight at it and the count at it over the permutations, one
+  at a time, the reference for the subset DP
+  ``fejercert.instance.permutation_masses``;
+- ``split_shots_reference``: conditional multinomial splitting one node
+  and one scalar draw at a time, the count-for-count reference for the
+  vectorised levels of ``oracle.sample_block_shots``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -874,3 +886,51 @@ def simulate_reference(
     for gamma, beta in zip(gammas, betas):
         state = apply_mixer_allocating(apply_cost_per_string(state, table, gamma), beta)
     return state
+
+
+def block_marginals(state: EncodedState) -> np.ndarray:
+    """The (m, n) marginals of a statevector's law: each block's symbol
+    probabilities, summed over the other blocks."""
+    n, m = state.n, state.m
+    law = state.probabilities().reshape((n,) * m, order="F")  # axis b holds block b
+    return np.stack([law.sum(axis=tuple(a for a in range(m) if a != b)) for b in range(m)])
+
+
+def product_law(probs: np.ndarray) -> np.ndarray:
+    """The law prod_b probs[b, z_b] over all strings in canonical order."""
+    law = np.ones(1)
+    for row in probs:  # block b goes in front of the faster blocks 0..b-1
+        law = np.multiply.outer(row, law).reshape(-1)
+    return law
+
+
+def permutation_masses_by_enumeration(weights: np.ndarray, terms: np.ndarray) -> tuple:
+    """Over the permutations z of [0, n), one at a time: the summed weight
+    prod_b weights[b, z_b], the least energy sum_b terms[b, z_b], the summed
+    weight at it and the number of permutations at it."""
+    n = terms.shape[0]
+    total, best, at_best, count = 0.0, None, 0.0, 0
+    for z in itertools.permutations(range(n)):
+        weight = math.prod(float(weights[b, z[b]]) for b in range(n))
+        energy = sum(int(terms[b, z[b]]) for b in range(n))
+        total += weight
+        if best is None or energy < best:
+            best, at_best, count = energy, weight, 1
+        elif energy == best:
+            at_best, count = at_best + weight, count + 1
+    return total, best, at_best, count
+
+
+def split_shots_reference(marginals: np.ndarray, shots: int, seed: int) -> dict:
+    """Shots split over block m-1's symbols, each part over block m-2's, and
+    so on down to block 0, with one scalar multinomial draw per node, the
+    nodes taken in canonical order; {string, block 0 first: count} of the
+    strings drawn."""
+    rng = np.random.default_rng(seed)
+    nodes = [((), shots)]
+    for b in reversed(range(len(marginals))):
+        probs = np.clip(np.asarray(marginals[b], dtype=float), 0.0, None)
+        probs = probs / probs.sum()
+        nodes = [((symbol,) + suffix, part) for suffix, count in nodes
+                 for symbol, part in enumerate(rng.multinomial(count, probs).tolist()) if part]
+    return dict(nodes)

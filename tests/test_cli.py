@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -33,6 +34,7 @@ from fejercert.mixer import external_envelope, uniform_envelope
 from fejercert.serialize import load_schema
 from conftest import forbid_integer_tables, shape_document
 from oracles import (
+    block_marginals,
     collision_penalty_table,
     denominator_form_bound,
     feasibility_document_by_table,
@@ -45,6 +47,7 @@ from oracles import (
     phase_gap_per_string,
     rl_law_csv_rowwise,
     rl_law_per_string,
+    split_shots_reference,
     table_index,
 )
 
@@ -783,8 +786,9 @@ SIX = {"n": 6, "m": 6, "generator": {"kind": "assignment",
 class TestCapOnEveryPath:
     """--cap bounds the largest table a path allocates: n**m on the dense
     paths, the orbit-sector dimension on the m = n default-penalty
-    feasibility path, and none under the m != n default penalty.  A 6x6
-    instance (46656 strings) under the default cap of 4096."""
+    feasibility path, the 2**n subset table and the shot tree on the
+    product route of simulate, and none under the m != n default penalty.
+    A 6x6 instance (46656 strings) under the default cap of 4096."""
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--gamma", "0.3", "-p", "2"],
@@ -793,10 +797,7 @@ class TestCapOnEveryPath:
         ["rl", "--gamma", "0.3", "-p", "2", "--half-width", "0.2", "--samples", "5"],
         ["envelope", "--betas", "0.4"],
         ["envelope", "--v0", "ENV"],
-        ["simulate", "--gammas", "0.3", "--betas", "0.5"],
-        ["simulate", "--gammas", "", "--betas", "", "--shots", "10"],
-    ], ids=["certify", "certify_law", "certify_envelope", "rl", "envelope", "envelope_v0",
-            "simulate", "simulate_no_layers"])
+    ], ids=["certify", "certify_law", "certify_envelope", "rl", "envelope", "envelope_v0"])
     def test_dense_paths_exit_4_without_output(self, argv, tmp_path, capsys):
         uniform = write_instance(tmp_path / "env.json", [1 / 6**6] * 6**6)
         names = {"LAW": str(tmp_path / "law.csv"), "ENV": uniform}
@@ -806,6 +807,29 @@ class TestCapOnEveryPath:
                    + argv[1:] + ["-o", str(out)]) == 4
         assert "n**m = 6**6 exceeds enumeration cap 4096" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "six.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--gammas", "0.3", "--betas", "0.5"],
+        ["simulate", "--gammas", "", "--betas", "", "--shots", "10"],
+    ], ids=["simulate", "simulate_no_layers"])
+    def test_product_simulate_runs_past_cap(self, argv, tmp_path, monkeypatch):
+        """An assignment instance under its default penalty is simulated as
+        m block vectors: its 2**6 subset table is under the cap, and no n**m
+        table or statevector is made, where the statevector exited 4."""
+        out = tmp_path / "out.json"
+        path = write_instance(tmp_path / "six.json", SIX)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "simulate", _unexpected)
+            forbid_integer_tables(patch, 6**6)
+            assert run(argv + ["--instance", path, "-o", str(out)]) == 0
+        inst = load_instance(SIX, cap=6**6)
+        gammas = [0.3] if "0.3" in argv else []
+        state = oracle.simulate(inst, gammas, [0.5] * len(gammas))
+        doc = json.loads(out.read_text())
+        assert abs(doc["success_probability"]
+                   - oracle.projector_mass(state, inst.optimal_indices())) <= 1e-12
+        assert abs(doc["feasibility_probability"]
+                   - oracle.projector_mass(state, inst.feasible_indices())) <= 1e-12
 
     @pytest.mark.parametrize("doc, code", [
         ({**SIX, "penalty": [0] * 6**6}, 4),
@@ -1074,9 +1098,13 @@ class TestSimulateCommand:
                     "-o", str(out)]) == 0
         inst = load_instance(doc)
         state = oracle.simulate(inst, [0.3, 0.6], [0.5, 0.5])
-        report = oracle.sample_shots(state.probabilities(), 3000, 4, inst.optimal_indices())
-        expected = {format_string(index_string(i, inst.n, inst.m)): int(c)
-                    for i, c in enumerate(report.counts) if c}
+        if inst.product_form:  # split block by block, from the statevector's marginals
+            drawn = split_shots_reference(block_marginals(state), 3000, 4)
+            expected = {format_string(z): c for z, c in drawn.items()}
+        else:
+            report = oracle.sample_shots(state.probabilities(), 3000, 4, inst.optimal_indices())
+            expected = {format_string(index_string(i, inst.n, inst.m)): int(c)
+                        for i, c in enumerate(report.counts) if c}
         assert json.loads(out.read_text())["counts"] == expected
 
     def test_zero_hits_interval_has_width(self, tmp_path):
@@ -1102,6 +1130,97 @@ class TestSimulateCommand:
     def test_schedule_mismatch_precondition(self, qap_instance, tmp_path):
         assert run(["simulate", "--instance", qap_instance, "--gammas", "0.3",
                     "--betas", "0.5,0.6", "-o", str(tmp_path / "x.json")]) == 2
+
+
+class TestProductSimulate:
+    """``simulate`` on assignment instances under the default penalty keeps
+    m block vectors: its masses match the statevector's, its shot counts
+    are labelled without string indices, and --cap bounds the 2**n subset
+    table (m = n) and the shot tree, not n**m."""
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (3, 5), (5, 3), (6, 6), (2, 7)])
+    def test_document_matches_statevector(self, n, m, tmp_path):
+        doc = _generator_doc(n, m)
+        path = write_instance(tmp_path / "inst.json", doc)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", path, "--gammas", "0.3,0.6,0.9",
+                    "--betas", "0.5,0.4,0.3", "--shots", "2000", "--seed", "9",
+                    "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        inst = load_instance(doc, cap=6**6)
+        state = oracle.simulate(inst, [0.3, 0.6, 0.9], [0.5, 0.4, 0.3])
+        omega = inst.optimal_indices()
+        assert abs(report["success_probability"] - oracle.projector_mass(state, omega)) <= 1e-12
+        assert abs(report["feasibility_probability"]
+                   - oracle.projector_mass(state, inst.feasible_indices())) <= 1e-12
+        counts = report["counts"]
+        assert sum(counts.values()) == 2000
+        optimal = {format_string(index_string(int(i), n, m)) for i in omega}
+        hits = sum(c for label, c in counts.items() if label in optimal)
+        assert report["success_frequency"] == hits / 2000
+        assert report["success_ci"][0] <= hits / 2000 <= report["success_ci"][1]
+
+    def test_sixteen_by_sixteen_runs_at_its_subset_table(self, tmp_path):
+        """n**m = 2**64 strings, past any int64 index; the subset table has
+        2**16 = 65536 entries."""
+        path = write_instance(tmp_path / "inst.json", _generator_doc(16, 16))
+        out = tmp_path / "sim.json"
+        start = time.perf_counter()
+        assert run(["simulate", "--instance", path, "--gammas", "0.3,0.6", "--betas", "0.5,0.5",
+                    "--cap", "65536", "--shots", "1000", "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(out.read_text())
+        assert sum(report["counts"].values()) == 1000
+        for label in report["counts"]:
+            symbols = [int(s) for s in label.split("-")]
+            assert len(symbols) == 16 and all(0 <= s < 16 for s in symbols)
+        assert 0.0 < report["success_probability"] < report["feasibility_probability"] < 1.0
+
+    def test_thirteen_by_thirteen_names_the_subset_table(self, tmp_path, capsys):
+        path = write_instance(tmp_path / "inst.json", _generator_doc(13, 13))
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", path, "--gammas", "0.3", "--betas", "0.5",
+                    "-o", str(out)]) == 4
+        assert "subset table 2**n = 2**13 exceeds enumeration cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100"]], ids=["no_shots", "shots"])
+    def test_forty_by_three_runs_under_the_default_cap(self, shots, tmp_path):
+        """m != n: no subset table, and 100 shots draw at most 100 x 40
+        counts at block 0's level."""
+        doc = _generator_doc(40, 3)
+        path = write_instance(tmp_path / "inst.json", doc)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", path, "--gammas", "0.3", "--betas", "0.5",
+                    *shots, "-o", str(out)]) == 0
+        inst = load_instance(doc, cap=40**3)
+        state = oracle.simulate(inst, [0.3], [0.5])
+        report = json.loads(out.read_text())
+        assert abs(report["success_probability"]
+                   - oracle.projector_mass(state, inst.optimal_indices())) <= 1e-12
+
+    def test_shot_tree_never_passes_n_to_the_m(self, qap_instance, tmp_path, capsys):
+        """2**62 shots reach every string of a 3x3, and the shot tree stays
+        within the n**m = 27 counts of its last level."""
+        argv = ["simulate", "--instance", qap_instance, "--gammas", "0.3", "--betas", "0.5",
+                "--shots", "4611686018427387904"]
+        out = tmp_path / "sim.json"
+        assert run(argv + ["--cap", "27", "-o", str(out)]) == 0
+        counts = json.loads(out.read_text())["counts"]
+        assert sum(counts.values()) == 2**62 and len(counts) == 27
+        assert run(argv + ["--cap", "26", "-o", str(tmp_path / "small.json")]) == 4
+        assert "shot tree of 9 nodes times n = 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "m": 3, "energy": [(5 * i) % 7 for i in range(27)]},
+        {**QAP_DOC, "penalty": collision_penalty_table(3, 3).tolist()},
+    ], ids=["dense_energy", "given_penalty"])
+    def test_other_instances_keep_the_statevector(self, doc, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "simulate_blocks", _unexpected)
+        monkeypatch.setattr(oracle, "sample_block_shots", _unexpected)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--instance", write_instance(tmp_path / "inst.json", doc),
+                    "--gammas", "0.3", "--betas", "0.5", "--shots", "100", "-o", str(out)]) == 0
 
 
 class TestInstanceSchema:

@@ -12,6 +12,7 @@ from conftest import level_mass, random_envelope, random_instance
 from oracles import (
     apply_cost_per_string,
     apply_mixer_allocating,
+    block_marginals,
     block_unitary_expm,
     collision_penalty_table,
     dephased_reference,
@@ -19,7 +20,11 @@ from oracles import (
     filtered_law_per_string,
     index_string,
     penalty_table,
+    permutation_masses_by_enumeration,
+    product_law,
     simulate_reference,
+    split_shots_reference,
+    string_index,
     table_index,
 )
 from fejercert import (
@@ -31,7 +36,7 @@ from fejercert import (
     single_block_kernel,
     uniform_envelope,
 )
-from fejercert.instance import CapExceededError, Levels
+from fejercert.instance import CapExceededError, Levels, permutation_masses
 from fejercert.oracle import (
     EncodedState,
     apply_cost,
@@ -40,8 +45,10 @@ from fejercert.oracle import (
     check_norm,
     initial_state,
     projector_mass,
+    sample_block_shots,
     sample_shots,
     simulate,
+    simulate_blocks,
 )
 
 
@@ -429,3 +436,154 @@ class TestEncodedState:
         flat = simulate(inst, [0.0], [0.9 / 3])
         assert flat.probabilities() == pytest.approx(reference.probs, abs=1e-12)
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
+
+
+@st.composite
+def assignment_runs(draw):
+    """An assignment instance (n = 2..6, m = n or not, n**m <= 6**6, costs
+    0..9) under its default penalty, with a schedule of p = 0..3 layers."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.sampled_from([n, *(k for k in range(1, 7) if k != n and n**k <= 6**6)]))
+    cost = draw(st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    p = draw(st.integers(0, 3))
+    angles = st.floats(-3.5, 3.5, allow_nan=False)
+    gammas = draw(st.lists(angles, min_size=p, max_size=p))
+    betas = draw(st.lists(angles, min_size=p, max_size=p))
+    inst = load_instance({"n": n, "m": m, "generator": {"kind": "assignment", "cost": cost}},
+                         cap=6**6)
+    return inst, gammas, betas
+
+
+def _product_instance(cost, **extra):
+    cost = np.asarray(cost)
+    m, n = cost.shape
+    return load_instance({"n": n, "m": m, **extra,
+                          "generator": {"kind": "assignment", "cost": cost.tolist()}})
+
+
+class TestProductRoute:
+    """The product state of ``simulate_blocks`` against the statevector of
+    ``simulate``, its masses against ``projector_mass``, the subset DP
+    against enumeration, and the splitting sampler against its law."""
+
+    @given(assignment_runs())
+    def test_matches_statevector(self, run):
+        inst, gammas, betas = run
+        assert inst.product_form
+        state = simulate(inst, gammas, betas)
+        probs = np.abs(simulate_blocks(inst, gammas, betas)) ** 2
+        masses = inst.product_masses(probs)
+        assert masses.e_star == inst.e_star()
+        assert abs(masses.optimal - projector_mass(state, inst.optimal_indices())) <= 1e-12
+        assert abs(masses.feasible - projector_mass(state, inst.feasible_indices())) <= 1e-12
+        # the law the splitting sampler draws from
+        assert np.abs(product_law(probs) - state.probabilities()).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_permutation_dp_matches_enumeration(self, n):
+        rng = np.random.default_rng([36, n])
+        for costs in (rng.integers(0, 10, (n, n)), rng.integers(0, 3, (n, n)),
+                      rng.integers(-2**40, 2**40, (n, n)), np.zeros((n, n), dtype=np.int64)):
+            unit = permutation_masses(np.ones((n, n)), costs, cap=2**n)
+            total, best, _, count = permutation_masses_by_enumeration(np.ones((n, n)), costs)
+            assert (unit.feasible, unit.e_star, unit.optimal) == (total, best, count)
+            assert unit.feasible == math.factorial(n)
+            weights = rng.dirichlet(np.ones(n), size=n)
+            masses = permutation_masses(weights, costs, cap=2**n)
+            total, best, at_best, _ = permutation_masses_by_enumeration(weights, costs)
+            assert masses.e_star == best
+            assert abs(masses.feasible - total) <= 1e-12
+            assert abs(masses.optimal - at_best) <= 1e-12
+
+    def test_permutation_dp_energy_is_exact(self):
+        # E* near 2**62, where a float sum of the terms would round
+        terms = np.array([[2**61 + 1, 2**61 + 3], [2**60 + 1, 2**60]], dtype=np.int64)
+        assert permutation_masses(np.ones((2, 2)), terms, cap=4).e_star == 2**61 + 2**60 + 1
+
+    def test_subset_table_bounded_by_cap(self):
+        with pytest.raises(CapExceededError, match=r"subset table 2\*\*n = 2\*\*5 exceeds .* 31"):
+            permutation_masses(np.ones((5, 5)), np.zeros((5, 5), dtype=np.int64), cap=31)
+        assert permutation_masses(np.ones((5, 5)), np.zeros((5, 5), dtype=np.int64),
+                                  cap=32).feasible == 120
+
+    @pytest.mark.parametrize("cost", [[[0, 1, 2], [2, 0, 1], [1, 2, 0]],
+                                      [[3, 1, 4, 1], [5, 9, 2, 6]],
+                                      [[2, 7], [1, 8], [2, 8], [1, 8]]],
+                             ids=["3x3", "4^2", "2^4"])
+    def test_splitting_sampler_matches_reference(self, cost):
+        inst = _product_instance(cost)
+        state = simulate(inst, [0.3, 0.6], [0.5, 0.5])
+        probs = np.abs(simulate_blocks(inst, [0.3, 0.6], [0.5, 0.5])) ** 2
+        symbols, report = sample_block_shots(inst, probs, 3000, 4, inst.e_star())
+        leaves = [tuple(z) for z in symbols.T.tolist()]
+        indices = [string_index(z, inst.n) for z in leaves]
+        assert indices == sorted(set(indices))  # canonical order, each string once
+        assert int(report.counts.sum()) == 3000 and (report.counts > 0).all()
+        assert dict(zip(leaves, report.counts.tolist())) == split_shots_reference(
+            probs, 3000, 4)
+        # the statevector's marginals draw the same counts, and the same hits
+        assert split_shots_reference(block_marginals(state), 3000, 4) == dict(
+            zip(leaves, report.counts.tolist()))
+        optimal = set(inst.optimal_indices().tolist())
+        hits = sum(c for i, c in zip(indices, report.counts.tolist()) if i in optimal)
+        assert report.frequency == hits / 3000
+
+    def test_splitting_sampler_within_five_sigma(self):
+        inst = _product_instance([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+        probs = np.abs(simulate_blocks(inst, [0.3, 0.6], [0.5, 0.5])) ** 2
+        shots = 10**6
+        symbols, report = sample_block_shots(inst, probs, shots, 11, inst.e_star())
+        law = product_law(probs)
+        counts = np.zeros(inst.size)
+        counts[[string_index(z, inst.n) for z in symbols.T.tolist()]] = report.counts
+        sigma = np.sqrt(shots * law * (1.0 - law))
+        assert (np.abs(counts - shots * law) <= 5 * sigma).all()
+
+    def test_splitting_sampler_takes_any_shot_count(self):
+        inst = _product_instance([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+        probs = np.abs(simulate_blocks(inst, [0.3], [0.5])) ** 2
+        for shots in (1, 2**62, 2**63 - 1):
+            symbols, report = sample_block_shots(inst, probs, shots, 5, inst.e_star())
+            assert sum(report.counts.tolist()) == shots
+            assert symbols.shape == (3, report.counts.size) and report.counts.size <= 27
+        for shots in (0, 2**63):
+            with pytest.raises(ValueError, match=f"shots {shots} must lie in"):
+                sample_block_shots(inst, probs, shots, 5, inst.e_star())
+
+    def test_shot_tree_bounded_by_cap(self):
+        # 2**62 shots reach all 9 nodes above block 0, so its level draws 9 x 3 counts
+        probs = np.full((3, 3), 1 / 3)
+        cost = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+        sample_block_shots(load_instance({"n": 3, "m": 3, "generator": {
+            "kind": "assignment", "cost": cost}}, cap=27), probs, 2**62, 5, 0)
+        with pytest.raises(CapExceededError, match="shot tree of 9 nodes times n = 3"):
+            sample_block_shots(load_instance({"n": 3, "m": 3, "generator": {
+                "kind": "assignment", "cost": cost}}, cap=26), probs, 2**62, 5, 0)
+
+    @pytest.mark.parametrize("hit", [False, True], ids=["no_hits", "all_hits"])
+    def test_interval_keeps_a_positive_width(self, hit):
+        """The Wilson interval of ``sample_shots`` (``TestSampleShots``) on the
+        product route: 50 shots, all on one string of a 2 x 1 instance."""
+        inst = _product_instance([[0, 5]])
+        probs = np.array([[1.0, 0.0]]) if hit else np.array([[0.0, 1.0]])
+        report = sample_block_shots(inst, probs, 50, 1, inst.e_star())[1]
+        assert report.frequency == float(hit)
+        width = binomtest(0, 50).proportion_ci(method="wilson").high
+        assert width == pytest.approx(0.0713, abs=5e-5)
+        if hit:
+            assert report.ci_high == 1.0 and report.ci_low == pytest.approx(1.0 - width, rel=1e-12)
+        else:
+            assert report.ci_low == 0.0 and report.ci_high == pytest.approx(width, rel=1e-12)
+
+    def test_non_finite_phase_rejected_before_any_layer(self, monkeypatch):
+        inst = _product_instance([[0, 10**18], [1, 0]])
+        monkeypatch.setattr("fejercert.oracle._block_coefficients", _no_layer)
+        with pytest.raises(ValueError, match="cost angle 1e\\+300 gives a non-finite phase"):
+            simulate_blocks(inst, [0.1, 1e300], [0.2, 0.3])
+        with pytest.raises(ValueError, match="equal length"):
+            simulate_blocks(inst, [0.1], [])
+
+
+def _no_layer(*args):
+    raise AssertionError("a layer ran")

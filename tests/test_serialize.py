@@ -24,6 +24,7 @@ from fejercert.serialize import (
     rl_law_csv,
     string_labels,
     string_labels_at,
+    string_labels_of,
 )
 from oracles import (
     curves_csv_rowwise,
@@ -97,6 +98,19 @@ def test_string_labels_at_match_index_string(n, m):
         format_string(index_string(int(i), n, m)) for i in indices]
     assert string_labels_at(np.arange(n**m), n, m) == string_labels(n, m)
     assert string_labels_at(indices[:0], n, m) == []
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 3), (4, 4), (16, 2), (36, 3), (16, 16),
+                                 (3, 45)])
+def test_string_labels_of_match_index_string(n, m):
+    """The labels of per-block symbol columns (the product route's shot
+    counts) against the per-index reference, also where n**m passes 2**63
+    (16**16, 3**45) and no int64 index exists."""
+    columns = np.random.default_rng([n, m, 1]).integers(0, n, size=(m, 50))
+    indices = [sum(int(z) * n**b for b, z in enumerate(col)) for col in columns.T]
+    assert string_labels_of(columns, n) == [
+        format_string(index_string(i, n, m)) for i in indices]
+    assert string_labels_of(columns[:, :0], n) == []
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
